@@ -161,6 +161,14 @@ def _parse_snr_axis(text: str, allow_range: bool) -> Tuple[float, ...]:
     return tuple(start + k * step for k in range(count))
 
 
+def _parse_rel_tol(text: str) -> float:
+    rel_tol = float(text)
+    if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
+        raise argparse.ArgumentTypeError(
+            f"rel-tol must be positive and finite, got {rel_tol}")
+    return rel_tol
+
+
 def _preprocess_argv(argv: Sequence[str]) -> List[str]:
     # glue values that begin with '-' (negative dB, '-inf', '-5:30:1')
     # onto their flag so argparse does not read them as option names
@@ -188,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, roc: bool = False):
         p.add_argument("--u", type=float, required=True,
                        help="time-bandwidth product (detector half-DOF)")
-        p.add_argument("--rel-tol", type=float, default=1e-10,
+        p.add_argument("--rel-tol", type=_parse_rel_tol, default=1e-10,
                        help="relative tolerance for series/quadrature")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: standard output)")
@@ -240,21 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=None,
                        help="Monte-Carlo master seed for the mc suite")
     return parser
-
-
-def _auto_policy(rel_tol: float, max_mean_snr: float) -> EvalPolicy:
-    """Size the series budget to the largest mean SNR on the grid.
-
-    The average-AUC series contracts by roughly 2*gb/(2*gb + 1 + q**2) per
-    term, so the term count to a fixed tolerance grows linearly with the
-    mean SNR; the default 5000-term budget is kept as a floor.
-    """
-    if rel_tol <= 0.0 or not math.isfinite(rel_tol):
-        raise UsageError(f"rel-tol must be positive and finite, got {rel_tol}")
-    span = 2.0 * max(max_mean_snr, 0.0) + 2.0
-    needed = int((max(-math.log(rel_tol), 5.0) + math.log(span)) * span) + 2000
-    return EvalPolicy(rel_tol=rel_tol,
-                      max_terms=min(max(needed, 5_000), 5_000_000))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +346,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
 
     cfg = DetectorConfig(plan.u)
-    policy = _auto_policy(args.rel_tol, _db_to_linear(max(plan.snr_db)))
+    policy = EvalPolicy(rel_tol=args.rel_tol)
     mc = McConfig(trials=args.trials, master_seed=args.seed)
     methods = (_ALL_EXPANSION[plan.metric] if plan.method == "all"
                else (plan.method,))
@@ -380,7 +373,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = DetectorConfig(args.u)
-    policy = EvalPolicy(rel_tol=args.rel_tol, max_terms=5_000)
+    policy = EvalPolicy(rel_tol=args.rel_tol)
     metric = args.metric
     q = args.q
     if q is not None and not (0.0 < q <= 1.0):
@@ -395,7 +388,6 @@ def _cmd_point(args) -> int:
             raise UsageError(f"snr-db {args.snr_db!r} is not usable")
         if math.isinf(mean):
             raise UsageError("snr-db +inf is not supported")
-        policy = _auto_policy(args.rel_tol, mean)
 
     failed = False
     try:
@@ -451,7 +443,7 @@ def _cmd_roc(args) -> int:
         raise UsageError("roc needs a finite --snr-db")
     cfg = DetectorConfig(args.u)
     f = HoytFading(args.q, _db_to_linear(db))
-    policy = _auto_policy(args.rel_tol, f.mean_snr)
+    policy = EvalPolicy(rel_tol=args.rel_tol)
 
     rows: List[CurveRow] = []
     failed = False

@@ -114,7 +114,7 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
     statistics at that fixed SNR, targeting the instantaneous AUC).
 
     Each batch draws n H0 and n H1 statistics and counts, via two binary
-    searches against the sorted H0 sample, how many of the n^2 cross pairs
+    searches of the sorted H1 sample against the sorted H0 sample, how many of the n^2 cross pairs
     rank the H1 draw higher (ties count half).  Batch values are pooled with
     n^2 weights — the pair counts — in fixed batch order.  The standard
     error is the Hanley-McNeil estimate at the total trial count; batching
@@ -143,8 +143,11 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
         extra = rng.poisson(snrs)
         y1 = 2.0 * rng.standard_gamma(u + extra)
         y0_sorted = np.sort(y0)
-        below = np.searchsorted(y0_sorted, y1, side="left")
-        below_or_tied = np.searchsorted(y0_sorted, y1, side="right")
+        # sorted queries walk y0_sorted in order (cache friendly); the
+        # counts are integer sums over a permutation, so the value is unchanged
+        y1_sorted = np.sort(y1)
+        below = np.searchsorted(y0_sorted, y1_sorted, side="left")
+        below_or_tied = np.searchsorted(y0_sorted, y1_sorted, side="right")
         wins = 0.5 * (below + below_or_tied).sum()
         pairs = float(n) * float(n)
         weighted.append(wins)          # = pairs * batch AUC

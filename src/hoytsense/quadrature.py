@@ -67,6 +67,7 @@ def integrate_unit_interval(f: Callable[[float], float],
     on the true error of the finer level.
     """
     prev = None
+    delta = math.inf
     evals = 0
     for level in range(policy.quad_levels + 1):
         panels = 1 << level
@@ -87,7 +88,7 @@ def integrate_unit_interval(f: Callable[[float], float],
         prev = total
     raise QuadratureError(
         f"no convergence after {policy.quad_levels} doublings "
-        f"(last delta {abs(total - prev):.3e})")
+        f"(last delta {delta:.3e})")
 
 
 def integrate_half_line(f: Callable[[float], float], policy: EvalPolicy,

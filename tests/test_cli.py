@@ -144,14 +144,63 @@ def test_sweep_method_all_expands_routes(capsys):
 
 
 def test_sweep_fractional_u_high_snr_autobudget(capsys):
-    # the series needs tens of thousands of terms at 30 dB; the sweep must
-    # size its own budget rather than die on the default policy
+    # high mean SNR must not exhaust the default term budget of the series
     code, out, _ = run_cli(capsys, "sweep", "--metric", "auc", "--u", "2.5",
                            "--q", "0.1", "--snr-db", "30")
     assert code == 0
     row = parse_rows(out)[0]
     assert row[4] == "closed_series"
     assert 0.97 < float(row[5]) < 1.0
+
+
+def test_rel_tol_must_be_positive_and_finite(capsys):
+    commands = (("point", "--metric", "auc", "--u", "2.5", "--q", "0.5",
+                 "--snr-db", "10"),
+                ("sweep", "--u", "2.5", "--q", "0.5", "--snr-db", "10"),
+                ("roc", "--u", "2.5", "--q", "0.5", "--snr-db", "10"))
+    for argv in commands:
+        for bad in ("0", "-1e-10", "inf", "nan"):
+            assert run_cli(capsys, *argv, "--rel-tol", bad)[0] == 2, (argv,
+                                                                       bad)
+        assert run_cli(capsys, *argv, "--rel-tol", "1e-8")[0] == 0
+
+
+def test_point_fractional_u_at_60_db(capsys, monkeypatch):
+    # the real-u series at the top of the SNR range: a few dozen terms, not
+    # millions, and a CAUC of ~1e-6 inside its est_error of the reference
+    import nb_reference as ref  # skips this test when scipy is missing
+    seen = []
+    closed = average.avg_auc_closed
+
+    def spy(*args, **kwargs):
+        seen.append(closed(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(average, "avg_auc_closed", spy)
+    code, out, _ = run_cli(capsys, "point", "--metric", "cauc", "--u", "2.5",
+                           "--q", "0.5", "--snr-db", "60")
+    assert code == 0
+    (row,) = parse_rows(out)
+    assert row[4] == "closed_series"
+    want = ref.avg_cauc(2.5, 0.5, 1e6)
+    assert abs(float(row[5]) - want) <= float(row[6])
+    assert [mv.terms_used <= 300 for mv in seen] == [True]
+
+
+def test_readme_sweep_at_fractional_u_within_est_error(capsys):
+    # the README curve family with u=2.5, so every row takes the series
+    import nb_reference as ref  # skips this test when scipy is missing
+    code, out, _ = run_cli(capsys, "sweep", "--metric", "auc", "--u", "2.5",
+                           "--q", "0.1,0.3,0.5,0.75,1.0",
+                           "--snr-db", "-5:30:1")
+    assert code == 0
+    rows = parse_rows(out)
+    assert len(rows) == 180
+    misses = [row for row in rows
+              if not abs(float(row[5]) - ref.avg_auc(
+                  2.5, float(row[1]), 10.0 ** (float(row[0]) / 10.0)))
+              <= float(row[6])]
+    assert misses == []
 
 
 def test_sweep_pd_pf_with_threshold(capsys):

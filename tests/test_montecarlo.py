@@ -133,3 +133,16 @@ def test_standard_error_scales_with_trials():
     assert e_large.std_error < e_small.std_error
     assert e_large.std_error == pytest.approx(e_small.std_error / 4.0,
                                               rel=0.25)
+
+
+def test_fixed_seed_estimates_are_frozen():
+    # recorded before the rank count sorted its H1 queries: the pair counts
+    # are sums over a permutation, so the estimates must not move by a bit
+    # (200_000 trials is three full batches and a partial one)
+    cases = ((2.5, HoytFading(0.5, 10.0), 200_000, 7, 0.8776578442765391),
+             (5.0, 3.0, 100_000, 1, 0.7790667226957391),
+             (1.0, HoytFading(0.1, 1000.0), 70_000, 3, 0.9952126436556993))
+    for u, channel, trials, seed, want in cases:
+        est = estimate_auc(DetectorConfig(u), channel,
+                           McConfig(trials=trials, master_seed=seed))
+        assert est.value == want

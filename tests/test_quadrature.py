@@ -1,7 +1,9 @@
 """Adaptive panel quadrature: exact integrals, policies, failure modes."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from hoytsense.quadrature import (EvalPolicy, QuadratureError,
@@ -75,8 +77,21 @@ def test_half_line_scale_validation():
 def test_non_convergence_raises():
     # resolution-starved policy on a violently oscillatory integrand
     starved = EvalPolicy(rel_tol=1e-13, max_terms=5_000, quad_levels=5)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as info:
         integrate_unit_interval(lambda x: math.sin(1e6 * x), starved)
+    # the message reports the gap between the last two composite levels,
+    # 16 and 32 panels, recomputed here
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+
+    def composite(panels):
+        h = 1.0 / panels
+        x = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * h
+        return float((0.5 * weights * np.sin(1e6 * x)).sum() * h)
+
+    want = abs(composite(32) - composite(16))
+    reported = float(re.search(r"last delta (\S+)\)", str(info.value))[1])
+    assert want > 0.0
+    assert reported == pytest.approx(want, rel=1e-3)
 
 
 def test_reported_error_is_honest():
