@@ -28,7 +28,7 @@ import math
 from typing import Iterator, Optional, Tuple
 
 from . import specfun
-from .detector import DetectorConfig, MetricValue, auc_awgn
+from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
 from .specfun import ConvergenceError
@@ -41,9 +41,7 @@ __all__ = [
     "avg_auc_uncorrected",
 ]
 
-_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 _EPS = 2.0 ** -52
-_DEFAULT_POLICY = EvalPolicy()
 
 
 def _legendre_terms(x: float, s: float) -> Iterator[float]:
@@ -60,18 +58,6 @@ def _legendre_terms(x: float, s: float) -> Iterator[float]:
                                       - n * x * m_prev) / (n + 1.0)
         yield m_cur
         n += 1
-
-
-def _beta_increments(u: float) -> Iterator[float]:
-    # inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, starting from
-    # inc_0 = Gamma(u+1/2) / (2 sqrt(pi) Gamma(u+1)) (Legendre duplication)
-    inc = (math.exp(specfun.ln_gamma(u + 0.5) - specfun.ln_gamma(u + 1.0))
-           / _TWO_SQRT_PI)
-    l = 0
-    while True:
-        yield inc
-        inc *= (2.0 * u + l) / (2.0 * (u + l + 1.0))
-        l += 1
 
 
 def _finite_sum_value(u: int, q: float, mean_snr: float,
@@ -94,14 +80,16 @@ def _finite_sum_value(u: int, q: float, mean_snr: float,
     if not one_minus_w2 > 0.0:  # guaranteed algebraically; kept as a tripwire
         raise ValueError(f"legendre argument left [0,1): 1 - w^2 = {one_minus_w2!r}")
     s = 1.0 / math.sqrt(one_minus_w2)
-    legendre = list(itertools.islice(_legendre_terms(1.0, s), u))
+    # q^(2i) rides in the Legendre terms: q^(1+2i) alone underflows at
+    # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN
+    legendre = list(itertools.islice(_legendre_terms(q2, s), u))
     factor = (1.0 + q2) if include_sq_factor else 1.0
     terms = []
     for l in range(u):
         for i in range(l + 1):
             terms.append(
                 specfun.binomial(float(l + u - 1 + binom_upper_shift), l - i)
-                * factor * q ** (1 + 2 * i)
+                * factor * q
                 * 2.0 ** (i + 1 - l - u)
                 * mean_snr ** i / den ** (i + 1)
                 * legendre[i])
@@ -155,7 +143,7 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
                           + abs(specfun.ln_gamma(u + 1.0)))
     partial = 0.0
     total = 0.0
-    for j, inc, m_j in zip(range(policy.max_terms), _beta_increments(u),
+    for j, inc, m_j in zip(range(policy.max_terms), specfun.beta_increments(u),
                            _legendre_terms(x, s)):
         partial += m_j
         total += inc * partial
@@ -187,7 +175,7 @@ def _printed_series_value(u: float, q: float, mean_snr: float,
     x, s, pref, rho = _series_setup(q, mean_snr, True)
     c = 0.5
     total = 0.0
-    for l, inc, m_l in zip(range(policy.max_terms), _beta_increments(u),
+    for l, inc, m_l in zip(range(policy.max_terms), specfun.beta_increments(u),
                            _legendre_terms(x, s)):
         term = c * m_l
         total += term

@@ -7,7 +7,7 @@ sweep     emit CSV curve families over a (q, mean-SNR dB) grid
 roc       trace the fading-averaged ROC at fixed parameters
 validate  run the executable validation suites (including the errata report)
 
-The library works in linear SNR throughout; decibels exist only here
+The library works in linear SNR throughout; the flags take decibels
 (mean_snr = 10**(db/10)).  All CSV output uses the fixed header
 ``snr_db,q,u,metric,method,value,est_error`` with UTF-8 text, LF line
 endings, and floats rendered at 17 significant digits.
@@ -24,17 +24,17 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from . import average, detector, hoyt, montecarlo
+from . import average, detector, montecarlo
 from . import validate as validation
 from .detector import DetectorConfig
-from .hoyt import HoytFading
+from .hoyt import HoytFading, db_to_linear
 from .montecarlo import McConfig
 from .quadrature import EvalPolicy
 from .specfun import ConvergenceError
 
-__all__ = ["main", "SweepSpec", "CurveRow", "CSV_HEADER"]
+__all__ = ["main", "CurveRow", "CSV_HEADER"]
 
 CSV_HEADER = ("snr_db", "q", "u", "metric", "method", "value", "est_error")
 
@@ -53,32 +53,6 @@ _ALL_EXPANSION = {
 
 class UsageError(ValueError):
     """Semantically invalid flag combination (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: one detector, a q list, an SNR grid."""
-
-    u: float
-    q_list: Tuple[float, ...]
-    snr_db: Tuple[float, ...]          # resolved ascending grid, dB
-    metric: str
-    method: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and self.u > 0.0):
-            raise UsageError(f"u must be positive and finite, got {self.u}")
-        if not self.q_list:
-            raise UsageError("q list must be nonempty")
-        for q in self.q_list:
-            if not (0.0 < q <= 1.0):
-                raise UsageError(f"each q must lie in (0, 1], got {q}")
-        if not self.snr_db:
-            raise UsageError("SNR grid must be nonempty")
-        if self.metric not in _SWEEP_METRICS:
-            raise UsageError(f"unknown metric {self.metric!r}")
-        if self.method not in _METHOD_FLAGS:
-            raise UsageError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +81,6 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def _clamp01(x: float) -> float:
     if math.isfinite(x):
         return min(1.0, max(0.0, x))
@@ -125,13 +95,17 @@ def _closed_label(cfg: DetectorConfig) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _parse_q(text: str) -> float:
+    q = float(text)
+    if not (0.0 < q <= 1.0):
+        raise argparse.ArgumentTypeError(f"q must lie in (0, 1], got {q}")
+    return q
+
+
 def _parse_q_list(text: str) -> Tuple[float, ...]:
-    try:
-        vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad q list {text!r}: {exc}") from None
+    vals = tuple(_parse_q(tok) for tok in text.split(",") if tok.strip())
     if not vals:
-        raise UsageError("q list is empty")
+        raise argparse.ArgumentTypeError("q list is empty")
     return vals
 
 
@@ -193,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "forms, quadrature and Monte-Carlo cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, roc: bool = False):
+    def add_common(p: argparse.ArgumentParser):
         p.add_argument("--u", type=float, required=True,
                        help="time-bandwidth product (detector half-DOF)")
         p.add_argument("--rel-tol", type=_parse_rel_tol, default=1e-10,
@@ -205,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_point.add_argument("--metric", required=True,
                          choices=("auc", "cauc", "pd", "pf"))
     add_common(p_point)
-    p_point.add_argument("--q", type=float, default=None,
+    p_point.add_argument("--q", type=_parse_q, default=None,
                          help="Hoyt parameter; omit for the unfaded detector")
     p_point.add_argument("--snr-db", default=None,
                          help="SNR in dB (mean SNR when --q is given; "
@@ -220,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "quadrature for pd, which has no closed "
                               "fading average)")
     add_common(p_sweep)
-    p_sweep.add_argument("--q", required=True,
+    p_sweep.add_argument("--q", type=_parse_q_list, required=True,
                          help="comma-separated Hoyt parameters, e.g. 0.1,0.5,1")
     p_sweep.add_argument("--snr-db", required=True,
                          help="mean-SNR grid in dB: start:stop:step "
@@ -233,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="Monte-Carlo master seed")
 
     p_roc = sub.add_parser("roc", help="fading-averaged ROC trace")
-    add_common(p_roc, roc=True)
-    p_roc.add_argument("--q", type=float, required=True)
+    add_common(p_roc)
+    p_roc.add_argument("--q", type=_parse_q, required=True)
     p_roc.add_argument("--snr-db", required=True, help="mean SNR in dB")
     p_roc.add_argument("--points", type=int, default=21,
                        help="number of false-alarm grid points (>= 2)")
@@ -285,7 +259,8 @@ def _failure_row(snr_db: float, q: float, u: float, metric: str,
 
 def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
                      f: HoytFading, threshold: Optional[float],
-                     policy: EvalPolicy, mc: McConfig) -> Tuple[float, str, float]:
+                     policy: EvalPolicy,
+                     mc: Optional[McConfig]) -> Tuple[float, str, float]:
     """(value, method label, est_error) for one sweep cell."""
     if metric in ("auc", "cauc"):
         if method == "closed":
@@ -329,43 +304,41 @@ def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
                      "use the roc subcommand for ROC traces")
 
 
+def _default_method(metric: str) -> str:
+    # pd has no closed fading average
+    return "quadrature" if metric == "pd" else "closed"
+
+
 def _cmd_sweep(args) -> int:
-    method = args.method
-    if method is None:
-        method = "quadrature" if args.metric == "pd" else "closed"
-    plan = SweepSpec(u=args.u, q_list=_parse_q_list(args.q),
-                     snr_db=_parse_snr_axis(args.snr_db, allow_range=True),
-                     metric=args.metric, method=method)
-    if plan.metric == "roc":
+    metric = args.metric
+    method = args.method or _default_method(metric)
+    snr_grid = _parse_snr_axis(args.snr_db, allow_range=True)
+    if metric == "roc":
         raise UsageError("metric roc is not sweepable; "
                          "use the roc subcommand for ROC traces")
-    for db in plan.snr_db:
+    for db in snr_grid:
         if not math.isfinite(db):
             raise UsageError("sweep grids must use finite dB values")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
 
-    cfg = DetectorConfig(plan.u)
+    cfg = DetectorConfig(args.u)
     policy = EvalPolicy(rel_tol=args.rel_tol)
     mc = McConfig(trials=args.trials, master_seed=args.seed)
-    methods = (_ALL_EXPANSION[plan.metric] if plan.method == "all"
-               else (plan.method,))
+    methods = _ALL_EXPANSION[metric] if method == "all" else (method,)
 
     rows: List[CurveRow] = []
     failed = False
-    for q in plan.q_list:
-        for db in plan.snr_db:
-            f = HoytFading(q, _db_to_linear(db))
+    for q in args.q:
+        for db in snr_grid:
+            f = HoytFading(q, db_to_linear(db))
             for method in methods:
                 try:
                     val, label, err = _eval_fading_row(
-                        plan.metric, method, cfg, f, args.threshold,
-                        policy, mc)
-                    rows.append(CurveRow(db, q, plan.u, plan.metric, label,
+                        metric, method, cfg, f, args.threshold, policy, mc)
+                    rows.append(CurveRow(db, q, args.u, metric, label,
                                          _clamp01(val), err))
                 except (ConvergenceError, OverflowError) as exc:
                     failed = True
-                    rows.append(_failure_row(db, q, plan.u, plan.metric,
+                    rows.append(_failure_row(db, q, args.u, metric,
                                              method, exc))
     _write_rows(rows, args.out)
     return 3 if failed else 0
@@ -376,53 +349,47 @@ def _cmd_point(args) -> int:
     policy = EvalPolicy(rel_tol=args.rel_tol)
     metric = args.metric
     q = args.q
-    if q is not None and not (0.0 < q <= 1.0):
-        raise UsageError(f"q must lie in (0, 1], got {q}")
 
     db = math.nan
     mean = None
     if args.snr_db is not None:
         (db,) = _parse_snr_axis(args.snr_db, allow_range=False)
-        mean = 0.0 if db == -math.inf else _db_to_linear(db)
+        mean = 0.0 if db == -math.inf else db_to_linear(db)
         if not (mean >= 0.0 and not math.isnan(mean)):
             raise UsageError(f"snr-db {args.snr_db!r} is not usable")
         if math.isinf(mean):
             raise UsageError("snr-db +inf is not supported")
 
+    if metric in ("auc", "cauc"):
+        if mean is None:
+            raise UsageError(f"--snr-db is required for metric {metric}")
+    elif metric == "pd":
+        if args.threshold is None or mean is None:
+            raise UsageError("metric pd needs --lambda and --snr-db")
+    elif args.threshold is None:
+        raise UsageError("metric pf needs --lambda")
+
     failed = False
     try:
-        if metric in ("auc", "cauc"):
-            if mean is None:
-                raise UsageError(f"--snr-db is required for metric {metric}")
-            if q is None:
-                mv = detector.auc_awgn(cfg, mean, policy)
-                val, label, err = mv.value, mv.method, mv.est_error
-            elif mean == 0.0:
-                # zero-SNR limit: chance level exactly, any q
-                val, label, err = 0.5, _closed_label(cfg), 0.0
-            else:
-                mv = average.avg_auc_closed(cfg, HoytFading(q, mean), policy)
-                val, label, err = mv.value, mv.method, mv.est_error
-            if metric == "cauc":
-                val = 1.0 - val
-        elif metric == "pd":
-            if args.threshold is None or mean is None:
-                raise UsageError("metric pd needs --lambda and --snr-db")
-            if q is None:
-                val = detector.pd(cfg, mean, args.threshold)
-                label, err = _closed_label(cfg), 1e-15
-            elif mean == 0.0:
-                val = detector.pf(cfg, args.threshold)
-                label, err = _closed_label(cfg), 1e-15
-            else:
-                mv = average.avg_pd_quadrature(cfg, HoytFading(q, mean),
-                                               args.threshold, policy)
-                val, label, err = mv.value, mv.method, mv.est_error
-        else:  # pf
-            if args.threshold is None:
-                raise UsageError("metric pf needs --lambda")
+        if metric == "pf":
             val = detector.pf(cfg, args.threshold)
             label, err = _closed_label(cfg), 1e-15
+        elif metric == "pd" and (q is None or mean == 0.0):
+            # unfaded, or the zero-SNR limit, where pd is pf exactly, any q
+            val = detector.pd(cfg, mean, args.threshold)
+            label, err = _closed_label(cfg), 1e-15
+        elif q is None:
+            mv = detector.auc_awgn(cfg, mean, policy)
+            val, label, err = mv.value, mv.method, mv.est_error
+            if metric == "cauc":
+                val = 1.0 - val
+        elif mean == 0.0:
+            # zero-SNR limit: chance level exactly, any q
+            val, label, err = 0.5, _closed_label(cfg), 0.0
+        else:
+            val, label, err = _eval_fading_row(
+                metric, _default_method(metric), cfg, HoytFading(q, mean),
+                args.threshold, policy, None)
         row = CurveRow(db, math.nan if q is None else q, args.u,
                        metric, label, _clamp01(val), err)
     except (ConvergenceError, OverflowError) as exc:
@@ -436,13 +403,11 @@ def _cmd_point(args) -> int:
 def _cmd_roc(args) -> int:
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
-    if not (0.0 < args.q <= 1.0):
-        raise UsageError(f"q must lie in (0, 1], got {args.q}")
     (db,) = _parse_snr_axis(args.snr_db, allow_range=False)
     if not math.isfinite(db):
         raise UsageError("roc needs a finite --snr-db")
     cfg = DetectorConfig(args.u)
-    f = HoytFading(args.q, _db_to_linear(db))
+    f = HoytFading(args.q, db_to_linear(db))
     policy = EvalPolicy(rel_tol=args.rel_tol)
 
     rows: List[CurveRow] = []
@@ -496,10 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       "roc": _cmd_roc, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"hoytsense: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"hoytsense: error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

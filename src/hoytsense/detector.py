@@ -16,6 +16,7 @@ density.  They must agree; the validation suite holds them to that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -143,9 +144,7 @@ def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("threshold bracket ran away")
-    lam = min(2.0 * u, 0.5 * hi)
-    if lam <= 0.0:
-        lam = 0.5 * hi
+    lam = min(2.0 * u, 0.5 * hi)  # > 0, as u > 0
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
     for _ in range(200):
         err = pf(cfg, lam) - pf_target
@@ -156,10 +155,7 @@ def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
         else:
             hi = lam
         # density of the noise-only statistic at lam (= -d pf / d lam)
-        if lam > 0.0:
-            ln_pdf = (u - 1.0) * math.log(lam) - 0.5 * lam - ln_norm
-        else:
-            ln_pdf = -math.inf
+        ln_pdf = _ln_threshold_density(u, lam, ln_norm)
         step_ok = False
         if ln_pdf > -700.0:
             nxt = lam + err / math.exp(ln_pdf)
@@ -210,12 +206,13 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
         return MetricValue(1.0, "closed_series", 0,
                            math.exp(-0.5 * (snr - 4.0 * u)))
     pois = math.exp(-snr)
+    if pois < sys.float_info.min:  # subnormal or 0: every weight falls short
+        raise ConvergenceError(
+            f"AUC series: exp(-snr) underflows (snr={snr}, u={u})")
     c = 0.5
-    inc = math.exp(specfun.ln_gamma(2.0 * u) - specfun.ln_gamma(u)
-                   - specfun.ln_gamma(u + 1.0) - 2.0 * u * _LN2)
     total = 0.0
     streak = 0
-    for l in range(policy.max_terms):
+    for l, inc in zip(range(policy.max_terms), specfun.beta_increments(u)):
         total += pois * c
         nxt = pois * snr / (l + 1.0)
         if l >= snr:
@@ -230,7 +227,6 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
                 streak = 0
         pois = nxt
         c += inc
-        inc *= (2.0 * u + l) / (2.0 * (u + l + 1.0))
     raise ConvergenceError(
         f"AUC series needed more than {policy.max_terms} terms at snr={snr}")
 
@@ -249,8 +245,11 @@ def auc_awgn(cfg: DetectorConfig, snr: float,
         if snr >= _LAGUERRE_SATURATION + 4.0 * u_int:
             return MetricValue(1.0, "closed_integer", 0,
                                math.exp(-0.25 * (snr - 4.0 * u_int)))
-        return MetricValue(_auc_integer(u_int, snr), "closed_integer",
-                           u_int, 1e-15)
+        value = _auc_integer(u_int, snr)
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"Laguerre AUC sum left double range at u={u_int}, snr={snr}")
+        return MetricValue(value, "closed_integer", u_int, 1e-15)
     return auc_awgn_series(cfg, snr, policy)
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import specfun
 
-__all__ = ["HoytFading", "snr_pdf", "snr_cdf", "snr_mgf", "sample_snr"]
+__all__ = ["HoytFading", "db_to_linear", "snr_pdf", "snr_cdf", "snr_mgf",
+           "sample_snr"]
 
 # below this distance from q=1 the Marcum-difference form has lost all
 # precision while the exponential limit is already exact to ~1e-13
@@ -41,6 +42,11 @@ class HoytFading:
             raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
         if not (math.isfinite(self.mean_snr) and self.mean_snr > 0.0):
             raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr!r}")
+
+
+def db_to_linear(db: float) -> float:
+    """A mean SNR in dB as the linear power ratio HoytFading takes."""
+    return 10.0 ** (db / 10.0)
 
 
 def snr_pdf(f: HoytFading, snr: float) -> float:

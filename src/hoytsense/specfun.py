@@ -1,21 +1,23 @@
 """Special-function kernel: regularized incomplete gamma, modified Bessel I,
-Marcum Q, confluent and Gauss hypergeometric functions, Laguerre polynomials.
+Marcum Q, the confluent hypergeometric function, half-domain incomplete-beta
+increments, Laguerre polynomials.
 
 Everything here is scalar, pure Python double precision. The implementations
 follow the usual series/continued-fraction splits (Numerical Recipes style for
-the incomplete gamma; DLMF 15.8 transformations for 2F1) and are tuned for the
-argument ranges the detector formulas actually hit. Extended precision lives
-only in the test oracles, never here.
+the incomplete gamma) and are tuned for the argument ranges the detector
+formulas actually hit. Extended precision lives only in the test oracles,
+never here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 MAXLOG = 709.782712893384  # log(DBL_MAX); exp() overflows above this
 MINLOG = -745.13321910194  # below this exp() underflows to 0
-_EPS = 2.220446049250313e-16
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 # x below this the Bessel ascending series cannot overflow (max partial sum
 # is bounded by I_nu(x) ~ e^x/sqrt(2 pi x), and e^600 ~ 3.8e260)
@@ -217,7 +219,6 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
     e_anchor = math.exp(le) if le > MINLOG else 0.0
 
     total = w_up * q_anchor
-    wsum = w_up
 
     # upward from the mode
     w, qv, e = w_up, q_anchor, e_anchor
@@ -228,7 +229,6 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
         e *= x / (m + k + 1.0)
         k += 1
         total += w * qv
-        wsum += w
         if k > h and w < acc.rel_tol * total * (1.0 - h / (k + 1.0)):
             break
     else:
@@ -245,7 +245,6 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
             nxt = reg_upper_gamma(m + k - 1.0, x, acc)
         qv = nxt
         total += w * qv
-        wsum += w
         if w < acc.rel_tol * total:
             break
 
@@ -314,118 +313,22 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 on z in [0, 1)
+# half-domain incomplete beta
 # ---------------------------------------------------------------------------
 
-def _digamma(x):
-    # real digamma via upward recurrence + asymptotic tail; x may not be a
-    # nonpositive integer (callers guarantee this)
-    if x < 0.0:
-        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
-    r = 0.0
-    # push the argument past 20 so the truncated asymptotic tail is < 1e-15
-    while x < 20.0:
-        r -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    return r + math.log(x) - 0.5 / x - inv2 * (
-        1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
+def beta_increments(u: float) -> Iterator[float]:
+    """inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, l = 0, 1, ...
 
-
-def _rgamma(x):
-    # 1/Gamma(x), zero at the poles, sign-correct for negative non-integers
-    if _is_nonpos_int(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
-def _2f1_series(a, b, c, z, acc):
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(acc.max_terms):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
-        if term == 0.0:
-            return total
-        small = small + 1 if abs(term) <= acc.rel_tol * (abs(total) + 1e-300) else 0
-        if small >= 2:
-            return total
-    raise ConvergenceError(f"2F1 series stalled at ({a},{b};{c};{z})")
-
-
-def _2f1_nearone_logcase(a, b, c, z, acc):
-    # c - a - b = m, a nonnegative integer: A&S 15.3.10/15.3.11.
-    m = int(round(c - a - b))
-    w = 1.0 - z
-    gc = math.gamma(c)
-    first = 0.0
-    if m > 0:
-        # finite sum: Gamma(m)Gamma(c)/(Gamma(a+m)Gamma(b+m)) *
-        #             sum_{k<m} (a)_k (b)_k / (k! (1-m)_k) * w^k
-        pref = math.gamma(m) * gc * _rgamma(a + m) * _rgamma(b + m)
-        term = pref
-        first = pref
-        for k in range(m - 1):
-            term *= (a + k) * (b + k) * w / ((k + 1.0) * (k + 1.0 - m))
-            first += term
-    # log series: -(-1)^m Gamma(c)/(Gamma(a)Gamma(b)) w^m *
-    #   sum_k (a+m)_k (b+m)_k /(k!(m+k)!) w^k [ln w - psi(k+1) - psi(k+m+1)
-    #                                          + psi(a+k+m) + psi(b+k+m)]
-    sign = -1.0 if m % 2 else 1.0
-    pref = -sign * gc * _rgamma(a) * _rgamma(b) * w ** m
-    lw = math.log(w)
-    coef = 1.0 / math.factorial(m)
-    pa, pb = _digamma(a + m), _digamma(b + m)
-    p1, pm1 = _digamma(1.0), _digamma(m + 1.0)
-    total = 0.0
-    for k in range(acc.max_terms):
-        bracket = lw - p1 - pm1 + pa + pb
-        term = coef * bracket
-        total += term
-        if k > 2 and abs(term) < acc.rel_tol * (abs(total) + 1e-300):
-            return first + pref * total
-        coef *= (a + m + k) * (b + m + k) * w / ((k + 1.0) * (m + k + 1.0))
-        # digammas advance by 1/argument each step
-        p1 += 1.0 / (k + 1.0)
-        pm1 += 1.0 / (m + k + 1.0)
-        pa += 1.0 / (a + m + k)
-        pb += 1.0 / (b + m + k)
-    raise ConvergenceError(f"2F1 log-case stalled at ({a},{b};{c};{z})")
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              acc: FunctionAccuracy = _DEFAULT_ACC) -> float:
-    """2F1(a, b; c; z) for real parameters and 0 <= z < 1.
-
-    Direct series for z <= 0.5; otherwise the z -> 1-z connection formula,
-    with the degenerate integer c-a-b case handled by the logarithmic variant.
+    The start Gamma(u+1/2) / (2 sqrt(pi) Gamma(u+1)) (Legendre duplication)
+    avoids lnGamma(2u) - lnGamma(u) - lnGamma(u+1), which cancels at large u.
     """
-    if not (0.0 <= z < 1.0):
-        raise ValueError(f"gauss_2f1 requires 0 <= z < 1, got z={z}")
-    if _is_nonpos_int(c):
-        raise ValueError(f"gauss_2f1 pole: c={c} is a nonpositive integer")
-    if z == 0.0:
-        return 1.0
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        return _2f1_series(a, b, c, z, acc)  # terminating polynomial
-    if z <= 0.5:
-        return _2f1_series(a, b, c, z, acc)
-
-    m = c - a - b
-    if abs(m - round(m)) > 1e-8:
-        # connect at z -> 1-z; signed gammas, since negative non-integer
-        # arguments are legal here and lgamma would drop the sign
-        g1 = math.gamma(c) * math.gamma(m) * _rgamma(a + m) * _rgamma(b + m)
-        g2 = math.gamma(c) * math.gamma(-m) * _rgamma(a) * _rgamma(b)
-        w = 1.0 - z
-        return (g1 * _2f1_series(a, b, 1.0 - m, w, acc)
-                + g2 * w ** m * _2f1_series(a + m, b + m, 1.0 + m, w, acc))
-    mi = int(round(m))
-    if mi < 0:
-        # flip to a nonnegative integer gap: F = (1-z)^m F(c-a, c-b; c; z)
-        return (1.0 - z) ** m * gauss_2f1(c - a, c - b, c, z, acc)
-    return _2f1_nearone_logcase(a, b, c, z, acc)
+    inc = math.exp(ln_gamma(u + 0.5) - ln_gamma(u + 1.0)) / _TWO_SQRT_PI
+    two_u = 2.0 * u
+    l = 0.0  # a float counter: mixed int/float arithmetic is slower
+    while True:
+        yield inc
+        inc *= (two_u + l) / (2.0 * (u + l + 1.0))
+        l += 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ _Q_GRID = (0.1, 0.3, 0.5, 0.75, 1.0)
 _DB_GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 # ---------------------------------------------------------------------------
 # specfun
 # ---------------------------------------------------------------------------
@@ -79,13 +75,6 @@ def specfun_suite() -> List[Line]:
             worst = max(worst, abs(got - math.exp(x)) / math.exp(x))
     lines.append(("kummer_exponential_reduction", worst < 1e-12,
                   f"max rel |1F1(a;a;x) - e^x| = {worst:.2e}"))
-
-    worst = 0.0
-    for z in (0.05, 0.3, 0.6, 0.9, 0.99):
-        worst = max(worst, abs(specfun.gauss_2f1(0.5, 1.0, 1.0, z)
-                               * math.sqrt(1.0 - z) - 1.0))
-    lines.append(("gauss_binomial_reduction", worst < 1e-12,
-                  f"max |2F1(1/2,1;1;z) sqrt(1-z) - 1| = {worst:.2e}"))
 
     worst = 0.0
     for n, alpha, x in ((3, 5.0, -2.0), (5, 2.5, 1.7), (12, 2.5, 7.0)):
@@ -263,7 +252,7 @@ def average_suite() -> List[Line]:
         cfg = detector.DetectorConfig(u)
         for q in _Q_GRID:
             for db in _DB_GRID:
-                f = hoyt.HoytFading(q, _db_to_linear(db))
+                f = hoyt.HoytFading(q, hoyt.db_to_linear(db))
                 closed = average.avg_auc_closed(cfg, f, pol).value
                 quad = average.avg_auc_quadrature(cfg, f, pol).value
                 dev = abs(closed - quad)
@@ -277,7 +266,7 @@ def average_suite() -> List[Line]:
         cfg = detector.DetectorConfig(float(u))
         for q in _Q_GRID:
             for db in _DB_GRID:
-                f = hoyt.HoytFading(q, _db_to_linear(db))
+                f = hoyt.HoytFading(q, hoyt.db_to_linear(db))
                 fin = average.avg_auc_closed(cfg, f, pol, form="finite_sum").value
                 ser = average.avg_auc_closed(cfg, f, pol, form="series").value
                 worst = max(worst, abs(fin - ser))
@@ -291,7 +280,7 @@ def average_suite() -> List[Line]:
             prev = -1.0
             for db in _DB_GRID:
                 val = average.avg_auc_closed(
-                    cfg, hoyt.HoytFading(q, _db_to_linear(db)), pol).value
+                    cfg, hoyt.HoytFading(q, hoyt.db_to_linear(db)), pol).value
                 if val < prev - 1e-12:
                     ok = False
                 prev = val
@@ -301,7 +290,7 @@ def average_suite() -> List[Line]:
     cfg1 = detector.DetectorConfig(1.0)
     for q in _Q_GRID:
         for db in _DB_GRID:
-            gb = _db_to_linear(db)
+            gb = hoyt.db_to_linear(db)
             got = average.avg_auc_closed(cfg1, hoyt.HoytFading(q, gb), pol).value
             want = 1.0 - 0.5 / math.sqrt(1.0 + gb + (q * gb / (1.0 + q * q)) ** 2)
             worst = max(worst, abs(got - want))
@@ -311,7 +300,7 @@ def average_suite() -> List[Line]:
     ok = True
     for u, q, db in ((1.0, 0.5, 10.0), (5.0, 0.1, 0.0), (2.5, 1.0, 20.0)):
         cfg = detector.DetectorConfig(u)
-        f = hoyt.HoytFading(q, _db_to_linear(db))
+        f = hoyt.HoytFading(q, hoyt.db_to_linear(db))
         a = average.avg_auc_closed(cfg, f, pol)
         c = average.avg_cauc_closed(cfg, f, pol)
         ok = ok and (a.value + c.value == 1.0)
@@ -337,7 +326,7 @@ def average_suite() -> List[Line]:
     sample = None
     for db in (5.0, 10.0, 15.0, 20.0):
         vals = [average.avg_auc_closed(
-            cfg5, hoyt.HoytFading(q, _db_to_linear(db)), pol).value
+            cfg5, hoyt.HoytFading(q, hoyt.db_to_linear(db)), pol).value
             for q in _Q_GRID]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             ok = False
@@ -356,7 +345,6 @@ def mc_suite(trials: int = 1_000_000, master_seed: int = 20260815) -> List[Line]
     lines: List[Line] = []
     cfg5 = detector.DetectorConfig(5.0)
     cfg25 = detector.DetectorConfig(2.5)
-    cfg1 = detector.DetectorConfig(1.0)
 
     small = montecarlo.McConfig(trials=max(10_000, trials // 20),
                                 master_seed=master_seed)
@@ -403,7 +391,7 @@ def mc_suite(trials: int = 1_000_000, master_seed: int = 20260815) -> List[Line]
     details = []
     for u, q, db in ((5.0, 0.5, 10.0), (5.0, 1.0, 0.0)):
         cfg = detector.DetectorConfig(u)
-        f = hoyt.HoytFading(q, _db_to_linear(db))
+        f = hoyt.HoytFading(q, hoyt.db_to_linear(db))
         est = montecarlo.estimate_auc(cfg, f, mcc)
         ref = average.avg_auc_closed(cfg, f).value
         dev = abs(est.value - ref) / est.std_error

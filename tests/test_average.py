@@ -34,6 +34,8 @@ ABAR_5_1EM6_1 = 0.59504296426371963701
 ABAR_5_1EM6_1000 = 0.978916009944413928559
 ABAR_2P5_1EM6_1 = 0.617118600238166004216
 ABAR_2P5_1EM6_1000 = 0.981496328216641436576
+ABAR_50_1EM6_1 = 0.53795633513864488994
+ABAR_100_1EM6_1000 = 0.959708782906490471262
 
 # what the published expressions evaluate to before correction (diagnostics)
 ABAR_T1PRT_2_0P5_10 = 0.908051623795726267134
@@ -81,7 +83,10 @@ def test_small_q_within_reported_error():
              ("series", 5.0, 1.0, ABAR_5_1EM6_1),
              ("series", 5.0, 1000.0, ABAR_5_1EM6_1000),
              ("series", 2.5, 1.0, ABAR_2P5_1EM6_1),
-             ("series", 2.5, 1000.0, ABAR_2P5_1EM6_1000))
+             ("series", 2.5, 1000.0, ABAR_2P5_1EM6_1000),
+             # q^(1+2i) underflows where the Legendre terms overflow
+             ("finite_sum", 50.0, 1.0, ABAR_50_1EM6_1),
+             ("finite_sum", 100.0, 1000.0, ABAR_100_1EM6_1000))
     for form, u, mean, want in cases:
         mv = avg_auc_closed(DetectorConfig(u), _f(1e-6, mean), TIGHT,
                             form=form)

@@ -76,6 +76,11 @@ def test_point_usage_errors(capsys):
                    "--q", "1.5", "--snr-db", "3")[0] == 2
     assert run_cli(capsys, "point", "--metric", "auc", "--u", "-1",
                    "--q", "0.5", "--snr-db", "3")[0] == 2
+    # the same q and u checks hold for sweep and roc
+    for cmd, snr in (("sweep", "0:10:1"), ("roc", "10")):
+        for q, u in (("0", "5"), ("1.5", "5"), ("0.5", "-1")):
+            assert run_cli(capsys, cmd, "--u", u, "--q", q,
+                           "--snr-db", snr)[0] == 2, (cmd, q, u)
 
 
 def test_sweep_grid_shape_and_order(capsys):
@@ -252,6 +257,18 @@ def test_sweep_annotates_failed_rows(capsys, monkeypatch):
     assert "synthetic failure" in err
 
 
+def test_point_out_of_range_rows_fail(capsys):
+    # exp(-snr) underflow in the real-u series, overflow in the integer
+    # Laguerre sum: a failed row and exit 3, not 0 or nan with exit 0
+    for u, db in (("200.5", "29.03"), ("400", "27")):
+        code, out, err = run_cli(capsys, "point", "--metric", "auc",
+                                 "--u", u, "--snr-db", db)
+        assert code == 3, (u, db)
+        (row,) = parse_rows(out)
+        assert row[4:] == ["n/a", "nan", "inf"]
+        assert "failed" in err
+
+
 def test_roc_pairs_schema(capsys):
     code, out, _ = run_cli(capsys, "roc", "--u", "5", "--q", "0.5",
                            "--snr-db", "10", "--points", "5")
@@ -272,7 +289,7 @@ def test_validate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "validate", "--suite", "specfun")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    assert "8/8 checks passed" in out
+    assert "7/7 checks passed" in out
     assert run_cli(capsys, "validate", "--suite", "bogus")[0] == 2
 
 

@@ -14,7 +14,7 @@ from hoytsense.detector import (DetectorConfig, MetricValue, auc_awgn,
                                 auc_quadrature, cauc_awgn, pd, pf,
                                 roc_points_awgn, threshold_for_pf)
 from hoytsense.quadrature import EvalPolicy
-from hoytsense.specfun import reg_upper_gamma
+from hoytsense.specfun import ConvergenceError, reg_upper_gamma
 
 TIGHT = EvalPolicy(rel_tol=1e-13, max_terms=100_000, quad_levels=22)
 
@@ -139,6 +139,18 @@ def test_auc_monotone_and_saturates():
     assert mv.value == 1.0 and mv.est_error < 1e-30
     mv = auc_awgn_series(DetectorConfig(2.5), 200.0, TIGHT)
     assert mv.value == 1.0 and mv.est_error < 1e-12
+
+
+def test_out_of_range_inputs_raise():
+    # above snr ~ 708 the series' first Poisson weight exp(-snr) is
+    # subnormal or zero; summed anyway it gives 1.00000018, 1.288 and 0
+    cfg = DetectorConfig(200.5)
+    for snr in (730.0, 744.0, 760.0):
+        with pytest.raises(ConvergenceError):
+            auc_awgn(cfg, snr)
+    # the integer Laguerre sum overflows to inf - inf = nan here
+    with pytest.raises(OverflowError):
+        auc_awgn(DetectorConfig(400.0), 500.0)
 
 
 def test_cauc_is_exact_complement():

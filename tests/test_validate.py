@@ -54,13 +54,31 @@ def test_errata_suite_quantifies_all_defects():
     assert "diverges" in details["series_mean_snr_exponent"]
 
 
-def test_run_suite_dispatch():
+def test_run_suite_dispatch(monkeypatch):
+    # stub suites: each real one already has its own test above
+    calls = []
+
+    def stub(name):
+        def suite(**kwargs):
+            calls.append((name, kwargs))
+            return [(name, True, "stub")]
+        return suite
+
+    for name in list(validate.SUITES):
+        monkeypatch.setitem(validate.SUITES, name, stub(name))
+        monkeypatch.setattr(validate, f"{name}_suite", validate.SUITES[name])
+
     with pytest.raises(ValueError):
         validate.run_suite("nonsense")
-    lines = validate.run_suite("specfun")
-    _assert_all_pass(lines)
-    combined = validate.run_suite("all", trials=60_000, master_seed=3)
-    per_suite = sum(len(validate.run_suite(s, trials=60_000, master_seed=3))
-                    for s in ("specfun", "detector", "hoyt", "average",
-                              "mc", "errata"))
-    assert len(combined) == per_suite
+    order = ("specfun", "detector", "hoyt", "average", "mc", "errata")
+    lines = validate.run_suite("all", trials=60_000, master_seed=3)
+    assert lines == [(name, True, "stub") for name in order]
+    # trials and master_seed reach mc_suite and no other suite
+    seeded = {"trials": 60_000, "master_seed": 3}
+    assert calls == [(name, seeded if name == "mc" else {})
+                     for name in order]
+    calls.clear()
+    assert validate.run_suite("hoyt", trials=5, master_seed=1) == [
+        ("hoyt", True, "stub")]
+    assert validate.run_suite("mc") == [("mc", True, "stub")]
+    assert calls == [("hoyt", {}), ("mc", {})]
