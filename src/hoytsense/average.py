@@ -18,14 +18,16 @@ The corrected series is summed by its complement, the CAUC, whose weights
 I_{1/2}(u+l, u) fall like 2^-l; its cost does not grow with the mean SNR.
 Over u <= 500, q in [1e-6, 1] and -10..60 dB it stops after 27-280 terms
 (under a millisecond) for rel_tol down to 5e-14, well inside the default
-EvalPolicy.max_terms.  The finite sum costs u(u+1)/2 terms whatever the SNR.
+EvalPolicy.max_terms.  The finite sum takes u terms whatever the SNR: its
+inner sum over the binomial weights is a binomial tail, and all u tails come
+from one pass over the Bin(2u-1, 1/2) pmf.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
@@ -60,16 +62,42 @@ def _legendre_terms(x: float, s: float) -> Iterator[float]:
         n += 1
 
 
+def _binomial_tails(u: int, shift: int) -> List[float]:
+    # P(Bin(n, 1/2) >= u + shift + i), i = 0..u-1, for n = 2u-1+shift: the
+    # pmf from the centre outwards by the ratio (n-k+1)/k, normalised by the
+    # symmetric total (the upper half is exactly 1/2 of it when n is odd; for
+    # even n the centre pmf(u) = (u+1)/u pmf(u+1) sits between the halves),
+    # then added from the far end inwards so every addition is positive
+    n = 2 * u - 1 + shift
+    pmf = [1.0]
+    for k in range(u + shift + 1, n + 1):
+        pmf.append(pmf[-1] * (n - k + 1) / k)
+    tails = list(itertools.accumulate(reversed(pmf)))[::-1]
+    total = 2.0 * tails[0] + (shift * (u + 1) / u)
+    return [t / total for t in tails]
+
+
 def _finite_sum_value(u: int, q: float, mean_snr: float,
                       binom_upper_shift: int = 0,
                       include_sq_factor: bool = True) -> float:
-    """Integer-u average AUC by the finite double sum.
+    """Integer-u average AUC by the finite double sum, in u terms.
 
-    The corrected form keeps the published binomial upper index (l+u-1) and
+    The published double sum runs over 0 <= i <= l < u with the weight
+    C(l+u-1+b, l-i) 2^(i+1-l-u) on the i-th Legendre term.  Its inner sum
+    over l is a negative-binomial partial sum, so it collapses to a binomial
+    tail,
+
+        sum_{l=i}^{u-1} C(l+u-1+b, l-i) 2^(i+1-l-u)
+            = 2^(i+1+b) P(Bin(2u-1+b, 1/2) >= u+i+b),
+
+    so the whole sum takes u terms, one tail each (`_binomial_tails`).
+
+    The corrected form keeps the published binomial upper index (b = 0) and
     restores the (1+q^2) factor that the published version dropped.  The two
     keyword knobs exist only for the errata diagnostics: binom_upper_shift=1
     evaluates the plausible-but-wrong (l+u) repair of the binomial, and
     include_sq_factor=False reproduces the published expression verbatim.
+    Raises OverflowError where mean_snr^i or den^(i+1) leaves double range.
     """
     q2 = q * q
     den = 2.0 * mean_snr * q2 + (1.0 + q2) ** 2
@@ -82,18 +110,13 @@ def _finite_sum_value(u: int, q: float, mean_snr: float,
     s = 1.0 / math.sqrt(one_minus_w2)
     # q^(2i) rides in the Legendre terms: q^(1+2i) alone underflows at
     # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN
-    legendre = list(itertools.islice(_legendre_terms(q2, s), u))
+    legendre = _legendre_terms(q2, s)
+    tails = _binomial_tails(u, binom_upper_shift)
     factor = (1.0 + q2) if include_sq_factor else 1.0
-    terms = []
-    for l in range(u):
-        for i in range(l + 1):
-            terms.append(
-                specfun.binomial(float(l + u - 1 + binom_upper_shift), l - i)
-                * factor * q
-                * 2.0 ** (i + 1 - l - u)
-                * mean_snr ** i / den ** (i + 1)
-                * legendre[i])
-    return 1.0 - math.fsum(terms)
+    terms = [math.ldexp(tail, i + 1 + binom_upper_shift) * leg
+             * (mean_snr ** i / den ** (i + 1))
+             for i, (tail, leg) in enumerate(zip(tails, legendre))]
+    return 1.0 - factor * q * math.fsum(terms)
 
 
 def _series_setup(q: float, mean_snr: float, mean_power_printed: bool):
@@ -139,8 +162,7 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
     """
     x, s, pref, rho = _series_setup(q, mean_snr, False)
     # rounding: lgamma's absolute error in inc_0, then a few ulps a term
-    lgamma_err = 4e-16 * (abs(specfun.ln_gamma(u + 0.5))
-                          + abs(specfun.ln_gamma(u + 1.0)))
+    lgamma_err = specfun.beta_increments_error(u)
     partial = 0.0
     total = 0.0
     for j, inc, m_j in zip(range(policy.max_terms), specfun.beta_increments(u),
@@ -209,8 +231,7 @@ def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
             raise ValueError("finite_sum form requires integer time_bandwidth")
         u = int(round(cfg.time_bandwidth))
         value = _finite_sum_value(u, f.q, f.mean_snr)
-        return MetricValue(value, "closed_integer",
-                           u * (u + 1) // 2, 1e-15 * u)
+        return MetricValue(value, "closed_integer", u, 1e-15 * u)
     value, terms, err = _series_value(cfg.time_bandwidth, f.q, f.mean_snr, policy)
     return MetricValue(value, "closed_series", terms, err)
 
@@ -295,7 +316,7 @@ def avg_auc_uncorrected(cfg: DetectorConfig, f: HoytFading,
             raise ValueError("finite_sum variant requires integer time_bandwidth")
         u = int(round(cfg.time_bandwidth))
         value = _finite_sum_value(u, f.q, f.mean_snr, include_sq_factor=False)
-        return MetricValue(value, "closed_integer", u * (u + 1) // 2, math.inf)
+        return MetricValue(value, "closed_integer", u, math.inf)
     if variant == "series":
         value, terms = _printed_series_value(cfg.time_bandwidth, f.q,
                                              f.mean_snr, policy)

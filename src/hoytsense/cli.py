@@ -31,7 +31,7 @@ from . import validate as validation
 from .detector import DetectorConfig
 from .hoyt import HoytFading, db_to_linear
 from .montecarlo import McConfig
-from .quadrature import EvalPolicy
+from .quadrature import EvalPolicy, QuadratureError
 from .specfun import ConvergenceError
 
 __all__ = ["main", "CurveRow", "CSV_HEADER"]
@@ -49,6 +49,10 @@ _ALL_EXPANSION = {
     "pd": ("quadrature", "mc"),
     "pf": ("closed", "mc"),
 }
+
+# a route that gives up on one row writes a failure row (exit 3), not a
+# traceback
+_ROW_FAILURES = (ConvergenceError, OverflowError, QuadratureError)
 
 
 class UsageError(ValueError):
@@ -336,7 +340,7 @@ def _cmd_sweep(args) -> int:
                         metric, method, cfg, f, args.threshold, policy, mc)
                     rows.append(CurveRow(db, q, args.u, metric, label,
                                          _clamp01(val), err))
-                except (ConvergenceError, OverflowError) as exc:
+                except _ROW_FAILURES as exc:
                     failed = True
                     rows.append(_failure_row(db, q, args.u, metric,
                                              method, exc))
@@ -392,7 +396,7 @@ def _cmd_point(args) -> int:
                 args.threshold, policy, None)
         row = CurveRow(db, math.nan if q is None else q, args.u,
                        metric, label, _clamp01(val), err)
-    except (ConvergenceError, OverflowError) as exc:
+    except _ROW_FAILURES as exc:
         failed = True
         row = _failure_row(db, math.nan if q is None else q, args.u,
                            metric, "n/a", exc)
@@ -424,7 +428,7 @@ def _cmd_roc(args) -> int:
                                  abs(realized - target)))
             rows.append(CurveRow(db, args.q, args.u, "pd", mv.method,
                                  _clamp01(mv.value), mv.est_error))
-        except (ConvergenceError, OverflowError) as exc:
+        except _ROW_FAILURES as exc:
             failed = True
             rows.append(_failure_row(db, args.q, args.u, "pf",
                                      "closed", exc))
@@ -464,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"hoytsense: error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, QuadratureError) as exc:
         print(f"hoytsense: non-convergence: {exc}", file=sys.stderr)
         return 3
 

@@ -220,9 +220,13 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
             if tail <= policy.rel_tol * total:
                 streak += 1
                 if streak >= 3 or tail == 0.0:
-                    # truncation tail plus per-term roundoff accumulation
+                    # truncation tail, lgamma's error in the first
+                    # increment (every weight carries it) and per-term
+                    # roundoff accumulation
+                    rounding = (specfun.beta_increments_error(u)
+                                + 1e-16 * (l + 1)) * total
                     return MetricValue(total, "closed_series", l + 1,
-                                       tail + 1e-16 * (l + 1) * total)
+                                       tail + rounding)
             else:
                 streak = 0
         pois = nxt

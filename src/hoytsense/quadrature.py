@@ -64,7 +64,8 @@ def integrate_unit_interval(f: Callable[[float], float],
 
     The estimate error is the difference between the last two composite
     levels, which for Gauss panels on smooth integrands is a generous bound
-    on the true error of the finer level.
+    on the true error of the finer level.  Raises QuadratureError as soon
+    as a panel sums to NaN or inf, or when the levels run out.
     """
     prev = None
     delta = math.inf
@@ -78,6 +79,11 @@ def integrate_unit_interval(f: Callable[[float], float],
             acc = 0.0
             for t, w in zip(_T01, _W01):
                 acc += w * f(left + t * h)
+            if not math.isfinite(acc):
+                # no finer level can settle a NaN or inf: stop at once
+                raise QuadratureError(
+                    f"non-finite panel sum {acc!r} at level {level} "
+                    f"(panel {j} of {panels})")
             pieces.append(acc * h)
         total = math.fsum(pieces)
         evals += 32 * panels

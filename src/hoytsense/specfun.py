@@ -331,6 +331,16 @@ def beta_increments(u: float) -> Iterator[float]:
         l += 1.0
 
 
+def beta_increments_error(u: float) -> float:
+    """Relative error that every beta_increments(u) value shares.
+
+    lgamma's absolute error in the start's exponent, a few ulps of each
+    lnGamma, scales the first increment and so, through the recurrence,
+    all of them; at u ~ 150 it outweighs the per-term rounding.
+    """
+    return 4e-16 * (abs(ln_gamma(u + 0.5)) + abs(ln_gamma(u + 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # Laguerre, Pochhammer, binomial
 # ---------------------------------------------------------------------------

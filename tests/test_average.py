@@ -6,12 +6,14 @@ shares nothing with either runtime closed form.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
                                avg_auc_uncorrected, avg_cauc_closed,
-                               avg_pd_quadrature, _finite_sum_value)
+                               avg_pd_quadrature, _binomial_tails,
+                               _finite_sum_value)
 from hoytsense.detector import DetectorConfig, threshold_for_pf
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import EvalPolicy
@@ -43,6 +45,13 @@ ABAR_T1PRT_1_0P5_10 = 0.923019964108049898065
 ABAR_T1CONJ_2_0P5_10 = 0.861008268528423427063   # binomial-index "repair"
 ABAR_T2PRT_2_0P5_10 = 0.614656370722358774546
 
+# both errata variants at q=0.5, mean 10, frozen from the term-by-term double
+# sum over 0 <= i <= l < u, before it was folded into binomial tails
+ABAR_T1CONJ_20_0P5_10 = 0.6417168420043244
+ABAR_T1PRT_20_0P5_10 = 0.83082308135995
+ABAR_T1CONJ_100_0P5_10 = 0.43482568414525913
+ABAR_T1PRT_100_0P5_10 = 0.7571605117310625
+
 
 def _f(q, mean):
     return HoytFading(q, mean)
@@ -56,7 +65,61 @@ def test_frozen_values_integer_route():
     for (u, q, mean), want in cases.items():
         mv = avg_auc_closed(DetectorConfig(u), _f(q, mean), TIGHT)
         assert mv.method == "closed_integer"
+        assert mv.terms_used == u
         assert mv.value == pytest.approx(want, abs=2e-13)
+
+
+def test_finite_sum_within_est_error_over_the_box():
+    # every returned value inside est_error of the independent reference;
+    # where mean_snr^i or den^(i+1) leaves double range (u >= 135 at
+    # 20 dB and up) an OverflowError, never nan or inf
+    import nb_reference as ref  # skips this test when scipy is missing
+    misses = []
+    overflows = 0
+    for u in (1, 2, 5, 20, 50, 100, 135, 150):
+        cfg = DetectorConfig(float(u))
+        for q in (1e-6, 0.1, 0.5, 1.0):
+            for db in range(-10, 61, 5):
+                mean = 10.0 ** (db / 10.0)
+                try:
+                    mv = avg_auc_closed(cfg, _f(q, mean))
+                except OverflowError:
+                    overflows += 1
+                    continue
+                want = ref.avg_auc(u, q, mean)
+                if not (math.isfinite(mv.value) and mv.terms_used == u
+                        and abs(mv.value - want) <= mv.est_error):
+                    misses.append((u, q, db, mv, want))
+    assert misses == []
+    assert 0 < overflows < 100
+
+
+def test_binomial_tails_equal_the_inner_sums():
+    # sum_{l=i}^{u-1} C(l+u-1+b, l-i) 2^(i+1-l-u) in exact rationals against
+    # 2^(i+1+b) P(Bin(2u-1+b, 1/2) >= u+i+b) in floats: within u ulps
+    for u in (1, 2, 3, 5, 8, 13, 20, 40, 150):
+        for shift in (0, 1):
+            tails = _binomial_tails(u, shift)
+            assert len(tails) == u
+            for i, tail in enumerate(tails):
+                exact = sum(Fraction(math.comb(l + u - 1 + shift, l - i),
+                                     2 ** (l + u - i - 1))
+                            for l in range(i, u))
+                got = Fraction(math.ldexp(tail, i + 1 + shift))
+                assert abs(got - exact) <= u * 2.0 ** -52 * exact, (u, i)
+
+
+def test_errata_variants_frozen_at_large_u():
+    # the binomial-index "repair" and the printed form without (1+q^2)
+    for u, conj, printed in ((20, ABAR_T1CONJ_20_0P5_10, ABAR_T1PRT_20_0P5_10),
+                             (100, ABAR_T1CONJ_100_0P5_10,
+                              ABAR_T1PRT_100_0P5_10)):
+        got = _finite_sum_value(u, 0.5, 10.0, binom_upper_shift=1)
+        assert got == pytest.approx(conj, abs=1e-13), u
+        mv = avg_auc_uncorrected(DetectorConfig(float(u)), _f(0.5, 10.0),
+                                 variant="finite_sum")
+        assert mv.value == pytest.approx(printed, abs=1e-13), u
+        assert mv.terms_used == u
 
 
 def test_frozen_values_series_route():

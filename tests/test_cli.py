@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from hoytsense import average, cli
+from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
 
 HEADER = "snr_db,q,u,metric,method,value,est_error"
@@ -208,6 +209,29 @@ def test_readme_sweep_at_fractional_u_within_est_error(capsys):
     assert misses == []
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("--metric", "auc", "--q", "0.1,0.3,0.5,0.75,1.0", "--snr-db", "-5:30:1"),
+     180),
+    (("--metric", "cauc", "--q", "0.1,1.0", "--snr-db", "0:30:1"), 62),
+])
+def test_readme_sweep_at_integer_u_within_est_error(capsys, argv, count):
+    # the README's u=5 sweeps, where every row takes the finite sum
+    import nb_reference as ref  # skips this test when scipy is missing
+    code, out, _ = run_cli(capsys, "sweep", "--u", "5", *argv)
+    assert code == 0
+    rows = parse_rows(out)
+    assert len(rows) == count
+    assert {row[4] for row in rows} == {"closed_integer"}
+    misses = []
+    for row in rows:
+        mean = 10.0 ** (float(row[0]) / 10.0)
+        want = (ref.avg_auc if row[3] == "auc" else ref.avg_cauc)(
+            5.0, float(row[1]), mean)
+        if not abs(float(row[5]) - want) <= float(row[6]):
+            misses.append(row)
+    assert misses == []
+
+
 def test_sweep_pd_pf_with_threshold(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--metric", "pd", "--u", "5",
                            "--q", "0.5", "--snr-db", "0:10:10",
@@ -255,6 +279,28 @@ def test_sweep_annotates_failed_rows(capsys, monkeypatch):
         assert row[5] == "nan"
         assert row[6] == "inf"
     assert "synthetic failure" in err
+
+
+def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
+    def give_up(*args, **kwargs):
+        raise QuadratureError("synthetic quadrature failure")
+
+    monkeypatch.setattr(average, "avg_auc_quadrature", give_up)
+    monkeypatch.setattr(average, "avg_pd_quadrature", give_up)
+    for argv in (("sweep", "--metric", "auc", "--method", "quadrature",
+                  "--u", "2", "--q", "0.5", "--snr-db", "0:5:5"),
+                 ("point", "--metric", "pd", "--u", "2", "--q", "0.5",
+                  "--snr-db", "5", "--lambda", "10"),
+                 ("roc", "--u", "2", "--q", "0.5", "--snr-db", "5",
+                  "--points", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        rows = parse_rows(out)
+        assert rows and all(row[5:] == ["nan", "inf"] for row in rows)
+        assert "synthetic quadrature failure" in err
+    # outside a row loop it is a non-convergence exit, not a traceback
+    monkeypatch.setattr(cli.validation, "run_suite", give_up)
+    assert run_cli(capsys, "validate", "--suite", "average")[0] == 3
 
 
 def test_point_out_of_range_rows_fail(capsys):

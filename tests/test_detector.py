@@ -153,6 +153,37 @@ def test_out_of_range_inputs_raise():
         auc_awgn(DetectorConfig(400.0), 500.0)
 
 
+def test_series_error_counts_the_lgamma_start():
+    # at large u lgamma's error in the first beta increment, which every
+    # weight carries, outweighs the per-term rounding; against a 30-digit
+    # Poisson x beta sum (weights by the exact increment recurrence from
+    # c_0 = 1/2) it ran past est_error by up to 7x at u = 150.5
+    mp = pytest.importorskip("mpmath")
+
+    @mp.workdps(30)
+    def reference(u, snr):
+        u, snr = mp.mpf(u), mp.mpf(snr)
+        inc = mp.gamma(u + 0.5) / (2 * mp.sqrt(mp.pi) * mp.gamma(u + 1))
+        c, pois, total, l = mp.mpf(0.5), mp.exp(-snr), mp.mpf(0), 0
+        while l <= snr or pois >= mp.mpf(10) ** -35:
+            total += pois * c
+            c += inc
+            inc *= (2 * u + l) / (2 * (u + l + 1))
+            pois *= snr / (l + 1)
+            l += 1
+        return float(total)
+
+    policy = EvalPolicy(rel_tol=1e-13)
+    misses = []
+    for u in (150.5, 200.5, 300.5, 499.5):
+        for snr in (2.0, 10.0, 50.0, 100.0):
+            mv = auc_awgn_series(DetectorConfig(u), snr, policy)
+            want = reference(u, snr)
+            if not abs(mv.value - want) <= mv.est_error:
+                misses.append((u, snr, mv.value - want, mv.est_error))
+    assert misses == []
+
+
 def test_cauc_is_exact_complement():
     for u, g in ((1.0, 2.0), (2.5, 5.0), (5.0, 10.0)):
         cfg = DetectorConfig(u)

@@ -94,6 +94,21 @@ def test_non_convergence_raises():
     assert reported == pytest.approx(want, rel=1e-3)
 
 
+def test_non_finite_level_raises_at_once():
+    # a NaN or inf total never meets the tolerance, so refining it would
+    # only run the levels out: the first level's 32 nodes are the last
+    for bad in (math.nan, math.inf):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return bad if len(calls) == 7 else x
+
+        with pytest.raises(QuadratureError, match="level 0"):
+            integrate_unit_interval(f, TIGHT)
+        assert len(calls) == 32
+
+
 def test_reported_error_is_honest():
     # est_error should bound the true error on a smooth integrand
     value, err, _ = integrate_unit_interval(
