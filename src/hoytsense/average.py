@@ -14,8 +14,10 @@ the series (which additionally makes the series divergent below roughly
 quadrature reference; `avg_auc_uncorrected` evaluates the defective
 transcriptions verbatim so the validation report can quantify the damage.
 
-The corrected series is summed by its complement, the CAUC, whose weights
-I_{1/2}(u+l, u) fall like 2^-l; its cost does not grow with the mean SNR.
+Both sum the complementary AUC (CAUC) from positive terms, returned by
+`avg_cauc_closed` to full relative precision; one absolute est_error also
+covers 1 - CAUC.  The series' CAUC weights fall like 2^-l, so its cost is
+flat in the SNR.
 Over u <= 500, q in [1e-6, 1] and -10..60 dB it stops after 27-280 terms
 (under a millisecond) for rel_tol down to 5e-14, well inside the default
 EvalPolicy.max_terms.  The finite sum takes u terms whatever the SNR: its
@@ -30,7 +32,8 @@ import math
 from typing import Iterator, List, Optional, Tuple
 
 from . import specfun
-from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
+from .detector import (_DEFAULT_POLICY, DetectorConfig, MetricValue,
+                       _detection_prob, auc_awgn)
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
 from .specfun import ConvergenceError
@@ -77,10 +80,10 @@ def _binomial_tails(u: int, shift: int) -> List[float]:
     return [t / total for t in tails]
 
 
-def _finite_sum_value(u: int, q: float, mean_snr: float,
-                      binom_upper_shift: int = 0,
-                      include_sq_factor: bool = True) -> float:
-    """Integer-u average AUC by the finite double sum, in u terms.
+def _finite_sum_cauc(u: int, q: float, mean_snr: float,
+                     binom_upper_shift: int = 0,
+                     include_sq_factor: bool = True) -> float:
+    """Integer-u average CAUC by the finite double sum, in u terms.
 
     The published double sum runs over 0 <= i <= l < u with the weight
     C(l+u-1+b, l-i) 2^(i+1-l-u) on the i-th Legendre term.  Its inner sum
@@ -116,7 +119,12 @@ def _finite_sum_value(u: int, q: float, mean_snr: float,
     terms = [math.ldexp(tail, i + 1 + binom_upper_shift) * leg
              * (mean_snr ** i / den ** (i + 1))
              for i, (tail, leg) in enumerate(zip(tails, legendre))]
-    return 1.0 - factor * q * math.fsum(terms)
+    return factor * q * math.fsum(terms)
+
+
+def _finite_sum_value(u: int, q: float, mean_snr: float, **knobs) -> float:
+    """1 - _finite_sum_cauc: the AUC, as the errata variants print it."""
+    return 1.0 - _finite_sum_cauc(u, q, mean_snr, **knobs)
 
 
 def _series_setup(q: float, mean_snr: float, mean_power_printed: bool):
@@ -139,7 +147,7 @@ def _series_setup(q: float, mean_snr: float, mean_power_printed: bool):
 
 
 def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
-    """Real-u average AUC series; returns (value, terms, est_error).
+    """Real-u average CAUC series; returns (cauc, terms, est_error).
 
     The AUC is pref * sum_l c_l M_l with c_l = I_{1/2}(u, u+l) the
     half-domain beta weights of the fixed-SNR series and M_l = x^l P_l(s)
@@ -177,7 +185,7 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
         if cut <= policy.rel_tol * pref * total:
             cauc = pref * total
             rounding = (lgamma_err + 4e-16 * (j + 1)) * cauc + _EPS
-            return 1.0 - cauc, j + 1, cut + rounding
+            return cauc, j + 1, cut + rounding
     raise ConvergenceError(
         f"average-AUC series did not meet rel_tol={policy.rel_tol} within "
         f"{policy.max_terms} terms (u={u}, q={q}, mean_snr={mean_snr})")
@@ -211,10 +219,10 @@ def _printed_series_value(u: float, q: float, mean_snr: float,
         + ("; it diverges for this input" if rho >= 1.0 else ""))
 
 
-def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
-                   policy: Optional[EvalPolicy] = None,
-                   form: str = "auto") -> MetricValue:
-    """Fading-averaged AUC by the corrected closed forms.
+def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
+                    policy: Optional[EvalPolicy] = None,
+                    form: str = "auto") -> MetricValue:
+    """Fading-averaged complementary AUC by the corrected closed forms.
 
     form: "auto" picks the finite sum for integer u and the series otherwise;
     "finite_sum" and "series" force a route (finite_sum requires integer u —
@@ -230,19 +238,18 @@ def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
         if not cfg.is_integer:
             raise ValueError("finite_sum form requires integer time_bandwidth")
         u = int(round(cfg.time_bandwidth))
-        value = _finite_sum_value(u, f.q, f.mean_snr)
+        value = _finite_sum_cauc(u, f.q, f.mean_snr)
         return MetricValue(value, "closed_integer", u, 1e-15 * u)
     value, terms, err = _series_value(cfg.time_bandwidth, f.q, f.mean_snr, policy)
     return MetricValue(value, "closed_series", terms, err)
 
 
-def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
-                    policy: Optional[EvalPolicy] = None,
-                    form: str = "auto") -> MetricValue:
-    """Fading-averaged complementary AUC: exactly 1 - avg_auc_closed."""
-    base = avg_auc_closed(cfg, f, policy, form)
-    return MetricValue(1.0 - base.value, base.method,
-                       base.terms_used, base.est_error)
+def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
+                   policy: Optional[EvalPolicy] = None,
+                   form: str = "auto") -> MetricValue:
+    """Fading-averaged AUC: exactly 1 - avg_cauc_closed, same est_error."""
+    c = avg_cauc_closed(cfg, f, policy, form)
+    return MetricValue(1.0 - c.value, c.method, c.terms_used, c.est_error)
 
 
 def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
@@ -253,18 +260,26 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     of its way to share nothing with them: the integrand composes the
     detector's AUC (Laguerre or fixed-SNR series) with the Bessel-form
     density, on the substituted half line scaled by the mean SNR.
+
+    est_error adds the largest fixed-SNR est_error at any node to the last
+    change between levels: with positive weights and a density that
+    integrates to 1, the nodes' own errors move the result by no more.
     """
     if policy is None:
         policy = _DEFAULT_POLICY
+    node_err = 0.0
 
     def integrand(g: float) -> float:
+        nonlocal node_err
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
-        return auc_awgn(cfg, g, policy).value * density
+        mv = auc_awgn(cfg, g, policy)
+        node_err = max(node_err, mv.est_error)
+        return mv.value * density
 
     value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
-    return MetricValue(value, "quadrature", evals, err)
+    return MetricValue(value, "quadrature", evals, err + node_err)
 
 
 def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
@@ -287,12 +302,7 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
-        a = math.sqrt(2.0 * g)
-        if a > b + 12.0:
-            prob = 1.0  # miss probability below exp(-72)
-        else:
-            prob = specfun.marcum_q(u, a, b)
-        return prob * density
+        return _detection_prob(u, math.sqrt(2.0 * g), b) * density
 
     value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
     return MetricValue(value, "quadrature", evals, err)

@@ -85,10 +85,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _clamp01(x: float) -> float:
-    if math.isfinite(x):
-        return min(1.0, max(0.0, x))
-    return x
+def _clamp01(x: float, est_error: float) -> float:
+    # rounding may carry a value past [0, 1] by its est_error, no further
+    if not -est_error <= x <= 1.0 + est_error:  # NaN fails as well
+        raise ConvergenceError(f"value {x!r} lies outside [0, 1] by more "
+                               f"than its est_error {est_error!r}")
+    return min(1.0, max(0.0, x))
 
 
 def _closed_label(cfg: DetectorConfig) -> str:
@@ -267,20 +269,22 @@ def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
                      mc: Optional[McConfig]) -> Tuple[float, str, float]:
     """(value, method label, est_error) for one sweep cell."""
     if metric in ("auc", "cauc"):
-        if method == "closed":
-            mv = average.avg_auc_closed(cfg, f, policy)
-        elif method == "series":
-            mv = average.avg_auc_closed(cfg, f, policy, form="series")
-        elif method == "quadrature":
+        if method in ("closed", "series"):
+            # the closed forms sum the CAUC: ask for the metric itself
+            closed = (average.avg_auc_closed if metric == "auc"
+                      else average.avg_cauc_closed)
+            mv = closed(cfg, f, policy,
+                        form="series" if method == "series" else "auto")
+            return mv.value, mv.method, mv.est_error
+        if method == "quadrature":
             mv = average.avg_auc_quadrature(cfg, f, policy)
+            val, label, err = mv.value, mv.method, mv.est_error
         elif method == "mc":
             est = montecarlo.estimate_auc(cfg, f, mc)
-            val = est.value if metric == "auc" else 1.0 - est.value
-            return val, "monte_carlo", est.std_error
+            val, label, err = est.value, "monte_carlo", est.std_error
         else:  # pragma: no cover - guarded by the parser
             raise UsageError(f"method {method!r} not valid here")
-        val = mv.value if metric == "auc" else 1.0 - mv.value
-        return val, mv.method, mv.est_error
+        return (val if metric == "auc" else 1.0 - val), label, err
 
     if metric == "pd":
         if threshold is None:
@@ -339,7 +343,7 @@ def _cmd_sweep(args) -> int:
                     val, label, err = _eval_fading_row(
                         metric, method, cfg, f, args.threshold, policy, mc)
                     rows.append(CurveRow(db, q, args.u, metric, label,
-                                         _clamp01(val), err))
+                                         _clamp01(val, err), err))
                 except _ROW_FAILURES as exc:
                     failed = True
                     rows.append(_failure_row(db, q, args.u, metric,
@@ -383,10 +387,9 @@ def _cmd_point(args) -> int:
             val = detector.pd(cfg, mean, args.threshold)
             label, err = _closed_label(cfg), 1e-15
         elif q is None:
-            mv = detector.auc_awgn(cfg, mean, policy)
+            fixed = detector.auc_awgn if metric == "auc" else detector.cauc_awgn
+            mv = fixed(cfg, mean, policy)
             val, label, err = mv.value, mv.method, mv.est_error
-            if metric == "cauc":
-                val = 1.0 - val
         elif mean == 0.0:
             # zero-SNR limit: chance level exactly, any q
             val, label, err = 0.5, _closed_label(cfg), 0.0
@@ -395,7 +398,7 @@ def _cmd_point(args) -> int:
                 metric, _default_method(metric), cfg, HoytFading(q, mean),
                 args.threshold, policy, None)
         row = CurveRow(db, math.nan if q is None else q, args.u,
-                       metric, label, _clamp01(val), err)
+                       metric, label, _clamp01(val, err), err)
     except _ROW_FAILURES as exc:
         failed = True
         row = _failure_row(db, math.nan if q is None else q, args.u,
@@ -423,11 +426,13 @@ def _cmd_roc(args) -> int:
             lam = detector.threshold_for_pf(cfg, target)
             realized = detector.pf(cfg, lam)
             mv = average.avg_pd_quadrature(cfg, f, lam, policy)
+            pf_err = abs(realized - target)
             rows.append(CurveRow(db, args.q, args.u, "pf",
-                                 _closed_label(cfg), _clamp01(realized),
-                                 abs(realized - target)))
+                                 _closed_label(cfg),
+                                 _clamp01(realized, pf_err), pf_err))
             rows.append(CurveRow(db, args.q, args.u, "pd", mv.method,
-                                 _clamp01(mv.value), mv.est_error))
+                                 _clamp01(mv.value, mv.est_error),
+                                 mv.est_error))
         except _ROW_FAILURES as exc:
             failed = True
             rows.append(_failure_row(db, args.q, args.u, "pf",

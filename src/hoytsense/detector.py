@@ -11,6 +11,12 @@ Three independent AUC routes are kept side by side on purpose: a finite
 Laguerre-recurrence form for integer u, an infinite series valid for any
 real u > 0, and direct quadrature of P_d against the noise-only threshold
 density.  They must agree; the validation suite holds them to that.
+
+The Laguerre form sums the complementary AUC (CAUC), returned by
+`cauc_awgn` to full relative precision; the real-u series sums the AUC
+(a CAUC kernel measured slower at small SNR, where it is cheap).  One
+derived CAUC bound, `_cauc_chernoff`, ends the series with AUC 1 and covers
+the Laguerre form where e^(-snr/2) underflows.
 """
 
 from __future__ import annotations
@@ -40,12 +46,7 @@ __all__ = [
 
 _INTEGER_EPS = 1e-12
 _LN2 = math.log(2.0)
-
-# Beyond these SNRs the miss probability is below ~1e-17 (the complement
-# decays like exp(-snr/2) times a polynomial whose degree grows with u,
-# hence the + 4u guard band) and the AUC is 1 to double precision.
-_SERIES_SATURATION = 80.0
-_LAGUERRE_SATURATION = 320.0
+_EPS = 2.0 ** -52
 
 _DEFAULT_POLICY = EvalPolicy()
 
@@ -171,20 +172,14 @@ def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
         f"threshold inversion stalled at pf error {err:.3e} for target {pf_target}")
 
 
-def _auc_integer(u_int: int, snr: float) -> float:
-    # finite sum over Laguerre polynomials of order alpha = u-1 evaluated at
-    # -snr/2, with weights 2^-(l+u); single recurrence pass, no specfun calls
-    alpha = u_int - 1.0
-    x = -0.5 * snr
-    acc = 0.0
-    p_prev = 0.0
-    p = 1.0
-    weight = 0.5 ** u_int
-    for l in range(u_int):
-        acc += p * weight
-        weight *= 0.5
-        p_prev, p = p, ((2.0 * l + 1.0 + alpha - x) * p - (l + alpha) * p_prev) / (l + 1.0)
-    return 1.0 - math.exp(-0.5 * snr) * acc
+def _cauc_chernoff(u: float, snr: float) -> float:
+    # the CAUC is P(X < Y), X ~ Gamma(u + Poisson(snr)), Y ~ Gamma(u), so
+    # for 0 < s < 1 it is below E e^(s(Y-X)) = (1-s^2)^-u e^(-snr s/(1+s));
+    # s is its minimiser, the root of 2u s^2 + (2u+snr) s - snr, but any s
+    # gives a valid bound, so rounding in s cannot break it
+    b = 2.0 * u + snr
+    s = 2.0 * snr / (b + math.sqrt(b * b + 8.0 * u * snr))
+    return math.exp(-u * math.log1p(-s * s) - snr * s / (1.0 + s))
 
 
 def auc_awgn_series(cfg: DetectorConfig, snr: float,
@@ -195,16 +190,18 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     incomplete-beta weights c_l = I_{1/2}(u, u+l).  The weights are built by
     an additive recurrence with strictly positive increments (c_0 = 1/2
     exactly), so no cancellation occurs anywhere; the truncation error is
-    bounded by the Poisson tail because every weight is below 1.
+    bounded by the Poisson tail because every weight is below 1.  Where the
+    CAUC bound is below rel_tol/2 it returns AUC 1 with that est_error, well
+    before exp(-snr) underflows (only a tiny rel_tol gets there: it raises).
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
     if policy is None:
         policy = _DEFAULT_POLICY
     u = cfg.time_bandwidth
-    if snr >= _SERIES_SATURATION + 4.0 * u:
-        return MetricValue(1.0, "closed_series", 0,
-                           math.exp(-0.5 * (snr - 4.0 * u)))
+    bound = _cauc_chernoff(u, snr)
+    if bound <= 0.5 * policy.rel_tol:
+        return MetricValue(1.0, "closed_series", 0, bound)
     pois = math.exp(-snr)
     if pois < sys.float_info.min:  # subnormal or 0: every weight falls short
         raise ConvergenceError(
@@ -237,24 +234,13 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
 
 def auc_awgn(cfg: DetectorConfig, snr: float,
              policy: Optional[EvalPolicy] = None) -> MetricValue:
-    """AUC of the detector at a fixed instantaneous SNR.
-
-    Integer u dispatches to the exact finite Laguerre form, any other u to
-    the series.  Both return 1/2 exactly at snr=0 and increase toward 1.
-    """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    if cfg.is_integer:
-        u_int = int(round(cfg.time_bandwidth))
-        if snr >= _LAGUERRE_SATURATION + 4.0 * u_int:
-            return MetricValue(1.0, "closed_integer", 0,
-                               math.exp(-0.25 * (snr - 4.0 * u_int)))
-        value = _auc_integer(u_int, snr)
-        if not math.isfinite(value):
-            raise OverflowError(
-                f"Laguerre AUC sum left double range at u={u_int}, snr={snr}")
-        return MetricValue(value, "closed_integer", u_int, 1e-15)
-    return auc_awgn_series(cfg, snr, policy)
+    """AUC at a fixed SNR: the series for real u, else 1 - cauc_awgn."""
+    if not cfg.is_integer:
+        return auc_awgn_series(cfg, snr, policy)
+    c = cauc_awgn(cfg, snr, policy)
+    # forming 1 - c rounds by at most min(c, 2^-53)
+    return MetricValue(1.0 - c.value, c.method, c.terms_used,
+                       c.est_error + min(c.value, 0.5 * _EPS))
 
 
 def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float,
@@ -299,10 +285,46 @@ def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float,
 
 def cauc_awgn(cfg: DetectorConfig, snr: float,
               policy: Optional[EvalPolicy] = None) -> MetricValue:
-    """Complementary AUC, returned as exactly 1 - auc_awgn(...)."""
-    base = auc_awgn(cfg, snr, policy)
-    return MetricValue(1.0 - base.value, base.method,
-                       base.terms_used, base.est_error)
+    """Complementary AUC, 1 - AUC, at a fixed instantaneous SNR.
+
+    Integer u sums e^(-snr/2) sum_{l<u} 2^-(l+u) L_l^(u-1)(-snr/2), all
+    terms positive, to an error relative to the CAUC; any other u takes the
+    complement of the series AUC.
+    """
+    if not cfg.is_integer:
+        base = auc_awgn_series(cfg, snr, policy)
+        return MetricValue(1.0 - base.value, base.method,
+                           base.terms_used, base.est_error)
+    if snr < 0.0:
+        raise ValueError(f"snr must be >= 0, got {snr}")
+    u = int(round(cfg.time_bandwidth))
+    # e^(-snr/2) rides in the start, which keeps e^(-snr/2) L_l below
+    # C(l+u-1, l): finite for u <= 500
+    x = -0.5 * snr
+    start = math.exp(x)
+    p, p_prev, acc, weight = start, 0.0, 0.0, 0.5 ** u
+    for l in range(u):
+        acc += p * weight
+        weight *= 0.5
+        p_prev, p = p, ((2.0 * l + u - x) * p - (l + u - 1.0) * p_prev) / (l + 1.0)
+    if not math.isfinite(acc):
+        raise OverflowError(
+            f"Laguerre CAUC sum left double range at u={u}, snr={snr}")
+    if min(start, acc) < sys.float_info.min:  # left the normal range
+        return MetricValue(0.0, "closed_integer", u, _cauc_chernoff(u, snr))
+    # L_l >= L_(l-1) (l+u-1)/l at negative argument, so each step
+    # subtracts under half its first product and passes on under half of a
+    # step's change in relative error: below ~12 l roundings in p_l, l more
+    # in the positive sum
+    return MetricValue(acc, "closed_integer", u, 8.0 * u * _EPS * acc)
+
+
+def _detection_prob(u: float, a: float, b: float) -> float:
+    # Q_u(a, b), called through the module so that wrappers of
+    # specfun.marcum_q see it
+    if a > b + 12.0:
+        return 1.0  # miss probability below exp(-72) here
+    return specfun.marcum_q(u, a, b)
 
 
 def _ln_threshold_density(u: float, lam: float, ln_norm: float) -> float:
@@ -337,12 +359,7 @@ def auc_quadrature(cfg: DetectorConfig, snr: float,
         ln_pdf = _ln_threshold_density(u, lam, ln_norm)
         if ln_pdf < -740.0:
             return 0.0
-        b = math.sqrt(lam)
-        if a > b + 12.0:
-            prob = 1.0  # miss probability below exp(-72) here
-        else:
-            prob = specfun.marcum_q(u, a, b)
-        return prob * math.exp(ln_pdf)
+        return _detection_prob(u, a, math.sqrt(lam)) * math.exp(ln_pdf)
 
     scale = 2.0 * u + snr + 1.0
     if cfg.is_integer:

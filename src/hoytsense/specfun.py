@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Tuple
 
 MAXLOG = 709.782712893384  # log(DBL_MAX); exp() overflows above this
 MINLOG = -745.13321910194  # below this exp() underflows to 0
@@ -316,13 +316,30 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
 # half-domain incomplete beta
 # ---------------------------------------------------------------------------
 
+def _ln_gamma_ratio(u: float) -> Tuple[float, float]:
+    # ln(Gamma(u+1/2) / Gamma(u+1)) and a bound on its absolute error.  Past
+    # u = 30 the two lnGamma agree but for rounding of ~u ln u (1e-13 at
+    # u = 150), so Stirling's series for both is combined: the large parts
+    # give u log1p(-1/(2u+2)) - ln(u+1)/2 + 1/2; the asymptotic sums, odd in
+    # x (hence taken at u+1/2 and -(u+1)), are cut after x^-7, below 1e-17
+    if u < 30.0:
+        a, b = ln_gamma(u + 0.5), ln_gamma(u + 1.0)
+        return a - b, 4e-16 * (abs(a) + abs(b))
+    ln_x = math.log(u + 1.0)
+    value = u * math.log1p(-0.5 / (u + 1.0)) - 0.5 * ln_x + 0.5
+    for x in (u + 0.5, -1.0 - u):
+        y = 1.0 / (x * x)
+        value += (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+    return value, 4e-16 * (2.0 + ln_x)
+
+
 def beta_increments(u: float) -> Iterator[float]:
     """inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, l = 0, 1, ...
 
     The start Gamma(u+1/2) / (2 sqrt(pi) Gamma(u+1)) (Legendre duplication)
     avoids lnGamma(2u) - lnGamma(u) - lnGamma(u+1), which cancels at large u.
     """
-    inc = math.exp(ln_gamma(u + 0.5) - ln_gamma(u + 1.0)) / _TWO_SQRT_PI
+    inc = math.exp(_ln_gamma_ratio(u)[0]) / _TWO_SQRT_PI
     two_u = 2.0 * u
     l = 0.0  # a float counter: mixed int/float arithmetic is slower
     while True:
@@ -332,13 +349,8 @@ def beta_increments(u: float) -> Iterator[float]:
 
 
 def beta_increments_error(u: float) -> float:
-    """Relative error that every beta_increments(u) value shares.
-
-    lgamma's absolute error in the start's exponent, a few ulps of each
-    lnGamma, scales the first increment and so, through the recurrence,
-    all of them; at u ~ 150 it outweighs the per-term rounding.
-    """
-    return 4e-16 * (abs(ln_gamma(u + 0.5)) + abs(ln_gamma(u + 1.0)))
+    """Relative error that every beta_increments(u) value shares (the start's)."""
+    return _ln_gamma_ratio(u)[1]
 
 
 # ---------------------------------------------------------------------------

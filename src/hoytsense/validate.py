@@ -118,7 +118,7 @@ def detector_suite() -> List[Line]:
         a = detector.auc_awgn(cfg, g, tight)
         c = detector.cauc_awgn(cfg, g, tight)
         ok = ok and (a.value + c.value == 1.0)
-    lines.append(("auc_cauc_complement_exact", ok, "a + (1-a) == 1 bitwise"))
+    lines.append(("auc_cauc_complement_exact", ok, "auc + cauc == 1 bitwise"))
 
     worst = 0.0
     for u in (1.0, 2.0, 5.0, 2.5, 7.3):

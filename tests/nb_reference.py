@@ -11,7 +11,8 @@ the convolution pi of two negative binomial laws and
     CAUC = sum_k pi_k * I_{1/2}(u + k, u).
 
 Every term is positive and the beta weights fall off like 2^-k, so the sum
-is cut where the weight drops below 1e-18 of the first one.
+is cut where the weight drops below 1e-18 of the first one.  At a fixed SNR
+K is Poisson(snr) itself, which `cauc` sums the same way.
 """
 
 import math
@@ -53,3 +54,15 @@ def avg_cauc(u, q, mean_snr):
 def avg_auc(u, q, mean_snr):
     """Fading-averaged AUC, 1 - avg_cauc."""
     return 1.0 - avg_cauc(u, q, mean_snr)
+
+
+def cauc(u, snr):
+    """Fixed-SNR complementary AUC, sum_k Pois(k; snr) * I_{1/2}(u + k, u).
+
+    Cut where the Poisson tail or the beta weights (below 1e-300 past
+    k = 4000 + 8u) end; snr > 0.
+    """
+    count = int(min(snr + 40.0 * math.sqrt(snr) + 50.0, 4000.0 + 8.0 * u))
+    k = np.arange(count, dtype=float)
+    log_pois = k * math.log(snr) - snr - special.gammaln(k + 1.0)
+    return math.fsum(np.exp(log_pois) * special.betainc(u + k, u, 0.5))

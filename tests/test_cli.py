@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hoytsense import average, cli
+from hoytsense import average, cli, detector
 from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
 
@@ -176,13 +176,13 @@ def test_point_fractional_u_at_60_db(capsys, monkeypatch):
     # millions, and a CAUC of ~1e-6 inside its est_error of the reference
     import nb_reference as ref  # skips this test when scipy is missing
     seen = []
-    closed = average.avg_auc_closed
+    closed = average.avg_cauc_closed
 
     def spy(*args, **kwargs):
         seen.append(closed(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(average, "avg_auc_closed", spy)
+    monkeypatch.setattr(average, "avg_cauc_closed", spy)
     code, out, _ = run_cli(capsys, "point", "--metric", "cauc", "--u", "2.5",
                            "--q", "0.5", "--snr-db", "60")
     assert code == 0
@@ -304,15 +304,87 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
 
 
 def test_point_out_of_range_rows_fail(capsys):
-    # exp(-snr) underflow in the real-u series, overflow in the integer
-    # Laguerre sum: a failed row and exit 3, not 0 or nan with exit 0
+    # the real-u series stops at its Chernoff bound before exp(-snr)
+    # underflows, and the folded Laguerre sum stays finite up to u = 500:
+    # both rows now answer within est_error of the reference
+    import nb_reference as ref  # skips this test when scipy is missing
     for u, db in (("200.5", "29.03"), ("400", "27")):
-        code, out, err = run_cli(capsys, "point", "--metric", "auc",
-                                 "--u", u, "--snr-db", db)
-        assert code == 3, (u, db)
+        code, out, _ = run_cli(capsys, "point", "--metric", "auc",
+                               "--u", u, "--snr-db", db)
+        assert code == 0, (u, db)
+        (row,) = parse_rows(out)
+        want = ref.cauc(float(u), 10.0 ** (float(db) / 10.0))
+        assert abs((1.0 - float(row[5])) - want) <= float(row[6]), (u, db)
+    # the underflow at a tolerance below every bound, and the Laguerre
+    # overflow outside the box: a failed row and exit 3, not 0 or nan
+    for argv in (("--u", "200.5", "--snr-db", "29.03", "--rel-tol", "1e-300"),
+                 ("--u", "1000", "--snr-db", "10")):
+        code, out, err = run_cli(capsys, "point", "--metric", "auc", *argv)
+        assert code == 3, argv
         (row,) = parse_rows(out)
         assert row[4:] == ["n/a", "nan", "inf"]
         assert "failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("point", "--metric", "auc", "--u", "500", "--snr-db", "17"),
+    ("sweep", "--method", "quadrature", "--u", "500", "--q", "1",
+     "--snr-db", "20"),
+    ("sweep", "--method", "quadrature", "--u", "200.5", "--q", "1",
+     "--snr-db", "27"),
+])
+def test_large_u_rows_answer(capsys, argv):
+    # u = 500 overflowed the Laguerre sum from snr 31.5 on, and nodes past
+    # snr 708 made the u = 200.5 quadrature raise
+    import nb_reference as ref  # skips this test when scipy is missing
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (row,) = parse_rows(out)
+    u, snr = float(row[2]), 10.0 ** (float(row[0]) / 10.0)
+    want = (ref.cauc(u, snr) if row[1] == "nan"
+            else ref.avg_cauc(u, float(row[1]), snr))
+    assert abs((1.0 - float(row[5])) - want) <= float(row[6])
+
+
+@pytest.mark.parametrize("u", ["1", "5", "20", "2.5", "150.5"])
+def test_closed_cauc_rows_to_full_relative_precision(capsys, u):
+    # the closed forms sum the CAUC, so the row keeps its digits where the
+    # AUC rounds to 1; the series needs a tolerance to match
+    import nb_reference as ref  # skips this test when scipy is missing
+    code, out, _ = run_cli(capsys, "sweep", "--metric", "cauc", "--u", u,
+                           "--q", "1e-3,0.1,1", "--snr-db", "40:60:5",
+                           "--rel-tol", "1e-14")
+    assert code == 0
+    for row in parse_rows(out):
+        want = ref.avg_cauc(float(u), float(row[1]),
+                            10.0 ** (float(row[0]) / 10.0))
+        assert abs(float(row[5]) - want) <= 1e-13 * want, row
+    if u == "1":
+        code, out, _ = run_cli(capsys, "point", "--metric", "cauc", "--u", "1",
+                               "--q", "1", "--snr-db", "60")
+        (row,) = parse_rows(out)
+        want = ref.avg_cauc(1.0, 1.0, 1e6)
+        assert abs(float(row[5]) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("excess, code", [(0.5, 0), (10.0, 3)])
+def test_value_clamped_only_within_est_error(capsys, monkeypatch, excess,
+                                             code):
+    # a value past 1 by half its est_error is rounding and is clamped; by
+    # ten times its est_error it is a failed row
+    def past_one(cfg, f, policy=None, form="auto"):
+        return detector.MetricValue(1.0 + excess * 1e-12, "closed_integer",
+                                    1, 1e-12)
+
+    monkeypatch.setattr(average, "avg_auc_closed", past_one)
+    got, out, err = run_cli(capsys, "point", "--metric", "auc", "--u", "2",
+                            "--q", "0.5", "--snr-db", "10")
+    assert got == code
+    (row,) = parse_rows(out)
+    if code == 0:
+        assert row[5:] == ["1", "9.9999999999999998e-13"]
+    else:
+        assert row[5:] == ["nan", "inf"] and "est_error" in err
 
 
 def test_roc_pairs_schema(capsys):

@@ -9,10 +9,10 @@ import math
 
 import pytest
 
-from hoytsense.detector import (DetectorConfig, MetricValue, auc_awgn,
-                                auc_awgn_1f1_variant, auc_awgn_series,
-                                auc_quadrature, cauc_awgn, pd, pf,
-                                roc_points_awgn, threshold_for_pf)
+from hoytsense.detector import (DetectorConfig, MetricValue, _cauc_chernoff,
+                                auc_awgn, auc_awgn_1f1_variant,
+                                auc_awgn_series, auc_quadrature, cauc_awgn,
+                                pd, pf, roc_points_awgn, threshold_for_pf)
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError, reg_upper_gamma
 
@@ -142,15 +142,88 @@ def test_auc_monotone_and_saturates():
 
 
 def test_out_of_range_inputs_raise():
-    # above snr ~ 708 the series' first Poisson weight exp(-snr) is
-    # subnormal or zero; summed anyway it gives 1.00000018, 1.288 and 0
-    cfg = DetectorConfig(200.5)
-    for snr in (730.0, 744.0, 760.0):
-        with pytest.raises(ConvergenceError):
-            auc_awgn(cfg, snr)
-    # the integer Laguerre sum overflows to inf - inf = nan here
-    with pytest.raises(OverflowError):
-        auc_awgn(DetectorConfig(400.0), 500.0)
+    # the Chernoff bound stops the real-u series with AUC 1 long before its
+    # first Poisson weight exp(-snr) underflows near snr 708, and the folded
+    # Laguerre sum stays finite for u <= 500; both answer within est_error
+    import nb_reference as ref  # skips this test when scipy is missing
+    for u, snr in ((200.5, 730.0), (200.5, 744.0), (200.5, 760.0),
+                   (400.0, 500.0)):
+        mv = auc_awgn(DetectorConfig(u), snr)
+        assert abs((1.0 - mv.value) - ref.cauc(u, snr)) <= mv.est_error, u
+    # only a tolerance below every bound reaches the underflow
+    with pytest.raises(ConvergenceError):
+        auc_awgn(DetectorConfig(200.5), 760.0, EvalPolicy(rel_tol=1e-300))
+    # outside the box the Laguerre terms, up to C(2u-2, u-1), overflow
+    for route in (auc_awgn, cauc_awgn):
+        with pytest.raises(OverflowError):
+            route(DetectorConfig(1000.0), 10.0)
+
+
+@pytest.mark.parametrize("u", [0.05, 1.0, 2.5, 5.0, 20.0, 150.5, 500.0])
+def test_chernoff_bound_covers_the_cauc(u):
+    # an upper bound on the CAUC at every SNR, loose by under 1e4 (5.9e3 at
+    # u = 0.05, snr = 1000; under 1e3 elsewhere), and at the CLI's rel_tol
+    # it stops the series no later than the old cut-off 80 + 4u
+    import nb_reference as ref  # skips this test when scipy is missing
+    for snr in (0.1, 1.0, 10.0, 100.0, 1000.0):
+        want = ref.cauc(u, snr)
+        bound = _cauc_chernoff(u, snr)
+        assert want * (1.0 - 1e-12) <= bound < 1e4 * want, snr
+    mv = auc_awgn_series(DetectorConfig(u), 80.0 + 4.0 * u, EvalPolicy())
+    assert mv.value == 1.0 and mv.terms_used == 0
+    assert mv.est_error <= 0.5 * EvalPolicy().rel_tol
+
+
+def _mp_cauc(u, snr):
+    # 40 digits of sum_k Pois(k; snr) d_k, d_k = I_{1/2}(u+k, u): d_K from
+    # mpmath's incomplete beta, then d_k = d_(k+1) + inc_k downwards
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        u, snr = mp.mpf(u), mp.mpf(snr)
+        count = int(snr + 40 * mp.sqrt(snr) + 200)
+        inc = mp.gamma(u + 0.5) / (2 * mp.sqrt(mp.pi) * mp.gamma(u + 1))
+        incs = []
+        for l in range(count):
+            incs.append(inc)
+            inc *= (2 * u + l) / (2 * (u + l + 1))
+        d = mp.betainc(u + count, u, 0, 0.5, regularized=True)
+        total = mp.mpf(0)
+        for k in range(count - 1, -1, -1):
+            d += incs[k]
+            total += mp.exp(k * mp.log(snr) - snr - mp.loggamma(k + 1)) * d
+        return total
+
+
+@pytest.mark.parametrize("u", [100.0, 150.0, 300.0, 400.0, 500.0])
+def test_large_u_within_est_error(u):
+    # integer u: the CAUC to its relative est_error, and the AUC; before
+    # the Laguerre start was folded, u >= 300 overflowed from snr ~30 on
+    cfg = DetectorConfig(u)
+    for snr in (1.0, 10.0, 50.0, 150.0, 400.0, 1000.0):
+        want = _mp_cauc(u, snr)
+        c = cauc_awgn(cfg, snr)
+        assert abs(c.value - want) <= c.est_error, snr
+        assert c.est_error <= 8.0 * u * 2.0 ** -52 * c.value
+        a = auc_awgn(cfg, snr)
+        assert abs(a.value - (1 - want)) <= a.est_error, snr
+
+
+@pytest.mark.parametrize("u", [0.05, 0.5, 1.0, 2.5, 7.0, 37.5, 150.0, 150.5,
+                               499.5, 500.0])
+def test_auc_answers_over_the_box(u):
+    # -10..60 dB at the default policy: an AUC within est_error of the
+    # reference (whose gammaln rounding costs it ~1e-13 of the CAUC), and
+    # where e^(-snr/2) underflows the integer CAUC is 0 with the bound
+    import nb_reference as ref  # skips this test when scipy is missing
+    cfg = DetectorConfig(u)
+    for db in range(-10, 61, 5):
+        snr = 10.0 ** (db / 10.0)
+        want = ref.cauc(u, snr)
+        mv = auc_awgn(cfg, snr)
+        assert abs((1.0 - mv.value) - want) <= mv.est_error + 1e-13 * want, db
+        if cfg.is_integer and snr > 1500.0:
+            c = cauc_awgn(cfg, snr)
+            assert c.value == 0.0 and c.est_error == _cauc_chernoff(u, snr)
 
 
 def test_series_error_counts_the_lgamma_start():
