@@ -18,14 +18,14 @@ from .montecarlo import (McConfig, McEstimate, batch_rng, estimate_auc,
                          estimate_pd, sample_statistic)
 from .quadrature import (EvalPolicy, QuadratureError, integrate_half_line,
                          integrate_unit_interval)
-from .specfun import ConvergenceError, FunctionAccuracy
+from .specfun import ConvergenceError
 from .validate import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DetectorConfig", "MetricValue", "HoytFading", "EvalPolicy",
-    "FunctionAccuracy", "McConfig", "McEstimate",
+    "McConfig", "McEstimate",
     "ConvergenceError", "QuadratureError",
     "pf", "pd", "threshold_for_pf",
     "auc_awgn", "auc_awgn_series", "auc_awgn_1f1_variant", "cauc_awgn",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import specfun
 from .specfun import ConvergenceError
@@ -136,6 +136,10 @@ def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
     Safeguarded Newton on the monotone pf; the derivative is minus the
     noise-only threshold density, available in closed form.  Converges to
     |pf - target| below 1e-12, comfortably inside the 1e-10 contract.
+
+    For u < 1 the density is lam^(u-1)-singular at 0 and near pf = 1 the
+    root is tiny (~1e-180 at u = 0.05, pf = 1 - 1e-9): there it iterates in
+    log(lam) from P(u, x) <= x^u / Gamma(u+1), a lower bound on the root.
     """
     if not (0.0 < pf_target < 1.0):
         raise ValueError(f"pf_target must lie in (0, 1), got {pf_target}")
@@ -145,26 +149,35 @@ def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("threshold bracket ran away")
-    lam = min(2.0 * u, 0.5 * hi)  # > 0, as u > 0
+    log_space = u < 1.0
+    if log_space:
+        lo = _LN2 + (math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u
+        v, hi = lo, math.log(hi)
+    else:
+        v = min(2.0 * u, 0.5 * hi)  # > 0, as u > 0
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
     for _ in range(200):
+        lam = math.exp(v) if log_space else v
         err = pf(cfg, lam) - pf_target
         if abs(err) < 1e-13:
             return lam
         if err > 0.0:
-            lo = lam  # pf too high -> threshold too low
+            lo = v  # pf too high -> threshold too low
         else:
-            hi = lam
-        # density of the noise-only statistic at lam (= -d pf / d lam)
-        ln_pdf = _ln_threshold_density(u, lam, ln_norm)
+            hi = v
+        # density of the noise-only statistic at lam (= -d pf / d lam),
+        # times lam (= d lam / dt) in log space
+        ln_pdf = (_ln_threshold_density(u, lam, ln_norm)
+                  + (v if log_space else 0.0))
         step_ok = False
         if ln_pdf > -700.0:
-            nxt = lam + err / math.exp(ln_pdf)
+            nxt = v + err / math.exp(ln_pdf)
             if lo < nxt < hi:
-                lam = nxt
+                v = nxt
                 step_ok = True
         if not step_ok:
-            lam = 0.5 * (lo + hi)
+            v = 0.5 * (lo + hi)
+    lam = math.exp(v) if log_space else v
     err = pf(cfg, lam) - pf_target
     if abs(err) < 1e-10:
         return lam
@@ -183,7 +196,7 @@ def _cauc_chernoff(u: float, snr: float) -> float:
 
 
 def auc_awgn_series(cfg: DetectorConfig, snr: float,
-                    policy: Optional[EvalPolicy] = None) -> MetricValue:
+                    policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """AUC at fixed SNR by the real-u series (works for integer u too).
 
     The series is a Poisson(snr) mixture of half-domain regularized
@@ -196,8 +209,6 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    if policy is None:
-        policy = _DEFAULT_POLICY
     u = cfg.time_bandwidth
     bound = _cauc_chernoff(u, snr)
     if bound <= 0.5 * policy.rel_tol:
@@ -233,7 +244,7 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,
-             policy: Optional[EvalPolicy] = None) -> MetricValue:
+             policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """AUC at a fixed SNR: the series for real u, else 1 - cauc_awgn."""
     if not cfg.is_integer:
         return auc_awgn_series(cfg, snr, policy)
@@ -243,21 +254,15 @@ def auc_awgn(cfg: DetectorConfig, snr: float,
                        c.est_error + min(c.value, 0.5 * _EPS))
 
 
-def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float,
-                         as_printed: bool = False) -> MetricValue:
+def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float) -> MetricValue:
     """Integer-u AUC through the confluent-hypergeometric route.
 
-    The stable evaluation folds the detection-side incomplete gamma into a
-    regularized upper gamma plus a short sum of terminating Kummer
-    polynomials at argument -snr/2 (all-positive terms after the Kummer
-    transform of the published expression), which matches auc_awgn to
-    near machine precision.
-
-    With as_printed=True the routine instead evaluates the uncorrected
-    textbook transcription of the same expression — Kummer functions at
-    +snr/2 with no compensating exponential — which exceeds 1 for every
-    u >= 1 at moderate SNR.  That variant exists purely so the errata
-    report can quantify the defect; do not use it for anything else.
+    The detection-side incomplete gamma folds into a regularized upper gamma
+    plus a short sum of terminating Kummer polynomials at argument -snr/2
+    (all-positive terms after the Kummer transform of the published
+    expression), which matches auc_awgn to near machine precision.  The
+    published transcription, at +snr/2 with no compensating exponential,
+    lives in the errata report (`validate`).
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
@@ -265,26 +270,18 @@ def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float,
         raise ValueError("the hypergeometric AUC form requires integer u")
     u = int(round(cfg.time_bandwidth))
     base = 1.0 - specfun.reg_upper_gamma(float(u), 0.5 * snr)
-    if as_printed:
-        acc = 0.0
-        for l in range(u):
-            acc += (specfun.pochhammer(float(u), l)
-                    * specfun.kummer_1f1(float(u + l), float(1 + l), 0.5 * snr)
-                    / (math.factorial(l) * 2.0 ** (u + l)))
-        # infinite est_error: the printed transcription carries no accuracy claim
-        return MetricValue(base + acc, "closed_integer", u, math.inf)
-    acc = 0.0
+    total = 0.0
     for l in range(1 - u, u):
-        acc += (specfun.pochhammer(float(u), l)
-                * specfun.kummer_1f1(float(1 - u), float(1 + l), -0.5 * snr,
-                                     regularized=True)
-                / 2.0 ** (u + l))
-    value = base + math.exp(-0.5 * snr) * acc
+        total += (specfun.pochhammer(float(u), l)
+                  * specfun.kummer_1f1(float(1 - u), float(1 + l), -0.5 * snr,
+                                       regularized=True)
+                  / 2.0 ** (u + l))
+    value = base + math.exp(-0.5 * snr) * total
     return MetricValue(value, "closed_integer", 2 * u - 1, 1e-14)
 
 
 def cauc_awgn(cfg: DetectorConfig, snr: float,
-              policy: Optional[EvalPolicy] = None) -> MetricValue:
+              policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Complementary AUC, 1 - AUC, at a fixed instantaneous SNR.
 
     Integer u sums e^(-snr/2) sum_{l<u} 2^-(l+u) L_l^(u-1)(-snr/2), all
@@ -334,7 +331,7 @@ def _ln_threshold_density(u: float, lam: float, ln_norm: float) -> float:
 
 
 def auc_quadrature(cfg: DetectorConfig, snr: float,
-                   policy: Optional[EvalPolicy] = None) -> MetricValue:
+                   policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Reference AUC: integrate P_d against the noise-only threshold density.
 
     This route shares no series or identity with the closed forms (detection
@@ -349,8 +346,6 @@ def auc_quadrature(cfg: DetectorConfig, snr: float,
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    if policy is None:
-        policy = _DEFAULT_POLICY
     u = cfg.time_bandwidth
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
     a = math.sqrt(2.0 * snr)

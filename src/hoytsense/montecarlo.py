@@ -6,11 +6,12 @@ estimates the AUC as the pairwise rank statistic over equal-sized batches.
 Nothing here touches the closed forms, the series, or the quadrature, so
 agreement is evidence rather than tautology.
 
-Reproducibility contract: every batch derives its generator from
-(master_seed, batch index) through SeedSequence spawn keys, and batch results
-are combined in index order with exact summation.  The estimate is therefore
-bit-identical no matter how the batches would be scheduled, which the
-acceptance suite checks by re-running sweeps.
+Reproducibility contract: the trials run in batches of the fixed
+_BATCH_SIZE, every batch derives its generator from (master_seed, batch
+index) through SeedSequence spawn keys, and batch results are combined in
+index order with exact summation.  (trials, master_seed) alone therefore
+decide every estimate bit for bit, however the batches would be scheduled,
+which the acceptance suite checks by re-running sweeps.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ __all__ = [
 ]
 
 
+_BATCH_SIZE = 65_536  # the unit of seeding and of the pairwise rank count
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation budget and seeding.
+    """Simulation budget and seeding; (trials, master_seed) decide every byte.
 
     trials below ~10_000 give standard errors too wide to validate anything;
     the constructor allows them (handy for smoke tests) but acceptance-grade
@@ -45,13 +49,10 @@ class McConfig:
 
     trials: int = 1_000_000
     master_seed: int = 0
-    batch_size: int = 65_536
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
@@ -67,6 +68,20 @@ def batch_rng(mc: McConfig, index: int) -> np.random.Generator:
     """Deterministic per-batch generator: (master_seed, batch index) -> PCG64."""
     seq = np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _draw_h1(u: float, channel: Union[HoytFading, float],
+             rng: np.random.Generator, n: int) -> np.ndarray:
+    # n H1 statistics, drawn in contract order: the SNR (HoytFading) or a
+    # fixed SNR, then K ~ Poisson(snr), then 2 Gamma(u + K)
+    if isinstance(channel, HoytFading):
+        snr = sample_snr(channel, rng, n)
+    else:
+        snr = float(channel)
+        if snr < 0.0:
+            raise ValueError(f"snr must be >= 0, got {channel}")
+    extra = rng.poisson(snr, n)
+    return 2.0 * rng.standard_gamma(u + extra)
 
 
 def sample_statistic(cfg: DetectorConfig, snr: float, hypothesis: str,
@@ -92,15 +107,14 @@ def sample_statistic(cfg: DetectorConfig, snr: float, hypothesis: str,
     if hypothesis == "H0":
         y = 2.0 * rng.standard_gamma(u, n)
     else:
-        extra = rng.poisson(snr, n)
-        y = 2.0 * rng.standard_gamma(u + extra)
+        y = _draw_h1(u, snr, rng, n)
     return float(y[0]) if size is None else y
 
 
 def _batch_sizes(mc: McConfig):
     remaining = mc.trials
     while remaining > 0:
-        n = min(mc.batch_size, remaining)
+        n = min(_BATCH_SIZE, remaining)
         remaining -= n
         yield n
 
@@ -120,28 +134,20 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
     error is the Hanley-McNeil estimate at the total trial count; batching
     leaves the leading variance term intact because the per-draw projections
     pool across batches even though cross-batch pairs are never compared.
+    At an estimate of exactly 0 or 1, where that formula gives 0, it is the
+    one-sided 95% bound 3/trials (rule of three).
 
     Draw order inside a batch is part of the reproducibility contract:
     H0 gammas, then the SNR normals (Hoyt only), then the Poisson counts,
     then the H1 gammas.  Do not reorder.
     """
-    fixed_snr: Optional[float] = None
-    if not isinstance(channel, HoytFading):
-        fixed_snr = float(channel)
-        if fixed_snr < 0.0:
-            raise ValueError(f"fixed snr must be >= 0, got {channel}")
     u = cfg.time_bandwidth
     weighted = []
     weights = []
     for index, n in enumerate(_batch_sizes(mc)):
         rng = batch_rng(mc, index)
         y0 = 2.0 * rng.standard_gamma(u, n)
-        if fixed_snr is None:
-            snrs = sample_snr(channel, rng, n)
-        else:
-            snrs = np.full(n, fixed_snr)
-        extra = rng.poisson(snrs)
-        y1 = 2.0 * rng.standard_gamma(u + extra)
+        y1 = _draw_h1(u, channel, rng, n)
         y0_sorted = np.sort(y0)
         # sorted queries walk y0_sorted in order (cache friendly); the
         # counts are integer sums over a permutation, so the value is unchanged
@@ -159,7 +165,9 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
     var = (value * (1.0 - value)
            + (n_tot - 1.0) * (pxxy - value * value)
            + (n_tot - 1.0) * (pxyy - value * value)) / (n_tot * n_tot)
-    return McEstimate(value, math.sqrt(max(var, 0.0)), mc.trials)
+    # at 0 or 1 var is 0: the one-sided 95% bound (rule of three) instead
+    se = math.sqrt(max(var, 0.0)) if 0.0 < value < 1.0 else 3.0 / mc.trials
+    return McEstimate(value, se, mc.trials)
 
 
 def estimate_pd(cfg: DetectorConfig, channel: Union[HoytFading, float],
@@ -167,26 +175,16 @@ def estimate_pd(cfg: DetectorConfig, channel: Union[HoytFading, float],
     """Empirical detection probability: fraction of H1 statistics above threshold.
 
     Same channel convention and per-batch seeding as estimate_auc.  The
-    standard error is the plain binomial one.
+    standard error is the plain binomial one, or the rule-of-three bound
+    3/trials when no statistic, or every one, passes the threshold.
     """
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    fixed_snr: Optional[float] = None
-    if not isinstance(channel, HoytFading):
-        fixed_snr = float(channel)
-        if fixed_snr < 0.0:
-            raise ValueError(f"fixed snr must be >= 0, got {channel}")
-    u = cfg.time_bandwidth
     hits = 0
     for index, n in enumerate(_batch_sizes(mc)):
-        rng = batch_rng(mc, index)
-        if fixed_snr is None:
-            snrs = sample_snr(channel, rng, n)
-        else:
-            snrs = np.full(n, fixed_snr)
-        extra = rng.poisson(snrs)
-        y1 = 2.0 * rng.standard_gamma(u + extra)
+        y1 = _draw_h1(cfg.time_bandwidth, channel, batch_rng(mc, index), n)
         hits += int((y1 > threshold).sum())
     p = hits / mc.trials
-    se = math.sqrt(max(p * (1.0 - p) / mc.trials, 0.0))
+    se = (math.sqrt(p * (1.0 - p) / mc.trials) if 0 < hits < mc.trials
+          else 3.0 / mc.trials)
     return McEstimate(p, se, mc.trials)

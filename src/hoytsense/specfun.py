@@ -6,13 +6,13 @@ Everything here is scalar, pure Python double precision. The implementations
 follow the usual series/continued-fraction splits (Numerical Recipes style for
 the incomplete gamma) and are tuned for the argument ranges the detector
 formulas actually hit. Extended precision lives only in the test oracles,
-never here.
+never here.  Every series stops at one fixed relative tolerance and raises
+ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 MAXLOG = 709.782712893384  # log(DBL_MAX); exp() overflows above this
@@ -28,21 +28,10 @@ class ConvergenceError(ArithmeticError):
     """A series or refinement loop hit its term cap before reaching tolerance."""
 
 
-@dataclass(frozen=True)
-class FunctionAccuracy:
-    """Truncation policy for the kernel series."""
-
-    rel_tol: float = 1e-13
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError("rel_tol must be in (0, 1e-6)")
-        if self.max_terms < 100:
-            raise ValueError("max_terms must be >= 100")
-
-
-_DEFAULT_ACC = FunctionAccuracy()
+# truncation of every kernel series: stop once a term falls below _REL_TOL of
+# the sum, raise ConvergenceError after _MAX_TERMS terms
+_REL_TOL = 1e-13
+_MAX_TERMS = 10_000
 
 
 def ln_gamma(x: float) -> float:
@@ -56,7 +45,7 @@ def ln_gamma(x: float) -> float:
 # regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_gamma_series(a, x, acc):
+def _lower_gamma_series(a, x):
     # P(a,x) by ascending series; good for x < a + 1
     lp = a * math.log(x) - x - math.lgamma(a + 1.0)
     if lp < MINLOG:
@@ -64,16 +53,16 @@ def _lower_gamma_series(a, x, acc):
     term = 1.0
     total = 1.0
     ap = a
-    for _ in range(acc.max_terms):
+    for _ in range(_MAX_TERMS):
         ap += 1.0
         term *= x / ap
         total += term
-        if term < acc.rel_tol * total:
+        if term < _REL_TOL * total:
             return math.exp(lp) * total
     raise ConvergenceError(f"lower-gamma series stalled at a={a}, x={x}")
 
 
-def _upper_gamma_cf(a, x, acc):
+def _upper_gamma_cf(a, x):
     # Q(a,x) by Lentz continued fraction; good for x >= a + 1
     lp = a * math.log(x) - x - math.lgamma(a)
     tiny = 1e-300
@@ -81,7 +70,7 @@ def _upper_gamma_cf(a, x, acc):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_terms):
+    for i in range(1, _MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -93,12 +82,12 @@ def _upper_gamma_cf(a, x, acc):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < _REL_TOL:
             return 0.0 if lp < MINLOG else math.exp(lp) * h
     raise ConvergenceError(f"upper-gamma continued fraction stalled at a={a}, x={x}")
 
 
-def reg_upper_gamma(a: float, x: float, acc: FunctionAccuracy = _DEFAULT_ACC) -> float:
+def reg_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = Gamma(a, x)/Gamma(a), the regularized upper incomplete gamma."""
     if not a > 0.0:
         raise ValueError(f"reg_upper_gamma requires a > 0, got {a}")
@@ -108,11 +97,11 @@ def reg_upper_gamma(a: float, x: float, acc: FunctionAccuracy = _DEFAULT_ACC) ->
         return 1.0
     if x < a + 1.0:
         # P is at most ~0.7 here, so 1 - P costs no precision
-        return 1.0 - _lower_gamma_series(a, x, acc)
-    return _upper_gamma_cf(a, x, acc)
+        return 1.0 - _lower_gamma_series(a, x)
+    return _upper_gamma_cf(a, x)
 
 
-def reg_lower_gamma(a: float, x: float, acc: FunctionAccuracy = _DEFAULT_ACC) -> float:
+def reg_lower_gamma(a: float, x: float) -> float:
     """P(a, x) = 1 - Q(a, x)."""
     if not a > 0.0:
         raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
@@ -121,16 +110,15 @@ def reg_lower_gamma(a: float, x: float, acc: FunctionAccuracy = _DEFAULT_ACC) ->
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
-        return _lower_gamma_series(a, x, acc)
-    return 1.0 - _upper_gamma_cf(a, x, acc)
+        return _lower_gamma_series(a, x)
+    return 1.0 - _upper_gamma_cf(a, x)
 
 
 # ---------------------------------------------------------------------------
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
-def bessel_i(nu: float, x: float, scaled: bool = False,
-             acc: FunctionAccuracy = _DEFAULT_ACC) -> float:
+def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
     """I_nu(x) for nu >= 0, x >= 0.
 
     scaled=True returns e^{-x} I_nu(x), which stays representable for any x;
@@ -149,10 +137,10 @@ def bessel_i(nu: float, x: float, scaled: bool = False,
         q = 0.25 * x * x
         term = 1.0
         total = 1.0
-        for k in range(acc.max_terms):
+        for k in range(_MAX_TERMS):
             term *= q / ((k + 1.0) * (nu + k + 1.0))
             total += term
-            if term < acc.rel_tol * total:
+            if term < _REL_TOL * total:
                 break
         else:
             raise ConvergenceError(f"bessel_i series stalled at nu={nu}, x={x}")
@@ -175,7 +163,7 @@ def bessel_i(nu: float, x: float, scaled: bool = False,
             raise ConvergenceError(f"bessel_i asymptotic diverges at nu={nu}, x={x}")
         total += term
         prev = abs(term)
-        if abs(term) < acc.rel_tol * abs(total):
+        if abs(term) < _REL_TOL * abs(total):
             break
     val = total / math.sqrt(2.0 * math.pi * x)
     if scaled:
@@ -189,7 +177,7 @@ def bessel_i(nu: float, x: float, scaled: bool = False,
 # Marcum Q
 # ---------------------------------------------------------------------------
 
-def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC) -> float:
+def marcum_q(m: float, a: float, b: float) -> float:
     """Generalized Marcum Q_m(a, b) for real order m > 0.
 
     Canonical Poisson mixture: Q_m(a,b) = sum_k w_k Q(m+k, b^2/2) with
@@ -207,14 +195,14 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
         return 1.0
     x = 0.5 * b * b
     if a == 0.0:
-        return reg_upper_gamma(m, x, acc)
+        return reg_upper_gamma(m, x)
     h = 0.5 * a * a
 
     k0 = int(h)
     # anchor at the mode: weight, Q, and gamma increment, all via logs
     lw = k0 * math.log(h) - h - math.lgamma(k0 + 1.0)
     w_up = math.exp(lw)
-    q_anchor = reg_upper_gamma(m + k0, x, acc)
+    q_anchor = reg_upper_gamma(m + k0, x)
     le = (m + k0) * math.log(x) - x - math.lgamma(m + k0 + 1.0)
     e_anchor = math.exp(le) if le > MINLOG else 0.0
 
@@ -223,13 +211,13 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
     # upward from the mode
     w, qv, e = w_up, q_anchor, e_anchor
     k = k0
-    while k - k0 < acc.max_terms:
+    while k - k0 < _MAX_TERMS:
         w *= h / (k + 1.0)
         qv += e
         e *= x / (m + k + 1.0)
         k += 1
         total += w * qv
-        if k > h and w < acc.rel_tol * total * (1.0 - h / (k + 1.0)):
+        if k > h and w < _REL_TOL * total * (1.0 - h / (k + 1.0)):
             break
     else:
         raise ConvergenceError(f"marcum_q upward sum stalled (m={m}, a={a}, b={b})")
@@ -242,10 +230,10 @@ def marcum_q(m: float, a: float, b: float, acc: FunctionAccuracy = _DEFAULT_ACC)
         nxt = qv - e
         if nxt < 0.1 * qv:
             # heavy cancellation in the deep tail: re-anchor exactly
-            nxt = reg_upper_gamma(m + k - 1.0, x, acc)
+            nxt = reg_upper_gamma(m + k - 1.0, x)
         qv = nxt
         total += w * qv
-        if w < acc.rel_tol * total:
+        if w < _REL_TOL * total:
             break
 
     # the weights are a probability mass; roundoff can push the sum a hair out
@@ -260,7 +248,7 @@ def _is_nonpos_int(v):
     return v <= 0.0 and v == math.floor(v)
 
 
-def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_ACC,
+def kummer_1f1(a: float, b: float, x: float,
                regularized: bool = False) -> float:
     """Kummer's 1F1(a; b; x).
 
@@ -268,7 +256,8 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
     sum_k (a)_k x^k / (Gamma(b+k) k!), which stays finite for b a nonpositive
     integer (the leading poles drop out). Negative x with non-terminating a
     goes through the Kummer transform 1F1(a;b;x) = e^x 1F1(b-a;b;-x) to avoid
-    alternating-series cancellation.
+    alternating-series cancellation.  Raises OverflowError where the sum
+    leaves double range.
     """
     if _is_nonpos_int(b) and not regularized:
         raise ValueError(f"kummer_1f1 pole: b={b} is a nonpositive integer")
@@ -276,7 +265,7 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
     terminating = _is_nonpos_int(a)
     if x < 0.0 and not terminating:
         # e^x 1F1(b-a; b; -x); the same identity holds for the regularized form
-        return math.exp(x) * kummer_1f1(b - a, b, -x, acc, regularized)
+        return math.exp(x) * kummer_1f1(b - a, b, -x, regularized)
 
     # first nonzero index: k0 = 1-b when b is a nonpositive integer (regularized)
     k0 = 0
@@ -297,7 +286,7 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
     total = term
     small = 0
     k = k0
-    while k - k0 < acc.max_terms:
+    while k - k0 < _MAX_TERMS:
         term *= (a + k) * x / ((b + k) * (k + 1.0))
         total += term
         k += 1
@@ -306,8 +295,11 @@ def kummer_1f1(a: float, b: float, x: float, acc: FunctionAccuracy = _DEFAULT_AC
             term = 0.0
         if term == 0.0:
             return total
-        small = small + 1 if abs(term) <= acc.rel_tol * (abs(total) + 1e-300) else 0
+        small = small + 1 if abs(term) <= _REL_TOL * (abs(total) + 1e-300) else 0
         if small >= 2:
+            if math.isinf(total):  # inf <= rel_tol * inf passes the test above
+                raise OverflowError(
+                    f"kummer_1f1({a}, {b}, {x}) exceeds double range")
             return total
     raise ConvergenceError(f"kummer_1f1 stalled at a={a}, b={b}, x={x}")
 

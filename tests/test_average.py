@@ -12,12 +12,12 @@ import pytest
 
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
                                avg_auc_uncorrected, avg_cauc_closed,
-                               avg_pd_quadrature, _binomial_tails,
-                               _finite_sum_value)
+                               avg_pd_quadrature, _binomial_tails)
 from hoytsense.detector import DetectorConfig, threshold_for_pf
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError
+from hoytsense.validate import _binomial_shift_auc
 
 TIGHT = EvalPolicy(rel_tol=5e-14, max_terms=250_000, quad_levels=22)
 
@@ -95,18 +95,17 @@ def test_finite_sum_within_est_error_over_the_box():
 
 
 def test_binomial_tails_equal_the_inner_sums():
-    # sum_{l=i}^{u-1} C(l+u-1+b, l-i) 2^(i+1-l-u) in exact rationals against
-    # 2^(i+1+b) P(Bin(2u-1+b, 1/2) >= u+i+b) in floats: within u ulps
+    # sum_{l=i}^{u-1} C(l+u-1, l-i) 2^(i+1-l-u) in exact rationals against
+    # 2^(i+1) P(Bin(2u-1, 1/2) >= u+i) in floats: within u ulps
     for u in (1, 2, 3, 5, 8, 13, 20, 40, 150):
-        for shift in (0, 1):
-            tails = _binomial_tails(u, shift)
-            assert len(tails) == u
-            for i, tail in enumerate(tails):
-                exact = sum(Fraction(math.comb(l + u - 1 + shift, l - i),
-                                     2 ** (l + u - i - 1))
-                            for l in range(i, u))
-                got = Fraction(math.ldexp(tail, i + 1 + shift))
-                assert abs(got - exact) <= u * 2.0 ** -52 * exact, (u, i)
+        tails = _binomial_tails(u)
+        assert len(tails) == u
+        for i, tail in enumerate(tails):
+            exact = sum(Fraction(math.comb(l + u - 1, l - i),
+                                 2 ** (l + u - i - 1))
+                        for l in range(i, u))
+            got = Fraction(math.ldexp(tail, i + 1))
+            assert abs(got - exact) <= u * 2.0 ** -52 * exact, (u, i)
 
 
 def test_errata_variants_frozen_at_large_u():
@@ -114,7 +113,7 @@ def test_errata_variants_frozen_at_large_u():
     for u, conj, printed in ((20, ABAR_T1CONJ_20_0P5_10, ABAR_T1PRT_20_0P5_10),
                              (100, ABAR_T1CONJ_100_0P5_10,
                               ABAR_T1PRT_100_0P5_10)):
-        got = _finite_sum_value(u, 0.5, 10.0, binom_upper_shift=1)
+        got = _binomial_shift_auc(u, 0.5, 10.0)
         assert got == pytest.approx(conj, abs=1e-13), u
         mv = avg_auc_uncorrected(DetectorConfig(float(u)), _f(0.5, 10.0),
                                  variant="finite_sum")
@@ -208,7 +207,7 @@ def test_printed_finite_sum_diagnostic():
 
 def test_binomial_shift_conjecture_rejected():
     # raising the binomial upper index does not repair the printed form
-    got = _finite_sum_value(2, 0.5, 10.0, binom_upper_shift=1)
+    got = _binomial_shift_auc(2, 0.5, 10.0)
     assert got == pytest.approx(ABAR_T1CONJ_2_0P5_10, abs=1e-14)
     assert abs(got - ABAR_5_0P5_10) > 1e-3
     assert abs(got - avg_auc_closed(DetectorConfig(2.0), _f(0.5, 10.0),

@@ -15,6 +15,7 @@ from hoytsense.detector import (DetectorConfig, MetricValue, _cauc_chernoff,
                                 pd, pf, roc_points_awgn, threshold_for_pf)
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError, reg_upper_gamma
+from hoytsense.validate import _kummer_printed_auc
 
 TIGHT = EvalPolicy(rel_tol=1e-13, max_terms=100_000, quad_levels=22)
 
@@ -94,6 +95,16 @@ def test_threshold_solver_round_trip():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             threshold_for_pf(DetectorConfig(2.0), bad)
+
+
+@pytest.mark.parametrize("u", [0.05, 0.1, 0.14])
+def test_threshold_solver_near_pf_one_at_small_u(u):
+    # the threshold is ~1e-180 at u = 0.05, pf = 1 - 1e-9
+    cfg = DetectorConfig(u)
+    for target in (1.0 - 1e-9, 1.0 - 1e-12):
+        lam = threshold_for_pf(cfg, target)
+        assert lam > 0.0
+        assert abs(pf(cfg, lam) - target) < 1e-12, (u, target, lam)
 
 
 def test_auc_frozen_values_all_routes():
@@ -267,13 +278,12 @@ def test_cauc_is_exact_complement():
 
 
 def test_1f1_variant_printed_diagnostics():
-    # the as-printed transcription: wildly out of [0,1], flagged with an
-    # infinite error bound so nothing downstream can mistake it for a result
-    mv = auc_awgn_1f1_variant(DetectorConfig(2.0), 3.0, as_printed=True)
-    assert mv.value == pytest.approx(AUC1F1_PRINTED_2_3, rel=1e-12)
-    assert mv.est_error == math.inf
-    mv = auc_awgn_1f1_variant(DetectorConfig(5.0), 10.0, as_printed=True)
-    assert mv.value == pytest.approx(AUC1F1_PRINTED_5_10, rel=1e-12)
+    # the as-printed transcription, kept in the errata report: wildly out of
+    # [0,1]
+    assert _kummer_printed_auc(2, 3.0) == pytest.approx(AUC1F1_PRINTED_2_3,
+                                                        rel=1e-12)
+    assert _kummer_printed_auc(5, 10.0) == pytest.approx(AUC1F1_PRINTED_5_10,
+                                                         rel=1e-12)
     with pytest.raises(ValueError):
         auc_awgn_1f1_variant(DetectorConfig(2.5), 3.0)
 

@@ -1,0 +1,50 @@
+"""CLI output pinned byte for byte.
+
+A refactor is done when the README commands print byte-identical CSV; this
+turns that rule into a check.  Each command runs in-process and the sha256 of
+its stdout must match the hash recorded before the refactors it guards.  The
+README's cauc sweep writes to --out; it is run here without it, which prints
+the same bytes.  A change that moves a value by one ulp fails here: if it is
+meant to, say so in CHANGES.md and record the new hash.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hoytsense import cli
+
+GOLDEN = [
+    # the five README CSV commands
+    ("point --metric auc --u 1 --q 0.5 --snr-db 10",
+     "b10b04eacc699c814176f2d5d2dc413e847d9796609aede0e1254273501361d0"),
+    ("point --metric pf --u 5 --lambda 10",
+     "4d93ade1f848d027b931c6f983adaa140f638d91a74643ec3d1006830e6e124f"),
+    ("sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
+     "16e1fbd5befeae3f8307c1ec312ec6181cc845de572d44aad0d8849aa0929958"),
+    ("roc --u 5 --q 0.5 --snr-db 10 --points 33",
+     "c2a0be1bf36aa1834321bd21cf4b5279dc7fbf680a449d577f96918f1134890b"),
+    ("sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
+     "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
+    # the real-u series, a seeded Monte Carlo sweep and a quadrature row
+    ("sweep --u 2.5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
+     "28e5135b455ee9edac24aa81b633ae413b947816e7aa624ddba4030c49c591d6"),
+    ("sweep --metric auc --method mc --u 5 --q 0.5 --snr-db 0:10:5 "
+     "--trials 200000 --seed 7",
+     "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
+    ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
+     "4b626ad43ff9b80a82895e13859a3f7c1a6b4c030b0c64ab2fe6275b01377db6"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN,
+                         ids=[c.split(" --")[0] + str(i)
+                              for i, (c, _) in enumerate(GOLDEN)])
+def test_cli_output_is_byte_identical(command, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest

@@ -18,11 +18,9 @@ TIGHT = EvalPolicy(rel_tol=1e-13, max_terms=100_000)
 
 def test_config_validation():
     cfg = McConfig()
-    assert cfg.trials == 1_000_000 and cfg.batch_size == 65_536
+    assert cfg.trials == 1_000_000
     with pytest.raises(ValueError):
         McConfig(trials=0)
-    with pytest.raises(ValueError):
-        McConfig(batch_size=0)
     with pytest.raises(ValueError):
         McConfig(master_seed=-1)
     with pytest.raises(ValueError):
@@ -99,8 +97,7 @@ def test_estimate_auc_fading_closure():
 
 def test_estimate_auc_uneven_batches():
     cfg = DetectorConfig(2.0)
-    est = estimate_auc(cfg, 1.0, McConfig(trials=70_001, master_seed=3,
-                                          batch_size=16_384))
+    est = estimate_auc(cfg, 1.0, McConfig(trials=70_001, master_seed=3))
     assert est.trials == 70_001
     assert 0.5 < est.value < 1.0 and math.isfinite(est.std_error)
 
@@ -146,3 +143,15 @@ def test_fixed_seed_estimates_are_frozen():
         est = estimate_auc(DetectorConfig(u), channel,
                            McConfig(trials=trials, master_seed=seed))
         assert est.value == want
+
+
+def test_estimates_of_zero_or_one_report_the_rule_of_three():
+    # no statistic passes the threshold, or every H1 draw outranks every H0
+    # draw: the binomial s.e. is 0, so the one-sided 95% bound 3/trials is
+    # reported instead
+    est = estimate_pd(DetectorConfig(5.0), 0.0, 78.47,
+                      McConfig(trials=100_000, master_seed=3))
+    assert est.value == 0.0 and est.std_error == 3.0 / 100_000
+    est = estimate_auc(DetectorConfig(1.0), HoytFading(1.0, 1e6),
+                       McConfig(trials=20_000, master_seed=3))
+    assert est.value == 1.0 and est.std_error == 3.0 / 20_000

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from hoytsense.specfun import (ConvergenceError, FunctionAccuracy, bessel_i,
+from hoytsense.specfun import (ConvergenceError, bessel_i,
                                binomial, kummer_1f1, laguerre, ln_gamma,
                                marcum_q, pochhammer, reg_lower_gamma,
                                reg_upper_gamma)
@@ -213,20 +213,16 @@ def test_pochhammer_and_binomial():
             pochhammer(top - k + 1.0, k) / math.factorial(k), rel=1e-13)
 
 
-def test_accuracy_policy_validation():
-    with pytest.raises(ValueError):
-        FunctionAccuracy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        FunctionAccuracy(rel_tol=-1e-10)
-    with pytest.raises(ValueError):
-        FunctionAccuracy(max_terms=99)
-
-
 def test_series_cap_raises_convergence_error():
-    tiny = FunctionAccuracy(rel_tol=1e-13, max_terms=100)
+    # order and argument 5e9 at the Poisson mode: the incomplete-gamma
+    # series there needs ~6e5 terms, past the fixed term cap
     with pytest.raises(ConvergenceError):
-        kummer_1f1(0.5, 1.5, 600.0, tiny)
-    with pytest.raises(ConvergenceError):
-        # ascending Bessel series at x = 500: terms grow until k ~ 250 and
-        # the 100-term budget runs out first
-        bessel_i(0.0, 500.0, acc=tiny)
+        marcum_q(1.0, 1e5, 1e5)
+
+
+def test_kummer_overflow_raises():
+    # the terms pass double range near k = x; inf <= rel_tol * inf must not
+    # end the sum as converged
+    assert math.isfinite(kummer_1f1(0.5, 1.5, 600.0))
+    with pytest.raises(OverflowError):
+        kummer_1f1(0.5, 1.5, 2000.0)
