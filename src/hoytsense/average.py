@@ -20,10 +20,10 @@ Both sum the complementary AUC (CAUC) from positive terms, returned by
 covers 1 - CAUC.  The series' CAUC weights fall like 2^-l, so its cost is
 flat in the SNR.
 Over u <= 500, q in [1e-6, 1] and -10..60 dB it stops after 27-280 terms
-(under a millisecond) for rel_tol down to 5e-14, well inside the default
-EvalPolicy.max_terms.  The finite sum takes u terms whatever the SNR: its
-inner sum over the binomial weights is a binomial tail, and all u tails come
-from one pass over the Bin(2u-1, 1/2) pmf.
+(under a millisecond) for rel_tol down to 5e-14, well inside the package
+term cap `specfun._MAX_TERMS`.  The finite sum takes u terms whatever the
+SNR: its inner sum over the binomial weights is a binomial tail, and all u
+tails come from one pass over the Bin(2u-1, 1/2) pmf.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
     lgamma_err = specfun.beta_increments_error(u)
     partial = 0.0
     total = 0.0
-    for j, inc, m_j in zip(range(policy.max_terms), specfun.beta_increments(u),
-                           _legendre_terms(x, s)):
+    for j, inc, m_j in zip(range(specfun._MAX_TERMS),
+                           specfun.beta_increments(u), _legendre_terms(x, s)):
         partial += m_j
         total += inc * partial
         t_next = (2.0 * u + j + 1.0) / (2.0 * (u + j + 2.0))
@@ -176,7 +176,7 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
             return cauc, j + 1, cut + rounding
     raise ConvergenceError(
         f"average-AUC series did not meet rel_tol={policy.rel_tol} within "
-        f"{policy.max_terms} terms (u={u}, q={q}, mean_snr={mean_snr})")
+        f"{specfun._MAX_TERMS} terms (u={u}, q={q}, mean_snr={mean_snr})")
 
 
 def _printed_series_value(u: float, q: float, mean_snr: float,
@@ -195,8 +195,8 @@ def _printed_series_value(u: float, q: float, mean_snr: float,
     x, pref, rho = x / mean_snr, pref * mean_snr, rho / mean_snr
     c = 0.5
     total = 0.0
-    for l, inc, m_l in zip(range(policy.max_terms), specfun.beta_increments(u),
-                           _legendre_terms(x, s)):
+    for l, inc, m_l in zip(range(specfun._MAX_TERMS),
+                           specfun.beta_increments(u), _legendre_terms(x, s)):
         term = c * m_l
         total += term
         if (l > 20 and rho < 1.0
@@ -205,7 +205,7 @@ def _printed_series_value(u: float, q: float, mean_snr: float,
         c += inc
     raise ConvergenceError(
         f"printed average-AUC series did not meet rel_tol={policy.rel_tol} "
-        f"within {policy.max_terms} terms (term ratio approaches {rho:.6f})"
+        f"within {specfun._MAX_TERMS} terms (term ratio approaches {rho:.6f})"
         + ("; it diverges for this input" if rho >= 1.0 else ""))
 
 
@@ -275,8 +275,8 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     No closed form exists for this average; it pairs with the
     fading-independent pf to trace averaged ROC curves.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if threshold == 0.0:
         return MetricValue(1.0, "quadrature", 0, 0.0)
     u = cfg.time_bandwidth

@@ -141,12 +141,11 @@ def _parse_snr_axis(text: str, allow_range: bool) -> Tuple[float, ...]:
     return tuple(start + k * step for k in range(count))
 
 
-def _parse_rel_tol(text: str) -> float:
-    rel_tol = float(text)
-    if not (rel_tol > 0.0 and math.isfinite(rel_tol)):
-        raise argparse.ArgumentTypeError(
-            f"rel-tol must be positive and finite, got {rel_tol}")
-    return rel_tol
+def _parse_policy(text: str) -> EvalPolicy:
+    try:
+        return EvalPolicy(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _preprocess_argv(argv: Sequence[str]) -> List[str]:
@@ -176,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--u", type=float, required=True,
                        help="time-bandwidth product (detector half-DOF)")
-        p.add_argument("--rel-tol", type=_parse_rel_tol, default=1e-10,
+        p.add_argument("--rel-tol", dest="policy", type=_parse_policy,
+                       default=EvalPolicy(), metavar="REL_TOL",
                        help="relative tolerance for series/quadrature")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: standard output)")
@@ -329,7 +329,6 @@ def _cmd_sweep(args) -> int:
             raise UsageError("sweep grids must use finite dB values")
 
     cfg = DetectorConfig(args.u)
-    policy = EvalPolicy(rel_tol=args.rel_tol)
     mc = McConfig(trials=args.trials, master_seed=args.seed)
     methods = _ALL_EXPANSION[metric] if method == "all" else (method,)
 
@@ -341,7 +340,8 @@ def _cmd_sweep(args) -> int:
             for method in methods:
                 try:
                     val, label, err = _eval_fading_row(
-                        metric, method, cfg, f, args.threshold, policy, mc)
+                        metric, method, cfg, f, args.threshold, args.policy,
+                        mc)
                     rows.append(CurveRow(db, q, args.u, metric, label,
                                          _clamp01(val, err), err))
                 except _ROW_FAILURES as exc:
@@ -354,7 +354,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = DetectorConfig(args.u)
-    policy = EvalPolicy(rel_tol=args.rel_tol)
     metric = args.metric
     q = args.q
 
@@ -388,7 +387,7 @@ def _cmd_point(args) -> int:
             label, err = _closed_label(cfg), 1e-15
         elif q is None:
             fixed = detector.auc_awgn if metric == "auc" else detector.cauc_awgn
-            mv = fixed(cfg, mean, policy)
+            mv = fixed(cfg, mean, args.policy)
             val, label, err = mv.value, mv.method, mv.est_error
         elif mean == 0.0:
             # zero-SNR limit: chance level exactly, any q
@@ -396,7 +395,7 @@ def _cmd_point(args) -> int:
         else:
             val, label, err = _eval_fading_row(
                 metric, _default_method(metric), cfg, HoytFading(q, mean),
-                args.threshold, policy, None)
+                args.threshold, args.policy, None)
         row = CurveRow(db, math.nan if q is None else q, args.u,
                        metric, label, _clamp01(val, err), err)
     except _ROW_FAILURES as exc:
@@ -415,7 +414,6 @@ def _cmd_roc(args) -> int:
         raise UsageError("roc needs a finite --snr-db")
     cfg = DetectorConfig(args.u)
     f = HoytFading(args.q, db_to_linear(db))
-    policy = EvalPolicy(rel_tol=args.rel_tol)
 
     rows: List[CurveRow] = []
     failed = False
@@ -425,7 +423,7 @@ def _cmd_roc(args) -> int:
         try:
             lam = detector.threshold_for_pf(cfg, target)
             realized = detector.pf(cfg, lam)
-            mv = average.avg_pd_quadrature(cfg, f, lam, policy)
+            mv = average.avg_pd_quadrature(cfg, f, lam, args.policy)
             pf_err = abs(realized - target)
             rows.append(CurveRow(db, args.q, args.u, "pf",
                                  _closed_label(cfg),

@@ -106,8 +106,8 @@ def pf(cfg: DetectorConfig, threshold: float) -> float:
     freedom, so this is the regularized upper gamma Q(u, threshold/2);
     strictly decreasing in the threshold.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     return specfun.reg_upper_gamma(cfg.time_bandwidth, 0.5 * threshold)
 
 
@@ -120,8 +120,8 @@ def pd(cfg: DetectorConfig, snr: float, threshold: float) -> float:
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if snr == 0.0:
         # identical evaluation, not just equal in the limit: avoids the
         # sqrt/square round-trip perturbing the gamma argument by an ulp
@@ -220,7 +220,7 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     c = 0.5
     total = 0.0
     streak = 0
-    for l, inc in zip(range(policy.max_terms), specfun.beta_increments(u)):
+    for l, inc in zip(range(specfun._MAX_TERMS), specfun.beta_increments(u)):
         total += pois * c
         nxt = pois * snr / (l + 1.0)
         if l >= snr:
@@ -240,7 +240,7 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
         pois = nxt
         c += inc
     raise ConvergenceError(
-        f"AUC series needed more than {policy.max_terms} terms at snr={snr}")
+        f"AUC series needed more than {specfun._MAX_TERMS} terms at snr={snr}")
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,

@@ -64,7 +64,7 @@ def snr_pdf(f: HoytFading, snr: float) -> float:
     if decay == 0.0:
         return 0.0
     bessel_arg = (1.0 - q2 * q2) * snr / (4.0 * q2 * f.mean_snr)
-    return pref * decay * specfun.bessel_i(0.0, bessel_arg, scaled=True)
+    return pref * decay * specfun.bessel_i(0.0, bessel_arg)
 
 
 def snr_cdf(f: HoytFading, snr: float) -> float:

@@ -178,8 +178,8 @@ def estimate_pd(cfg: DetectorConfig, channel: Union[HoytFading, float],
     standard error is the plain binomial one, or the rule-of-three bound
     3/trials when no statistic, or every one, passes the threshold.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     hits = 0
     for index, n in enumerate(_batch_sizes(mc)):
         y1 = _draw_h1(cfg.time_bandwidth, channel, batch_rng(mc, index), n)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, Tuple
 
-MAXLOG = 709.782712893384  # log(DBL_MAX); exp() overflows above this
 MINLOG = -745.13321910194  # below this exp() underflows to 0
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
@@ -29,7 +28,8 @@ class ConvergenceError(ArithmeticError):
 
 
 # truncation of every kernel series: stop once a term falls below _REL_TOL of
-# the sum, raise ConvergenceError after _MAX_TERMS terms
+# the sum, raise ConvergenceError after _MAX_TERMS terms.  The AUC series in
+# detector and average stop at the same cap, at their own EvalPolicy.rel_tol
 _REL_TOL = 1e-13
 _MAX_TERMS = 10_000
 
@@ -101,28 +101,15 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return _upper_gamma_cf(a, x)
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = 1 - Q(a, x)."""
-    if not a > 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
-def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
-    """I_nu(x) for nu >= 0, x >= 0.
+def bessel_i(nu: float, x: float) -> float:
+    """The scaled Bessel function e^{-x} I_nu(x) for nu >= 0, x >= 0.
 
-    scaled=True returns e^{-x} I_nu(x), which stays representable for any x;
-    the unscaled value raises OverflowError once e^x itself overflows.
+    The scaling keeps the value representable for any x, where I_nu(x)
+    itself overflows past x ~ 710.
     """
     if nu < 0.0:
         raise ValueError(f"bessel_i requires nu >= 0, got {nu}")
@@ -144,12 +131,7 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
                 break
         else:
             raise ConvergenceError(f"bessel_i series stalled at nu={nu}, x={x}")
-        lv = lt + math.log(total)
-        if scaled:
-            return math.exp(lv - x)
-        if lv > MAXLOG:
-            raise OverflowError(f"bessel_i({nu}, {x}) exceeds double range")
-        return math.exp(lv)
+        return math.exp(lt + math.log(total) - x)
 
     # large argument: asymptotic expansion of e^{-x} I_nu(x)
     mu = 4.0 * nu * nu
@@ -165,12 +147,7 @@ def bessel_i(nu: float, x: float, scaled: bool = False) -> float:
         prev = abs(term)
         if abs(term) < _REL_TOL * abs(total):
             break
-    val = total / math.sqrt(2.0 * math.pi * x)
-    if scaled:
-        return val
-    if x > MAXLOG:
-        raise OverflowError(f"bessel_i({nu}, {x}) exceeds double range")
-    return val * math.exp(x)
+    return total / math.sqrt(2.0 * math.pi * x)
 
 
 # ---------------------------------------------------------------------------

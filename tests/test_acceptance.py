@@ -35,7 +35,7 @@ from hoytsense.quadrature import (EvalPolicy, integrate_half_line,
                                   integrate_unit_interval)
 from hoytsense import validate
 
-POLICY = EvalPolicy(rel_tol=1e-11, max_terms=250_000, quad_levels=20)
+POLICY = EvalPolicy(rel_tol=1e-11)
 Q_GRID = (0.1, 0.3, 0.5, 0.75, 1.0)
 DB_GRID = tuple(float(db) for db in range(-5, 31, 5))
 
@@ -244,7 +244,7 @@ def test_criterion_08_high_and_zero_snr_limits():
 
 
 def test_criterion_09_hoyt_model_suite():
-    pol = EvalPolicy(rel_tol=1e-12, max_terms=5_000, quad_levels=22)
+    pol = EvalPolicy(rel_tol=1e-12)
     worst_norm = worst_mean = worst_cdf = worst_ray = 0.0
     for q in (0.05, 0.1, 0.3, 0.5, 0.75, 1.0):
         for m in (0.1, 1.0, 10.0):

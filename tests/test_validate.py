@@ -2,7 +2,7 @@
 
 import pytest
 
-from hoytsense import validate
+from hoytsense import specfun, validate
 
 
 def _assert_all_pass(lines):
@@ -13,6 +13,17 @@ def _assert_all_pass(lines):
 
 def test_specfun_suite():
     _assert_all_pass(validate.specfun_suite())
+
+
+def test_incomplete_gamma_check_sees_a_branch_error(monkeypatch):
+    # P + Q = 1 holds by construction within each branch; the check compares
+    # the two branches, so an error of 1e-12 in either one must fail it
+    cf = specfun._upper_gamma_cf
+    monkeypatch.setattr(specfun, "_upper_gamma_cf",
+                        lambda a, x: cf(a, x) + 1e-12)
+    (line,) = [l for l in validate.specfun_suite()
+               if l[0] == "incomplete_gamma_branches_agree"]
+    assert line[1] is False
 
 
 def test_detector_suite():
