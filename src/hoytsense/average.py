@@ -12,8 +12,8 @@ The published transcriptions of BOTH closed forms carry defects — a dropped
 the series (which additionally makes the series divergent below roughly
 0 dB).  The corrected forms implemented here were adjudicated against the
 quadrature reference, and the routes take no switch for anything else;
-`avg_auc_uncorrected` rebuilds the defective transcriptions from the
-corrected pieces so the validation report can quantify the damage.
+the errata report (`validate`) rebuilds the defective transcriptions from
+the corrected pieces to quantify the damage.
 
 Both sum the complementary AUC (CAUC) from positive terms, returned by
 `avg_cauc_closed` to full relative precision; one absolute est_error also
@@ -44,7 +44,6 @@ __all__ = [
     "avg_cauc_closed",
     "avg_auc_quadrature",
     "avg_pd_quadrature",
-    "avg_auc_uncorrected",
 ]
 
 _EPS = 2.0 ** -52
@@ -107,15 +106,23 @@ def _finite_sum_cauc(u: int, q: float, mean_snr: float) -> float:
 
     so the whole sum takes u terms, one tail each (`_binomial_tails`).  The
     published version drops the (1+q^2) factor restored here.  Raises
-    OverflowError where mean_snr^i or den^(i+1) leaves double range.
+    OverflowError where mean_snr^i or den^(i+1) leaves double range; the
+    series form covers those points.
     """
     q2 = q * q
     den, s = _finite_sum_setup(q, mean_snr)
     # q^(2i) rides in the Legendre terms: q^(1+2i) alone underflows at
     # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN
-    terms = [math.ldexp(tail, i + 1) * leg * (mean_snr ** i / den ** (i + 1))
-             for i, (tail, leg) in enumerate(zip(_binomial_tails(u),
-                                                 _legendre_terms(q2, s)))]
+    try:
+        terms = [math.ldexp(tail, i + 1) * leg
+                 * (mean_snr ** i / den ** (i + 1))
+                 for i, (tail, leg) in enumerate(zip(_binomial_tails(u),
+                                                     _legendre_terms(q2, s)))]
+    except OverflowError:
+        raise OverflowError(
+            f"finite-sum CAUC: mean_snr**i or den**(i+1) left double range "
+            f"at u={u}, q={q}, mean_snr={mean_snr}; the series form "
+            f"(--method series) covers this point") from None
     return (1.0 + q2) * q * math.fsum(terms)
 
 
@@ -177,36 +184,6 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
     raise ConvergenceError(
         f"average-AUC series did not meet rel_tol={policy.rel_tol} within "
         f"{specfun._MAX_TERMS} terms (u={u}, q={q}, mean_snr={mean_snr})")
-
-
-def _printed_series_value(u: float, q: float, mean_snr: float,
-                          policy: EvalPolicy) -> Tuple[float, int]:
-    """The published series verbatim; returns (value, terms).
-
-    There the mean SNR enters to the first power only: x (and with it rho)
-    loses its factor of m and the prefactor gains one, so they are rescaled
-    from the corrected `_series_setup`; pref * sum_l M_l = 1 no longer
-    holds and the series is summed as printed, pref * sum_l c_l M_l.  Its
-    term ratio tends to 2/(2m+1+q^2), which exceeds 1 once
-    m < (1-q^2)/2 — the series then diverges (a ConvergenceError here is
-    the expected outcome, not a numerical accident).
-    """
-    x, s, pref, rho = _series_setup(q, mean_snr)
-    x, pref, rho = x / mean_snr, pref * mean_snr, rho / mean_snr
-    c = 0.5
-    total = 0.0
-    for l, inc, m_l in zip(range(specfun._MAX_TERMS),
-                           specfun.beta_increments(u), _legendre_terms(x, s)):
-        term = c * m_l
-        total += term
-        if (l > 20 and rho < 1.0
-                and term * rho / (1.0 - rho) <= policy.rel_tol * total):
-            return pref * total, l + 1
-        c += inc
-    raise ConvergenceError(
-        f"printed average-AUC series did not meet rel_tol={policy.rel_tol} "
-        f"within {specfun._MAX_TERMS} terms (term ratio approaches {rho:.6f})"
-        + ("; it diverges for this input" if rho >= 1.0 else ""))
 
 
 def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
@@ -290,28 +267,3 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
 
     value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
     return MetricValue(value, "quadrature", evals, err)
-
-
-def avg_auc_uncorrected(cfg: DetectorConfig, f: HoytFading,
-                        policy: EvalPolicy = _DEFAULT_POLICY,
-                        variant: str = "finite_sum") -> MetricValue:
-    """Evaluate the published average-AUC transcriptions verbatim.
-
-    variant "finite_sum": integer-u double sum missing its (1+q^2) factor,
-    1 - _finite_sum_cauc / (1+q^2).
-    variant "series": real-u series with the mean SNR to the first power.
-    No correctness contract — these exist so the errata report can print
-    printed-vs-corrected deviation tables.  The series variant raises
-    ConvergenceError where the printed expression genuinely diverges.
-    """
-    if variant == "finite_sum":
-        if not cfg.is_integer:
-            raise ValueError("finite_sum variant requires integer time_bandwidth")
-        u = int(round(cfg.time_bandwidth))
-        value = 1.0 - _finite_sum_cauc(u, f.q, f.mean_snr) / (1.0 + f.q * f.q)
-        return MetricValue(value, "closed_integer", u, math.inf)
-    if variant == "series":
-        value, terms = _printed_series_value(cfg.time_bandwidth, f.q,
-                                             f.mean_snr, policy)
-        return MetricValue(value, "closed_series", terms, math.inf)
-    raise ValueError(f"unknown variant {variant!r}")

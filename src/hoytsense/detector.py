@@ -77,12 +77,6 @@ class MetricValue:
     `method` is one of closed_integer / closed_series / quadrature /
     monte_carlo.  `est_error` is an estimate (usually a bound) of the
     numerical error of `value`; it does not include model error.
-
-    Note: the canonical metrics always land in [0, 1], and the test suite
-    asserts that, but the range is deliberately not enforced here — the
-    diagnostic variants of uncorrected formulas (kept for the errata report)
-    produce values far outside the unit interval, and they need to be
-    representable to be reported.
     """
 
     value: float
@@ -118,8 +112,8 @@ def pd(cfg: DetectorConfig, snr: float, threshold: float) -> float:
     pf (same incomplete-gamma evaluation), which keeps ROC curves honest at
     the no-signal end.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if snr == 0.0:
@@ -133,56 +127,39 @@ def pd(cfg: DetectorConfig, snr: float, threshold: float) -> float:
 def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
     """Invert pf: find the threshold whose false-alarm probability is pf_target.
 
-    Safeguarded Newton on the monotone pf; the derivative is minus the
-    noise-only threshold density, available in closed form.  Converges to
-    |pf - target| below 1e-12, comfortably inside the 1e-10 contract.
-
-    For u < 1 the density is lam^(u-1)-singular at 0 and near pf = 1 the
-    root is tiny (~1e-180 at u = 0.05, pf = 1 - 1e-9): there it iterates in
-    log(lam) from P(u, x) <= x^u / Gamma(u+1), a lower bound on the root.
+    Safeguarded Newton in t = ln(threshold), where -d pf/dt is the noise-only
+    threshold density times the threshold; the log coordinate also reaches
+    the tiny roots near pf = 1 at u < 1 (~1e-180 at u = 0.05, pf = 1 - 1e-9).
+    It starts at the lower bound on the root from P(u, x) <= x^u / Gamma(u+1)
+    and stops at |pf - target| <= 1e-13 * target, or once the bracket on t is
+    an ulp wide, where the rounding of pf itself sets the limit.
     """
     if not (0.0 < pf_target < 1.0):
         raise ValueError(f"pf_target must lie in (0, 1), got {pf_target}")
     u = cfg.time_bandwidth
-    lo, hi = 0.0, 2.0 * u + 4.0
-    while pf(cfg, hi) > pf_target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConvergenceError("threshold bracket ran away")
-    log_space = u < 1.0
-    if log_space:
-        lo = _LN2 + (math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u
-        v, hi = lo, math.log(hi)
-    else:
-        v = min(2.0 * u, 0.5 * hi)  # > 0, as u > 0
+    t = lo = _LN2 + (math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u
+    hi = math.log(2.0 * u + 4.0)
+    while (err := pf(cfg, math.exp(hi)) - pf_target) > 0.0:
+        hi += _LN2
+        if hi > 700.0:  # lam ~ 1e304
+            raise ConvergenceError(f"threshold bracket ran away at u={u}, "
+                                   f"target {pf_target}, pf error {err:.3e}")
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
     for _ in range(200):
-        lam = math.exp(v) if log_space else v
+        lam = math.exp(t)
         err = pf(cfg, lam) - pf_target
-        if abs(err) < 1e-13:
-            return lam
         if err > 0.0:
-            lo = v  # pf too high -> threshold too low
+            lo = t  # pf too high -> threshold too low
         else:
-            hi = v
-        # density of the noise-only statistic at lam (= -d pf / d lam),
-        # times lam (= d lam / dt) in log space
-        ln_pdf = (_ln_threshold_density(u, lam, ln_norm)
-                  + (v if log_space else 0.0))
-        step_ok = False
-        if ln_pdf > -700.0:
-            nxt = v + err / math.exp(ln_pdf)
-            if lo < nxt < hi:
-                v = nxt
-                step_ok = True
-        if not step_ok:
-            v = 0.5 * (lo + hi)
-    lam = math.exp(v) if log_space else v
-    err = pf(cfg, lam) - pf_target
-    if abs(err) < 1e-10:
-        return lam
-    raise ConvergenceError(
-        f"threshold inversion stalled at pf error {err:.3e} for target {pf_target}")
+            hi = t
+        if abs(err) <= 1e-13 * pf_target or hi - lo <= _EPS * max(1.0, abs(t)):
+            return lam
+        # ln(-d pf/dt); bisect where the Newton step leaves the bracket
+        ln_slope = _ln_threshold_density(u, lam, ln_norm) + t
+        nxt = t + err / math.exp(ln_slope) if ln_slope > -700.0 else lo
+        t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(f"threshold inversion stalled at u={u}, "
+                           f"target {pf_target}, pf error {err:.3e}")
 
 
 def _cauc_chernoff(u: float, snr: float) -> float:
@@ -207,8 +184,8 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     CAUC bound is below rel_tol/2 it returns AUC 1 with that est_error, well
     before exp(-snr) underflows (only a tiny rel_tol gets there: it raises).
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     u = cfg.time_bandwidth
     bound = _cauc_chernoff(u, snr)
     if bound <= 0.5 * policy.rel_tol:
@@ -264,8 +241,8 @@ def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float) -> MetricValue:
     published transcription, at +snr/2 with no compensating exponential,
     lives in the errata report (`validate`).
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if not cfg.is_integer:
         raise ValueError("the hypergeometric AUC form requires integer u")
     u = int(round(cfg.time_bandwidth))
@@ -292,8 +269,8 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
         base = auc_awgn_series(cfg, snr, policy)
         return MetricValue(1.0 - base.value, base.method,
                            base.terms_used, base.est_error)
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     u = int(round(cfg.time_bandwidth))
     # e^(-snr/2) rides in the start, which keeps e^(-snr/2) L_l below
     # C(l+u-1, l): finite for u <= 500
@@ -344,8 +321,8 @@ def auc_quadrature(cfg: DetectorConfig, snr: float,
     integral is therefore taken in lam = v**p with p chosen so the
     transformed integrand has several continuous derivatives at v = 0.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     u = cfg.time_bandwidth
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
     a = math.sqrt(2.0 * snr)

@@ -56,8 +56,8 @@ def snr_pdf(f: HoytFading, snr: float) -> float:
     Bessel factor in brackets, so neither piece overflows even when C*g is
     enormous; B - C simplifies to (1+q^2)/(2*mean_snr) exactly.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     q2 = f.q * f.q
     pref = (1.0 + q2) / (2.0 * f.q * f.mean_snr)
     decay = math.exp(-(1.0 + q2) * snr / (2.0 * f.mean_snr))
@@ -69,8 +69,8 @@ def snr_pdf(f: HoytFading, snr: float) -> float:
 
 def snr_cdf(f: HoytFading, snr: float) -> float:
     """Distribution function of the instantaneous SNR."""
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if snr == 0.0:
         return 0.0
     if 1.0 - f.q < _RAYLEIGH_EPS:

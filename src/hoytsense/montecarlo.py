@@ -78,8 +78,8 @@ def _draw_h1(u: float, channel: Union[HoytFading, float],
         snr = sample_snr(channel, rng, n)
     else:
         snr = float(channel)
-        if snr < 0.0:
-            raise ValueError(f"snr must be >= 0, got {channel}")
+        if not 0.0 <= snr < math.inf:
+            raise ValueError(f"snr must be finite and >= 0, got {channel}")
     extra = rng.poisson(snr, n)
     return 2.0 * rng.standard_gamma(u + extra)
 
@@ -96,8 +96,8 @@ def sample_statistic(cfg: DetectorConfig, snr: float, hypothesis: str,
 
     Returns a scalar when size is None, else an ndarray of that length.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if hypothesis not in ("H0", "H1"):
         raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
     n = 1 if size is None else int(size)

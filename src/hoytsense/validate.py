@@ -439,6 +439,43 @@ def _binomial_shift_auc(u: int, q: float, mean_snr: float) -> float:
     return 1.0 - (1.0 + q2) * q * math.fsum(terms)
 
 
+def _printed_finite_sum_auc(u: int, q: float, mean_snr: float) -> float:
+    # average._finite_sum_cauc without the (1+q^2) factor the published
+    # finite sum drops; kept for the report
+    return 1.0 - average._finite_sum_cauc(u, q, mean_snr) / (1.0 + q * q)
+
+
+def _printed_series_auc(u: float, q: float, mean_snr: float,
+                        policy: EvalPolicy) -> float:
+    """The published real-u average-AUC series verbatim.
+
+    There the mean SNR enters to the first power only: x (and with it rho)
+    loses its factor of m and the prefactor gains one, so they are rescaled
+    from the corrected `average._series_setup`; pref * sum_l M_l = 1 no
+    longer holds and the series is summed as printed, pref * sum_l c_l M_l.
+    Its term ratio tends to 2/(2m+1+q^2), which exceeds 1 once
+    m < (1-q^2)/2 — the series then diverges (a ConvergenceError here is
+    the expected outcome, not a numerical accident).
+    """
+    x, s, pref, rho = average._series_setup(q, mean_snr)
+    x, pref, rho = x / mean_snr, pref * mean_snr, rho / mean_snr
+    c = 0.5
+    total = 0.0
+    for l, inc, m_l in zip(range(specfun._MAX_TERMS),
+                           specfun.beta_increments(u),
+                           average._legendre_terms(x, s)):
+        term = c * m_l
+        total += term
+        if (l > 20 and rho < 1.0
+                and term * rho / (1.0 - rho) <= policy.rel_tol * total):
+            return pref * total
+        c += inc
+    raise ConvergenceError(
+        f"printed average-AUC series did not meet rel_tol={policy.rel_tol} "
+        f"within {specfun._MAX_TERMS} terms (term ratio approaches {rho:.6f})"
+        + ("; it diverges for this input" if rho >= 1.0 else ""))
+
+
 def _cdf_variant(f: hoyt.HoytFading, snr: float, symmetric: bool) -> float:
     # the two rejected Marcum argument pairs for the distribution function:
     # as-printed (mixed 1-q^4 / 1+q^4 factors) and the symmetric 1-q^4 reading
@@ -483,7 +520,7 @@ def errata_suite() -> List[Line]:
         for q in (0.1, 0.5, 1.0):
             for gb in (1.0, 10.0):
                 f = hoyt.HoytFading(q, gb)
-                printed = average.avg_auc_uncorrected(cfg, f, pol, "finite_sum").value
+                printed = _printed_finite_sum_auc(u, q, gb)
                 corrected = average.avg_auc_closed(cfg, f, pol).value
                 quad = average.avg_auc_quadrature(cfg, f, pol).value
                 ok = ok and abs(corrected - quad) < 1e-8
@@ -518,15 +555,14 @@ def errata_suite() -> List[Line]:
     for u, q, gb in ((2.0, 0.5, 10.0), (2.5, 0.5, 10.0), (5.0, 1.0, 100.0)):
         cfg = detector.DetectorConfig(u)
         f = hoyt.HoytFading(q, gb)
-        printed = average.avg_auc_uncorrected(cfg, f, pol, "series").value
+        printed = _printed_series_auc(u, q, gb, pol)
         corrected = average.avg_auc_closed(cfg, f, pol, form="series").value
         quad = average.avg_auc_quadrature(cfg, f, pol).value
         ok = ok and abs(corrected - quad) < 1e-8
         rows.append(f"u={u} q={q} m={gb}: printed={printed:.6f} "
                     f"corrected={corrected:.10f} printed-dev={printed - quad:+.2e}")
     try:
-        average.avg_auc_uncorrected(detector.DetectorConfig(2.0),
-                                    hoyt.HoytFading(0.3, 0.1), pol, "series")
+        _printed_series_auc(2.0, 0.3, 0.1, pol)
         diverged = "printed series unexpectedly converged at m=0.1"
         ok = False
     except ConvergenceError:

@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
-                               avg_auc_uncorrected, avg_cauc_closed)
+                               avg_cauc_closed)
 from hoytsense.detector import DetectorConfig, auc_awgn
 from hoytsense.hoyt import HoytFading, sample_snr, snr_cdf, snr_mgf, snr_pdf
 from hoytsense.montecarlo import McConfig, estimate_auc
@@ -166,8 +166,8 @@ def _gap_windows(num, slug, metric, q_lo, q_hi, cases, half_width):
             unpinned += _unpinned(true.value, true.est_error, want,
                                   f"true q={q:g} {db:g}dB")
             # the printed sum lacks (1+q^2): its CAUC is cauc / (1+q^2)
-            printed_cauc = 1.0 - avg_auc_uncorrected(cfg, f, POLICY,
-                                                     "finite_sum").value
+            printed_cauc = 1.0 - validate._printed_finite_sum_auc(
+                5, q, f.mean_snr)
             unpinned += _unpinned(printed_cauc, 0.0, cauc / (1.0 + q * q),
                                   f"printed q={q:g} {db:g}dB")
             values["true"].append(true.value)

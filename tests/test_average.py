@@ -12,13 +12,14 @@ import pytest
 
 from hoytsense import specfun
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
-                               avg_auc_uncorrected, avg_cauc_closed,
-                               avg_pd_quadrature, _binomial_tails)
+                               avg_cauc_closed, avg_pd_quadrature,
+                               _binomial_tails)
 from hoytsense.detector import DetectorConfig, threshold_for_pf
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError
-from hoytsense.validate import _binomial_shift_auc
+from hoytsense.validate import (_binomial_shift_auc, _printed_finite_sum_auc,
+                               _printed_series_auc)
 
 TIGHT = EvalPolicy(rel_tol=5e-14)
 
@@ -116,10 +117,8 @@ def test_errata_variants_frozen_at_large_u():
                               ABAR_T1PRT_100_0P5_10)):
         got = _binomial_shift_auc(u, 0.5, 10.0)
         assert got == pytest.approx(conj, abs=1e-13), u
-        mv = avg_auc_uncorrected(DetectorConfig(float(u)), _f(0.5, 10.0),
-                                 variant="finite_sum")
-        assert mv.value == pytest.approx(printed, abs=1e-13), u
-        assert mv.terms_used == u
+        got = _printed_finite_sum_auc(u, 0.5, 10.0)
+        assert got == pytest.approx(printed, abs=1e-13), u
 
 
 def test_frozen_values_series_route():
@@ -194,16 +193,13 @@ def test_u1_mgf_identity():
 
 
 def test_printed_finite_sum_diagnostic():
-    mv = avg_auc_uncorrected(DetectorConfig(2.0), _f(0.5, 10.0), TIGHT,
-                             variant="finite_sum")
-    assert mv.value == pytest.approx(ABAR_T1PRT_2_0P5_10, abs=1e-14)
-    assert mv.est_error == math.inf
+    got = _printed_finite_sum_auc(2, 0.5, 10.0)
+    assert got == pytest.approx(ABAR_T1PRT_2_0P5_10, abs=1e-14)
     # the defect is NOT benign at u=1 either: the missing factor shifts even
     # the simplest case away from the MGF-identity value
-    mv = avg_auc_uncorrected(DetectorConfig(1.0), _f(0.5, 10.0), TIGHT,
-                             variant="finite_sum")
-    assert mv.value == pytest.approx(ABAR_T1PRT_1_0P5_10, abs=1e-14)
-    assert abs(mv.value - ABAR_1_0P5_10) > 1e-2
+    got = _printed_finite_sum_auc(1, 0.5, 10.0)
+    assert got == pytest.approx(ABAR_T1PRT_1_0P5_10, abs=1e-14)
+    assert abs(got - ABAR_1_0P5_10) > 1e-2
 
 
 def test_binomial_shift_conjecture_rejected():
@@ -216,17 +212,11 @@ def test_binomial_shift_conjecture_rejected():
 
 
 def test_printed_series_diagnostic_and_divergence():
-    mv = avg_auc_uncorrected(DetectorConfig(2.0), _f(0.5, 10.0), TIGHT,
-                             variant="series")
-    assert mv.value == pytest.approx(ABAR_T2PRT_2_0P5_10, abs=1e-12)
-    assert mv.est_error == math.inf
+    got = _printed_series_auc(2.0, 0.5, 10.0, TIGHT)
+    assert got == pytest.approx(ABAR_T2PRT_2_0P5_10, abs=1e-12)
     # term ratio exceeds 1 once the mean SNR drops below (1-q^2)/2
     with pytest.raises(ConvergenceError):
-        avg_auc_uncorrected(DetectorConfig(2.0), _f(0.3, 0.1), TIGHT,
-                            variant="series")
-    with pytest.raises(ValueError):
-        avg_auc_uncorrected(DetectorConfig(2.0), _f(0.3, 1.0), TIGHT,
-                            variant="wat")
+        _printed_series_auc(2.0, 0.3, 0.1, TIGHT)
 
 
 def test_series_respects_term_budget(monkeypatch):

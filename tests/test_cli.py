@@ -380,6 +380,39 @@ def test_closed_cauc_rows_to_full_relative_precision(capsys, u):
         assert abs(float(row[5]) - want) <= 1e-15 * want
 
 
+def test_method_series_matches_the_finite_sum_at_integer_u(capsys):
+    rows = {}
+    for method in ("series", "closed"):
+        code, out, _ = run_cli(capsys, "sweep", "--metric", "auc",
+                               "--method", method, "--u", "5",
+                               "--q", "1e-3,0.1,0.5,1", "--snr-db", "-10:60:5")
+        assert code == 0
+        rows[method] = parse_rows(out)
+    assert {r[4] for r in rows["series"]} == {"closed_series"}
+    assert {r[4] for r in rows["closed"]} == {"closed_integer"}
+    for ser, fin in zip(rows["series"], rows["closed"]):
+        assert ser[:4] == fin[:4]
+        assert (abs(float(ser[5]) - float(fin[5]))
+                <= float(ser[6]) + float(fin[6])), (ser, fin)
+
+
+def test_method_series_answers_where_the_finite_sum_overflows(capsys):
+    import nb_reference as ref  # skips this test when scipy is missing
+    argv = ("sweep", "--metric", "cauc", "--u", "150", "--q", "0.5",
+            "--snr-db", "30")
+    code, out, err = run_cli(capsys, *argv, "--method", "closed")
+    assert code == 3
+    (row,) = parse_rows(out)
+    assert row[5:] == ["nan", "inf"]
+    assert "u=150, q=0.5, mean_snr=1000.0" in err and "--method series" in err
+    code, out, _ = run_cli(capsys, *argv, "--method", "series")
+    assert code == 0
+    (row,) = parse_rows(out)
+    assert row[4] == "closed_series"
+    want = ref.avg_cauc(150.0, 0.5, 1000.0)
+    assert abs(float(row[5]) - want) <= float(row[6])
+
+
 @pytest.mark.parametrize("excess, code", [(0.5, 0), (10.0, 3)])
 def test_value_clamped_only_within_est_error(capsys, monkeypatch, excess,
                                              code):

@@ -7,8 +7,10 @@ runtime code path here.
 
 import math
 
+import numpy as np
 import pytest
 
+from hoytsense import detector
 from hoytsense.detector import (DetectorConfig, MetricValue, _cauc_chernoff,
                                 auc_awgn, auc_awgn_1f1_variant,
                                 auc_awgn_series, auc_quadrature, cauc_awgn,
@@ -107,6 +109,52 @@ def test_threshold_solver_near_pf_one_at_small_u(u):
         lam = threshold_for_pf(cfg, target)
         assert lam > 0.0
         assert abs(pf(cfg, lam) - target) < 1e-12, (u, target, lam)
+
+
+_GRID_U = sorted(set(np.geomspace(0.05, 500.0, 31).tolist())
+                 | {1.0, 2.0, 3.0, 5.0, 7.3, 150.0, 300.0})
+_GRID_PF = sorted(set(np.geomspace(1e-12, 0.5, 14).tolist())
+                  | set((1.0 - np.geomspace(1e-12, 0.4, 10)).tolist()))
+
+
+def test_threshold_solver_relative_accuracy_over_the_grid():
+    # an absolute stop leaves small targets percent-level off; the relative
+    # one holds every target to its own size
+    worst = (0.0, None)
+    for u in _GRID_U:
+        cfg = DetectorConfig(u)
+        for target in _GRID_PF:
+            lam = threshold_for_pf(cfg, target)
+            rel = abs(pf(cfg, lam) - target) / target
+            worst = max(worst, (rel, (u, target)))
+    assert worst[0] <= 1e-12, worst
+
+
+def test_threshold_solver_errors_name_the_inversion(monkeypatch):
+    # a pf that never falls to the target runs the bracket past ln(lam) = 700
+    monkeypatch.setattr(detector, "pf", lambda cfg, lam: 0.5)
+    with pytest.raises(ConvergenceError) as info:
+        threshold_for_pf(DetectorConfig(2.0), 0.1)
+    msg = str(info.value)
+    assert "u=2.0" in msg and "target 0.1" in msg and "pf error 4.000e-01" in msg
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_non_finite_snr_is_a_value_error(bad):
+    # each entry point rejects the SNR itself, before any series or kernel
+    # turns it into a NaN, an overflow or a term-cap failure
+    calls = [lambda: pd(DetectorConfig(2.5), bad, 3.0),
+             lambda: pd(DetectorConfig(3.0), bad, 3.0),
+             lambda: auc_awgn_1f1_variant(DetectorConfig(3.0), bad),
+             lambda: auc_quadrature(DetectorConfig(3.0), bad)]
+    for u in (2.5, 3.0):
+        cfg = DetectorConfig(u)
+        calls += [lambda cfg=cfg: auc_awgn(cfg, bad),
+                  lambda cfg=cfg: auc_awgn_series(cfg, bad),
+                  lambda cfg=cfg: cauc_awgn(cfg, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="snr must be finite"):
+            call()
 
 
 def test_auc_frozen_values_all_routes():

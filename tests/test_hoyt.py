@@ -45,8 +45,11 @@ def test_pdf_shape_and_domain():
     assert snr_pdf(f, 0.0) == pytest.approx((1.0 + 0.09) / (2.0 * 0.3 * 2.0),
                                             rel=1e-13)
     assert snr_pdf(f, 1e4) == 0.0           # decayed to nothing, no overflow
-    with pytest.raises(ValueError):
-        snr_pdf(f, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            snr_pdf(f, bad)
+        with pytest.raises(ValueError, match="snr must be finite"):
+            snr_cdf(f, bad)
 
 
 def test_cdf_frozen_values():

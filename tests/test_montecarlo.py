@@ -57,8 +57,9 @@ def test_sample_statistic_law():
     assert np.ndim(scalar) == 0 and float(scalar) >= 0.0
     with pytest.raises(ValueError):
         sample_statistic(cfg, 1.0, "H2", rng)
-    with pytest.raises(ValueError):
-        sample_statistic(cfg, -1.0, "H1", rng)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            sample_statistic(cfg, bad, "H1", rng)
 
 
 def test_estimate_auc_replay_is_bitwise():
@@ -165,3 +166,13 @@ def test_fading_pd_routes_reject_a_bad_threshold():
             avg_pd_quadrature(cfg, f, bad)
         with pytest.raises(ValueError):
             estimate_pd(cfg, f, bad, McConfig(trials=1000))
+
+
+def test_fixed_snr_estimators_reject_a_non_finite_snr():
+    # the check comes before numpy's Poisson sampler sees the value
+    cfg, mc = DetectorConfig(5.0), McConfig(trials=1000)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            estimate_auc(cfg, bad, mc)
+        with pytest.raises(ValueError, match="snr must be finite"):
+            estimate_pd(cfg, bad, 3.0, mc)
