@@ -249,8 +249,9 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
                       policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Average detection probability at a fixed threshold.
 
-    No closed form exists for this average; it pairs with the
-    fading-independent pf to trace averaged ROC curves.
+    The average has a closed positive series, a Poisson mixture of the
+    fixed-SNR terms, but that route is not implemented; this one pairs with
+    the fading-independent pf to trace averaged ROC curves.
     """
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")

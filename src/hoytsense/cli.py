@@ -15,12 +15,17 @@ endings, and floats rendered at 17 significant digits.
 Exit codes: 0 success, 1 validation-suite failure, 2 usage error,
 3 numerical non-convergence (sweeps annotate the failing rows with ``nan``
 and keep going, then exit 3 at the end).
+
+``main(argv)`` may be called many times in one process (a curve family
+over a grid is one call per request); it builds the argument parser on the
+first call and reuses that one parser after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,7 +47,8 @@ _SWEEP_METRICS = ("auc", "cauc", "pd", "pf", "roc")
 _METHOD_FLAGS = ("closed", "series", "quadrature", "mc", "all")
 
 # which concrete routes "--method all" expands to, per metric; pf has no
-# fading integral and pd no closed fading average, so their sets are smaller
+# fading integral and pd's closed fading average (a Poisson mixture of the
+# fixed-SNR series) is not implemented, so their sets are smaller
 _ALL_EXPANSION = {
     "auc": ("closed", "quadrature", "mc"),
     "cauc": ("closed", "quadrature", "mc"),
@@ -165,7 +171,11 @@ def _preprocess_argv(argv: Sequence[str]) -> List[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and kept: parse_args returns a fresh
+    # Namespace each time, the one shared default (EvalPolicy()) is frozen
+    # and the type= callables are pure, so no call sees another's state
     parser = argparse.ArgumentParser(
         prog="hoytsense",
         description="Energy-detection AUC/CAUC over Hoyt fading: closed "
@@ -197,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metric", default="auc", choices=_SWEEP_METRICS)
     p_sweep.add_argument("--method", default=None, choices=_METHOD_FLAGS,
                          help="evaluation route (default: closed, or "
-                              "quadrature for pd, which has no closed "
-                              "fading average)")
+                              "quadrature for pd, whose closed fading "
+                              "average is not implemented)")
     add_common(p_sweep)
     p_sweep.add_argument("--q", type=_parse_q_list, required=True,
                          help="comma-separated Hoyt parameters, e.g. 0.1,0.5,1")
@@ -296,7 +306,7 @@ def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
             est = montecarlo.estimate_pd(cfg, f, threshold, mc)
             return est.value, "monte_carlo", est.std_error
         raise UsageError("metric pd supports methods quadrature and mc only "
-                         "(no closed fading average exists here)")
+                         "(its closed fading average is not implemented)")
 
     if metric == "pf":
         if threshold is None:
@@ -313,7 +323,7 @@ def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
 
 
 def _default_method(metric: str) -> str:
-    # pd has no closed fading average
+    # pd's closed fading average is not implemented
     return "quadrature" if metric == "pd" else "closed"
 
 

@@ -342,7 +342,11 @@ def auc_quadrature(cfg: DetectorConfig, snr: float,
         power = max(2.0, math.ceil(5.0 / u))
 
         def integrand(v: float) -> float:
-            base = density_weighted_prob(v ** power)
+            try:
+                lam = v ** power
+            except OverflowError:
+                return 0.0  # lam past double range: exp(-lam/2) is 0
+            base = density_weighted_prob(lam)
             if base == 0.0:
                 return 0.0
             return base * power * v ** (power - 1.0)

@@ -52,10 +52,12 @@ _MAX_LEVELS = 20
 
 
 # 32-point rule: degree-63 exactness per panel, plenty for smooth kernels.
+# Pre-shifted from [-1, 1] to [0, 1] and held as Python floats: numpy
+# scalars would carry every integrand's arithmetic through numpy's slower
+# scalar path and leak np.float64 into the results.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
-# pre-shift from [-1, 1] to [0, 1]
-_T01 = 0.5 * (_NODES + 1.0)
-_W01 = 0.5 * _WEIGHTS
+_T01 = tuple(float(t) for t in 0.5 * (_NODES + 1.0))
+_W01 = tuple(float(w) for w in 0.5 * _WEIGHTS)
 
 
 def integrate_unit_interval(f: Callable[[float], float],

@@ -14,7 +14,8 @@ from hoytsense import specfun
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
                                avg_cauc_closed, avg_pd_quadrature,
                                _binomial_tails)
-from hoytsense.detector import DetectorConfig, threshold_for_pf
+from hoytsense.detector import (DetectorConfig, auc_quadrature,
+                                threshold_for_pf)
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError
@@ -283,3 +284,20 @@ def test_avg_pd_quadrature_behaviour():
     lam = threshold_for_pf(cfg, 0.1)
     assert avg_pd_quadrature(cfg, f, lam, TIGHT).value < pd_fixed(
         cfg, 10.0, lam)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: avg_auc_quadrature(DetectorConfig(5.0), _f(0.3, 10.0)),
+    lambda: avg_pd_quadrature(DetectorConfig(5.0), _f(0.5, 10.0), 14.0),
+    lambda: auc_quadrature(DetectorConfig(2.5), 4.0),
+    lambda: auc_quadrature(DetectorConfig(0.05), 1.0),
+    lambda: avg_cauc_closed(DetectorConfig(5.0), _f(0.5, 10.0),
+                            form="finite_sum"),
+    lambda: avg_cauc_closed(DetectorConfig(5.0), _f(0.5, 10.0),
+                            form="series"),
+], ids=["avg_auc_quadrature", "avg_pd_quadrature", "auc_quadrature",
+        "auc_quadrature_small_u", "cauc_finite_sum", "cauc_series"])
+def test_deterministic_routes_return_python_floats(route):
+    mv = route()
+    assert type(mv.value) is float
+    assert type(mv.est_error) is float

@@ -271,9 +271,10 @@ def test_sweep_usage_errors(capsys):
                    "--snr-db", "0:10:1")[0] == 2
     assert run_cli(capsys, "sweep", "--u", "5", "--q", "0.5",
                    "--snr-db", "-inf:10:1")[0] == 2
-    assert run_cli(capsys, *base, "--snr-db", "0:10:1",
-                   "--metric", "pd", "--method", "closed",
-                   "--lambda", "3")[0] == 2         # no closed avg pd exists
+    code, _, err = run_cli(capsys, *base, "--snr-db", "0:10:1",
+                           "--metric", "pd", "--method", "closed",
+                           "--lambda", "3")
+    assert code == 2 and "not implemented" in err   # closed avg pd
     assert run_cli(capsys, *base, "--snr-db", "0:10:1", "--trials", "0")[0] == 2
 
 

@@ -21,6 +21,21 @@ def test_policy_defaults_and_validation():
             EvalPolicy(rel_tol=bad)
 
 
+def test_integrands_see_and_results_are_python_floats():
+    # nodes and sums stay Python floats: numpy scalars would run every
+    # integrand through numpy's scalar arithmetic and leak into results
+    seen = set()
+
+    def decay(x):
+        seen.add(type(x))
+        return math.exp(-x)
+
+    for integrate in (integrate_unit_interval, integrate_half_line):
+        value, err, _ = integrate(decay, TIGHT)
+        assert type(value) is float and type(err) is float
+    assert seen == {float}
+
+
 def test_unit_interval_polynomial_is_exact():
     # a 32-point Gauss rule integrates degree-63 polynomials exactly
     value, err, evals = integrate_unit_interval(lambda x: x ** 3, TIGHT)
