@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from . import specfun
 from .detector import (_DEFAULT_POLICY, DetectorConfig, MetricValue,
                        _detection_prob, auc_awgn)
 from .hoyt import HoytFading, snr_pdf
-from .quadrature import EvalPolicy, integrate_half_line
+from .quadrature import (EvalPolicy, integrate_half_line,
+                         integrate_half_line_many)
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "avg_cauc_closed",
     "avg_auc_quadrature",
     "avg_pd_quadrature",
+    "avg_pd_quadrature_curve",
 ]
 
 _EPS = 2.0 ** -52
@@ -245,26 +247,63 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     return MetricValue(value, "quadrature", evals, err + node_err)
 
 
+def avg_pd_quadrature_curve(cfg: DetectorConfig, f: HoytFading,
+                            thresholds: Sequence[float],
+                            policy: EvalPolicy = _DEFAULT_POLICY,
+                            ) -> List[Union[MetricValue, ArithmeticError]]:
+    """Average detection probability at each of several thresholds.
+
+    All thresholds share one quadrature pass: the SNR density and the Marcum
+    argument sqrt(2 g) are evaluated once per node, and each threshold's
+    integral refines, stops and fails on its own, so entry i is exactly
+    avg_pd_quadrature(cfg, f, thresholds[i], policy), or the ArithmeticError
+    that call would raise.  A threshold that is negative, nan or inf raises
+    ValueError before any integration.
+    """
+    for threshold in thresholds:
+        if not 0.0 <= threshold < math.inf:
+            raise ValueError(
+                f"threshold must be finite and >= 0, got {threshold}")
+    u = cfg.time_bandwidth
+
+    def node(g: float) -> Tuple[float, float]:
+        density = snr_pdf(f, g)
+        if density == 0.0:
+            return 0.0, 0.0
+        return density, math.sqrt(2.0 * g)
+
+    def pd_integrand(b: float):
+        def integrand(at: Tuple[float, float]) -> float:
+            density, a = at
+            if density == 0.0:
+                return 0.0
+            return _detection_prob(u, a, b) * density
+        return integrand
+
+    # a zero threshold is detected with certainty and needs no integral
+    positive = [i for i, t in enumerate(thresholds) if t != 0.0]
+    out: List[Union[MetricValue, ArithmeticError]] = [
+        MetricValue(1.0, "quadrature", 0, 0.0)] * len(thresholds)
+    outcomes = integrate_half_line_many(
+        node, [pd_integrand(math.sqrt(thresholds[i])) for i in positive],
+        policy, scale=f.mean_snr) if positive else []
+    for i, outcome in zip(positive, outcomes):
+        out[i] = (outcome if isinstance(outcome, ArithmeticError)
+                  else MetricValue(outcome[0], "quadrature", outcome[2],
+                                   outcome[1]))
+    return out
+
+
 def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
                       policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Average detection probability at a fixed threshold.
 
-    The average has a closed positive series, a Poisson mixture of the
-    fixed-SNR terms, but that route is not implemented; this one pairs with
-    the fading-independent pf to trace averaged ROC curves.
+    The one-threshold call of `avg_pd_quadrature_curve`, raising where that
+    returns an error.  The average has a closed positive series, a Poisson
+    mixture of the fixed-SNR terms, but that route is not implemented; this
+    one pairs with the fading-independent pf to trace averaged ROC curves.
     """
-    if not 0.0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    if threshold == 0.0:
-        return MetricValue(1.0, "quadrature", 0, 0.0)
-    u = cfg.time_bandwidth
-    b = math.sqrt(threshold)
-
-    def integrand(g: float) -> float:
-        density = snr_pdf(f, g)
-        if density == 0.0:
-            return 0.0
-        return _detection_prob(u, math.sqrt(2.0 * g), b) * density
-
-    value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
-    return MetricValue(value, "quadrature", evals, err)
+    (mv,) = avg_pd_quadrature_curve(cfg, f, (threshold,), policy)
+    if isinstance(mv, ArithmeticError):
+        raise mv
+    return mv

@@ -29,7 +29,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import average, detector, montecarlo
 from . import validate as validation
@@ -417,6 +417,13 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_roc(args) -> int:
+    """One (pf, pd) row pair per point of an even false-alarm grid.
+
+    Every threshold is inverted first; then one quadrature pass over shared
+    SNR nodes gives every point's averaged Pd.  A point whose threshold or
+    integral fails gets its own two nan/inf rows; the other points' rows
+    are those a point alone would give.
+    """
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
     (db,) = _parse_snr_axis(args.snr_db, allow_range=False)
@@ -425,28 +432,41 @@ def _cmd_roc(args) -> int:
     cfg = DetectorConfig(args.u)
     f = HoytFading(args.q, db_to_linear(db))
 
-    rows: List[CurveRow] = []
-    failed = False
     n = args.points
+    # per point: (threshold, target pf, realized pf), or why it failed
+    points: List[Union[Tuple[float, float, float], ArithmeticError]] = []
     for k in range(n):
         target = min(max(k / (n - 1.0), 1e-9), 1.0 - 1e-9)
         try:
             lam = detector.threshold_for_pf(cfg, target)
-            realized = detector.pf(cfg, lam)
-            mv = average.avg_pd_quadrature(cfg, f, lam, args.policy)
+            points.append((lam, target, detector.pf(cfg, lam)))
+        except _ROW_FAILURES as exc:
+            points.append(exc)
+    lams = [p[0] for p in points if not isinstance(p, ArithmeticError)]
+    try:
+        pds = average.avg_pd_quadrature_curve(cfg, f, lams, args.policy)
+    except _ROW_FAILURES as exc:
+        pds = [exc] * len(lams)
+    pds = iter(pds)
+
+    rows: List[CurveRow] = []
+    failed = False
+    for point in points:
+        mv = point if isinstance(point, ArithmeticError) else next(pds)
+        try:
+            if isinstance(mv, ArithmeticError):
+                raise mv
+            _, target, realized = point
             pf_err = abs(realized - target)
-            rows.append(CurveRow(db, args.q, args.u, "pf",
-                                 _closed_label(cfg),
-                                 _clamp01(realized, pf_err), pf_err))
-            rows.append(CurveRow(db, args.q, args.u, "pd", mv.method,
-                                 _clamp01(mv.value, mv.est_error),
-                                 mv.est_error))
+            pair = [CurveRow(db, args.q, args.u, "pf", _closed_label(cfg),
+                             _clamp01(realized, pf_err), pf_err),
+                    CurveRow(db, args.q, args.u, "pd", mv.method,
+                             _clamp01(mv.value, mv.est_error), mv.est_error)]
         except _ROW_FAILURES as exc:
             failed = True
-            rows.append(_failure_row(db, args.q, args.u, "pf",
-                                     "closed", exc))
-            rows.append(_failure_row(db, args.q, args.u, "pd",
-                                     "quadrature", exc))
+            pair = [_failure_row(db, args.q, args.u, "pf", "closed", exc),
+                    _failure_row(db, args.q, args.u, "pd", "quadrature", exc)]
+        rows.extend(pair)
     _write_rows(rows, args.out)
     return 3 if failed else 0
 

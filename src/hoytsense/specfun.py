@@ -13,6 +13,7 @@ ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterator, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
@@ -184,24 +185,31 @@ def marcum_q(m: float, a: float, b: float) -> float:
     e_anchor = math.exp(le) if le > MINLOG else 0.0
 
     total = w_up * q_anchor
+    rel_tol = _REL_TOL
+    # the stop test compares w with a fraction of total; below the normal
+    # range that fraction rounds to 0 and no w would ever pass it
+    floor = sys.float_info.min
 
-    # upward from the mode
+    # upward from the mode; k counts in floats, as mixed int/float
+    # arithmetic is slower (the values are the same exact integers)
     w, qv, e = w_up, q_anchor, e_anchor
-    k = k0
-    while k - k0 < _MAX_TERMS:
+    k = float(k0)
+    for _ in range(_MAX_TERMS):
         w *= h / (k + 1.0)
         qv += e
         e *= x / (m + k + 1.0)
-        k += 1
+        k += 1.0
         total += w * qv
-        if k > h and w < _REL_TOL * total * (1.0 - h / (k + 1.0)):
+        if k > h and w < (rel_tol * (floor if total < floor else total)
+                              * (1.0 - h / (k + 1.0))):
             break
     else:
         raise ConvergenceError(f"marcum_q upward sum stalled (m={m}, a={a}, b={b})")
 
     # downward from the mode; Q(s-1,x) = Q(s,x) - x^{s-1}e^{-x}/Gamma(s)
     w, qv, e = w_up, q_anchor, e_anchor
-    for k in range(k0, 0, -1):
+    k = float(k0)
+    for _ in range(k0):
         w *= k / h
         e *= (m + k) / x
         nxt = qv - e
@@ -210,8 +218,9 @@ def marcum_q(m: float, a: float, b: float) -> float:
             nxt = reg_upper_gamma(m + k - 1.0, x)
         qv = nxt
         total += w * qv
-        if w < _REL_TOL * total:
+        if w < rel_tol * total:
             break
+        k -= 1.0
 
     # the weights are a probability mass; roundoff can push the sum a hair out
     return min(1.0, max(0.0, total))

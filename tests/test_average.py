@@ -13,6 +13,7 @@ import pytest
 from hoytsense import specfun
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
                                avg_cauc_closed, avg_pd_quadrature,
+                               avg_pd_quadrature_curve,
                                _binomial_tails)
 from hoytsense.detector import (DetectorConfig, auc_quadrature,
                                 threshold_for_pf)
@@ -301,3 +302,29 @@ def test_deterministic_routes_return_python_floats(route):
     mv = route()
     assert type(mv.value) is float
     assert type(mv.est_error) is float
+
+
+def _roc_thresholds(cfg, points):
+    # the thresholds `roc --points n` integrates at
+    return [threshold_for_pf(cfg, min(max(k / (points - 1.0), 1e-9),
+                                      1.0 - 1e-9))
+            for k in range(points)]
+
+
+@pytest.mark.parametrize("u", [0.7, 2.5, 5.0, 12.7, 20.0])
+def test_pd_curve_equals_per_threshold_calls_bit_for_bit(u):
+    # one shared pass over the SNR nodes gives each threshold exactly the
+    # value, est_error and evaluation count of its own integral
+    cfg = DetectorConfig(u)
+    for q in (0.07, 0.5, 1.0):
+        for db in (-5.0, 10.0, 30.0):
+            f = _f(q, 10.0 ** (db / 10.0))
+            single = {lam: avg_pd_quadrature(cfg, f, lam)
+                      for lam in _roc_thresholds(cfg, 33)}
+            for points in (2, 5, 33):
+                lams = _roc_thresholds(cfg, points)
+                curve = avg_pd_quadrature_curve(cfg, f, lams)
+                assert [(mv.value, mv.est_error, mv.terms_used)
+                        for mv in curve] == [
+                    (single[lam].value, single[lam].est_error,
+                     single[lam].terms_used) for lam in lams], (q, db, points)

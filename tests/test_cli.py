@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hoytsense import average, cli, detector
+from hoytsense import average, cli, detector, specfun
 from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
 
@@ -301,6 +301,7 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
 
     monkeypatch.setattr(average, "avg_auc_quadrature", give_up)
     monkeypatch.setattr(average, "avg_pd_quadrature", give_up)
+    monkeypatch.setattr(average, "avg_pd_quadrature_curve", give_up)
     for argv in (("sweep", "--metric", "auc", "--method", "quadrature",
                   "--u", "2", "--q", "0.5", "--snr-db", "0:5:5"),
                  ("point", "--metric", "pd", "--u", "2", "--q", "0.5",
@@ -315,6 +316,37 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
     # outside a row loop it is a non-convergence exit, not a traceback
     monkeypatch.setattr(cli.validation, "run_suite", give_up)
     assert run_cli(capsys, "validate", "--suite", "average")[0] == 3
+
+
+def test_roc_failure_stays_with_its_point(capsys, monkeypatch):
+    # all thresholds share one pass over the SNR nodes; a Marcum Q failure
+    # at one threshold fails that point's two rows and leaves the others
+    # as they are without it
+    argv = ("roc", "--u", "2.5", "--q", "0.5", "--snr-db", "10",
+            "--points", "5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    clean = parse_rows(out)
+    bad_b = math.sqrt(detector.threshold_for_pf(detector.DetectorConfig(2.5),
+                                                0.5))
+    marcum_q = specfun.marcum_q
+
+    def fails_at_bad_b(m, a, b):
+        if b == bad_b:
+            raise ConvergenceError("synthetic marcum_q failure")
+        return marcum_q(m, a, b)
+
+    monkeypatch.setattr(specfun, "marcum_q", fails_at_bad_b)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    rows = parse_rows(out)
+    assert len(rows) == len(clean) == 10
+    for index, (row, want) in enumerate(zip(rows, clean)):
+        if index in (4, 5):  # the pf = 0.5 point
+            assert row[:4] == want[:4] and row[5:] == ["nan", "inf"]
+        else:
+            assert row == want, index
+    assert err.count("synthetic marcum_q failure") == 2
 
 
 def test_point_out_of_range_rows_fail(capsys):

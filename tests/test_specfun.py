@@ -6,6 +6,8 @@ itself is O(1), in which case absolute and relative coincide.
 """
 
 import math
+import sys
+import time
 
 import pytest
 
@@ -207,6 +209,33 @@ def test_series_cap_raises_convergence_error():
     # series there needs ~6e5 terms, past the fixed term cap
     with pytest.raises(ConvergenceError):
         marcum_q(1.0, 1e5, 1e5)
+
+
+@pytest.mark.parametrize("b", [43.0, 43.565, 45.0])
+def test_marcum_below_the_normal_range(b):
+    # Q_60.5(0.7746, b) is 5.8e-305, 7.3e-315 (subnormal) and 1.2e-340
+    # (0 in doubles): the upward stop test must pass where a fraction of a
+    # subnormal total rounds to 0.  The reference sums the Poisson mixture
+    # of regularized gammas term by term at 50 digits (mpmath.nsum
+    # misjudges tails this small); by k = 200 the terms fall by > 1e-300
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        h = mpmath.mpf(0.7746) ** 2 / 2
+        x = mpmath.mpf(b) ** 2 / 2
+        want = mpmath.fsum(
+            mpmath.exp(-h) * h ** k / mpmath.factorial(k)
+            * mpmath.gammainc(60.5 + k, x, regularized=True)
+            for k in range(200))
+        got = marcum_q(60.5, 0.7746, b)
+        assert abs(got - want) <= 1e-300
+        if want > sys.float_info.min:
+            assert abs(got - want) <= 1e-12 * want
+    best = math.inf
+    for _ in range(20):
+        start = time.perf_counter()
+        marcum_q(60.5, 0.7746, b)
+        best = min(best, time.perf_counter() - start)
+    assert best < 1e-3
 
 
 def test_kummer_overflow_raises():
