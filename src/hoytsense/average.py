@@ -167,11 +167,11 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
     """
     x, s, pref, rho = _series_setup(q, mean_snr)
     # rounding: lgamma's absolute error in inc_0, then a few ulps a term
-    lgamma_err = specfun.beta_increments_error(u)
+    increments, lgamma_err = specfun.beta_increments(u)
     partial = 0.0
     total = 0.0
     for j, inc, m_j in zip(range(specfun._MAX_TERMS),
-                           specfun.beta_increments(u), _legendre_terms(x, s)):
+                           increments, _legendre_terms(x, s)):
         partial += m_j
         total += inc * partial
         t_next = (2.0 * u + j + 1.0) / (2.0 * (u + j + 2.0))

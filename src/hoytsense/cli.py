@@ -12,9 +12,16 @@ The library works in linear SNR throughout; the flags take decibels
 ``snr_db,q,u,metric,method,value,est_error`` with UTF-8 text, LF line
 endings, and floats rendered at 17 significant digits.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 usage error,
-3 numerical non-convergence (sweeps annotate the failing rows with ``nan``
-and keep going, then exit 3 at the end).
+Exit codes: 0 success, 1 validation-suite failure, 2 usage error (a dB
+value past double range and an unwritable --out included), 3 numerical
+non-convergence (sweeps annotate the failing rows with ``nan`` and keep
+going, then exit 3 at the end).
+
+``point`` and ``sweep`` build every row through ``_eval_row``.  The table
+``_ROUTES`` lists each sweepable metric's routes in ``--method all`` order,
+the default first; ``series`` is taken only when named.  ``point`` runs the
+default route, and without --q (or at zero SNR for pd) it passes the
+unfaded detector's linear SNR, which takes the fixed-SNR closed route.
 
 ``main(argv)`` may be called many times in one process (a curve family
 over a grid is one call per request); it builds the argument parser on the
@@ -46,10 +53,10 @@ CSV_HEADER = ("snr_db", "q", "u", "metric", "method", "value", "est_error")
 _SWEEP_METRICS = ("auc", "cauc", "pd", "pf", "roc")
 _METHOD_FLAGS = ("closed", "series", "quadrature", "mc", "all")
 
-# which concrete routes "--method all" expands to, per metric; pf has no
-# fading integral and pd's closed fading average (a Poisson mixture of the
-# fixed-SNR series) is not implemented, so their sets are smaller
-_ALL_EXPANSION = {
+# each sweepable metric's routes in "--method all" order, the default first;
+# pd's closed fading average is not implemented and pf has no fading
+# integral.  auc and cauc also take "series" (any u), but only when named
+_ROUTES = {
     "auc": ("closed", "quadrature", "mc"),
     "cauc": ("closed", "quadrature", "mc"),
     "pd": ("quadrature", "mc"),
@@ -143,8 +150,19 @@ def _parse_snr_axis(text: str, allow_range: bool) -> Tuple[float, ...]:
         raise UsageError(f"snr-db step must be > 0, got {step}")
     if stop < start:
         raise UsageError("snr-db range must be ascending (stop >= start)")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise UsageError(f"snr-db range {text!r} has too many points")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + k * step for k in range(count))
+
+
+def _linear_snr(db: float) -> float:
+    """The linear SNR of a dB value; past double range it is a usage error."""
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        raise UsageError(f"snr-db {db} lies past double range") from None
 
 
 def _parse_policy(text: str) -> EvalPolicy:
@@ -247,7 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _open_sink(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    try:
+        return open(path, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
 
 
 def _write_rows(rows: Sequence[CurveRow], path: Optional[str]) -> None:
@@ -273,63 +294,56 @@ def _failure_row(snr_db: float, q: float, u: float, metric: str,
 # row evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_fading_row(metric: str, method: str, cfg: DetectorConfig,
-                     f: HoytFading, threshold: Optional[float],
-                     policy: EvalPolicy,
-                     mc: Optional[McConfig]) -> Tuple[float, str, float]:
-    """(value, method label, est_error) for one sweep cell."""
-    if metric in ("auc", "cauc"):
-        if method in ("closed", "series"):
-            # the closed forms sum the CAUC: ask for the metric itself
-            closed = (average.avg_auc_closed if metric == "auc"
-                      else average.avg_cauc_closed)
-            mv = closed(cfg, f, policy,
-                        form="series" if method == "series" else "auto")
-            return mv.value, mv.method, mv.est_error
-        if method == "quadrature":
-            mv = average.avg_auc_quadrature(cfg, f, policy)
-            val, label, err = mv.value, mv.method, mv.est_error
-        elif method == "mc":
-            est = montecarlo.estimate_auc(cfg, f, mc)
-            val, label, err = est.value, "monte_carlo", est.std_error
-        else:  # pragma: no cover - guarded by the parser
-            raise UsageError(f"method {method!r} not valid here")
-        return (val if metric == "auc" else 1.0 - val), label, err
+def _eval_row(metric: str, method: str, cfg: DetectorConfig,
+              channel: Union[HoytFading, float, None],
+              threshold: Optional[float], policy: EvalPolicy,
+              mc: Optional[McConfig]) -> Tuple[float, str, float]:
+    """(value, method label, est_error) of one row by the named route.
 
-    if metric == "pd":
+    channel is a HoytFading, or the linear SNR of the unfaded detector,
+    which takes the fixed-SNR closed route.
+    """
+    if metric in ("pd", "pf"):
         if threshold is None:
-            raise UsageError("--lambda is required for metric pd")
-        if method == "quadrature":
-            mv = average.avg_pd_quadrature(cfg, f, threshold, policy)
-            return mv.value, mv.method, mv.est_error
-        if method == "mc":
-            est = montecarlo.estimate_pd(cfg, f, threshold, mc)
-            return est.value, "monte_carlo", est.std_error
-        raise UsageError("metric pd supports methods quadrature and mc only "
-                         "(its closed fading average is not implemented)")
-
+            raise UsageError(f"--lambda is required for metric {metric}")
+        if method not in _ROUTES[metric]:
+            raise UsageError(
+                f"metric {metric} supports methods "
+                f"{' and '.join(_ROUTES[metric])} only" + (
+                    " (its closed fading average is not implemented)"
+                    if metric == "pd" else ""))
     if metric == "pf":
-        if threshold is None:
-            raise UsageError("--lambda is required for metric pf")
-        if method == "closed":
-            return detector.pf(cfg, threshold), _closed_label(cfg), 1e-15
-        if method == "mc":
-            est = montecarlo.estimate_pd(cfg, 0.0, threshold, mc)
-            return est.value, "monte_carlo", est.std_error
-        raise UsageError("metric pf supports methods closed and mc only")
-
-    raise UsageError(f"metric {metric!r} is not sweepable; "
-                     "use the roc subcommand for ROC traces")
-
-
-def _default_method(metric: str) -> str:
-    # pd's closed fading average is not implemented
-    return "quadrature" if metric == "pd" else "closed"
+        channel = 0.0  # pf is pd at zero SNR, by the same evaluation
+    if method == "mc":
+        est = (montecarlo.estimate_pd(cfg, channel, threshold, mc)
+               if metric in ("pd", "pf")
+               else montecarlo.estimate_auc(cfg, channel, mc))
+        val, label, err = est.value, "monte_carlo", est.std_error
+    elif not isinstance(channel, HoytFading):
+        if metric in ("pd", "pf"):
+            return (detector.pd(cfg, channel, threshold), _closed_label(cfg),
+                    1e-15)
+        fixed = detector.auc_awgn if metric == "auc" else detector.cauc_awgn
+        mv = fixed(cfg, channel, policy)
+        return mv.value, mv.method, mv.est_error
+    elif metric == "pd":
+        mv = average.avg_pd_quadrature(cfg, channel, threshold, policy)
+        return mv.value, mv.method, mv.est_error
+    elif method == "quadrature":
+        mv = average.avg_auc_quadrature(cfg, channel, policy)
+        val, label, err = mv.value, mv.method, mv.est_error
+    else:
+        # the closed forms sum the CAUC: ask for the metric itself
+        closed = (average.avg_auc_closed if metric == "auc"
+                  else average.avg_cauc_closed)
+        mv = closed(cfg, channel, policy,
+                    form="series" if method == "series" else "auto")
+        return mv.value, mv.method, mv.est_error
+    return (1.0 - val if metric == "cauc" else val), label, err
 
 
 def _cmd_sweep(args) -> int:
     metric = args.metric
-    method = args.method or _default_method(metric)
     snr_grid = _parse_snr_axis(args.snr_db, allow_range=True)
     if metric == "roc":
         raise UsageError("metric roc is not sweepable; "
@@ -340,16 +354,17 @@ def _cmd_sweep(args) -> int:
 
     cfg = DetectorConfig(args.u)
     mc = McConfig(trials=args.trials, master_seed=args.seed)
-    methods = _ALL_EXPANSION[metric] if method == "all" else (method,)
+    method = args.method or _ROUTES[metric][0]
+    methods = _ROUTES[metric] if method == "all" else (method,)
 
     rows: List[CurveRow] = []
     failed = False
     for q in args.q:
         for db in snr_grid:
-            f = HoytFading(q, db_to_linear(db))
+            f = HoytFading(q, _linear_snr(db))
             for method in methods:
                 try:
-                    val, label, err = _eval_fading_row(
+                    val, label, err = _eval_row(
                         metric, method, cfg, f, args.threshold, args.policy,
                         mc)
                     rows.append(CurveRow(db, q, args.u, metric, label,
@@ -364,54 +379,33 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = DetectorConfig(args.u)
-    metric = args.metric
-    q = args.q
-
-    db = math.nan
-    mean = None
+    metric, q = args.metric, args.q
+    db, mean = math.nan, None
     if args.snr_db is not None:
         (db,) = _parse_snr_axis(args.snr_db, allow_range=False)
-        mean = 0.0 if db == -math.inf else db_to_linear(db)
-        if not (mean >= 0.0 and not math.isnan(mean)):
+        mean = _linear_snr(db)  # -inf dB is the zero-SNR limit
+        if not math.isfinite(mean):
             raise UsageError(f"snr-db {args.snr_db!r} is not usable")
-        if math.isinf(mean):
-            raise UsageError("snr-db +inf is not supported")
+    elif metric != "pf":
+        raise UsageError(f"--snr-db is required for metric {metric}")
 
-    if metric in ("auc", "cauc"):
-        if mean is None:
-            raise UsageError(f"--snr-db is required for metric {metric}")
-    elif metric == "pd":
-        if args.threshold is None or mean is None:
-            raise UsageError("metric pd needs --lambda and --snr-db")
-    elif args.threshold is None:
-        raise UsageError("metric pf needs --lambda")
-
+    row_q = math.nan if q is None else q
     failed = False
     try:
-        if metric == "pf":
-            val = detector.pf(cfg, args.threshold)
-            label, err = _closed_label(cfg), 1e-15
-        elif metric == "pd" and (q is None or mean == 0.0):
-            # unfaded, or the zero-SNR limit, where pd is pf exactly, any q
-            val = detector.pd(cfg, mean, args.threshold)
-            label, err = _closed_label(cfg), 1e-15
-        elif q is None:
-            fixed = detector.auc_awgn if metric == "auc" else detector.cauc_awgn
-            mv = fixed(cfg, mean, args.policy)
-            val, label, err = mv.value, mv.method, mv.est_error
-        elif mean == 0.0:
+        if q is not None and mean == 0.0 and metric in ("auc", "cauc"):
             # zero-SNR limit: chance level exactly, any q
             val, label, err = 0.5, _closed_label(cfg), 0.0
         else:
-            val, label, err = _eval_fading_row(
-                metric, _default_method(metric), cfg, HoytFading(q, mean),
-                args.threshold, args.policy, None)
-        row = CurveRow(db, math.nan if q is None else q, args.u,
-                       metric, label, _clamp01(val, err), err)
+            # at zero SNR pd is pf exactly, any q: the unfaded route
+            channel = HoytFading(q, mean) if q is not None and mean else mean
+            val, label, err = _eval_row(
+                metric, _ROUTES[metric][0], cfg, channel, args.threshold,
+                args.policy, None)
+        row = CurveRow(db, row_q, args.u, metric, label,
+                       _clamp01(val, err), err)
     except _ROW_FAILURES as exc:
         failed = True
-        row = _failure_row(db, math.nan if q is None else q, args.u,
-                           metric, "n/a", exc)
+        row = _failure_row(db, row_q, args.u, metric, "n/a", exc)
     _write_rows([row], args.out)
     return 3 if failed else 0
 
@@ -430,7 +424,7 @@ def _cmd_roc(args) -> int:
     if not math.isfinite(db):
         raise UsageError("roc needs a finite --snr-db")
     cfg = DetectorConfig(args.u)
-    f = HoytFading(args.q, db_to_linear(db))
+    f = HoytFading(args.q, _linear_snr(db))
 
     n = args.points
     # per point: (threshold, target pf, realized pf), or why it failed

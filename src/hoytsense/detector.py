@@ -67,7 +67,9 @@ class DetectorConfig:
 
     @property
     def is_integer(self) -> bool:
-        return abs(self.time_bandwidth - round(self.time_bandwidth)) < _INTEGER_EPS
+        # within _INTEGER_EPS of a positive integer: round(u) is 0 below 1/2
+        u = self.time_bandwidth
+        return u > 0.5 and abs(u - round(u)) < _INTEGER_EPS
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,11 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     if pois < sys.float_info.min:  # subnormal or 0: every weight falls short
         raise ConvergenceError(
             f"AUC series: exp(-snr) underflows (snr={snr}, u={u})")
+    increments, lgamma_err = specfun.beta_increments(u)
     c = 0.5
     total = 0.0
     streak = 0
-    for l, inc in zip(range(specfun._MAX_TERMS), specfun.beta_increments(u)):
+    for l, inc in zip(range(specfun._MAX_TERMS), increments):
         total += pois * c
         nxt = pois * snr / (l + 1.0)
         if l >= snr:
@@ -208,8 +211,7 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
                     # truncation tail, lgamma's error in the first
                     # increment (every weight carries it) and per-term
                     # roundoff accumulation
-                    rounding = (specfun.beta_increments_error(u)
-                                + 1e-16 * (l + 1)) * total
+                    rounding = (lgamma_err + 1e-16 * (l + 1)) * total
                     return MetricValue(total, "closed_series", l + 1,
                                        tail + rounding)
             else:

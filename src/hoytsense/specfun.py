@@ -311,24 +311,24 @@ def _ln_gamma_ratio(u: float) -> Tuple[float, float]:
     return value, 4e-16 * (2.0 + ln_x)
 
 
-def beta_increments(u: float) -> Iterator[float]:
-    """inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, l = 0, 1, ...
+def beta_increments(u: float) -> Tuple[Iterator[float], float]:
+    """inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, l = 0, 1, ..., and
+    the relative error that every inc_l shares (the start's).
 
     The start Gamma(u+1/2) / (2 sqrt(pi) Gamma(u+1)) (Legendre duplication)
     avoids lnGamma(2u) - lnGamma(u) - lnGamma(u+1), which cancels at large u.
     """
-    inc = math.exp(_ln_gamma_ratio(u)[0]) / _TWO_SQRT_PI
+    ln_start, err = _ln_gamma_ratio(u)
+    return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
+
+
+def _increments(inc: float, u: float) -> Iterator[float]:
     two_u = 2.0 * u
     l = 0.0  # a float counter: mixed int/float arithmetic is slower
     while True:
         yield inc
         inc *= (two_u + l) / (2.0 * (u + l + 1.0))
         l += 1.0
-
-
-def beta_increments_error(u: float) -> float:
-    """Relative error that every beta_increments(u) value shares (the start's)."""
-    return _ln_gamma_ratio(u)[1]
 
 
 # ---------------------------------------------------------------------------

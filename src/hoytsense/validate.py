@@ -462,7 +462,7 @@ def _printed_series_auc(u: float, q: float, mean_snr: float,
     c = 0.5
     total = 0.0
     for l, inc, m_l in zip(range(specfun._MAX_TERMS),
-                           specfun.beta_increments(u),
+                           specfun.beta_increments(u)[0],
                            average._legendre_terms(x, s)):
         term = c * m_l
         total += term

@@ -1,6 +1,7 @@
 """CLI surface: schema, exit codes, determinism, failure annotation."""
 
 import csv
+import hashlib
 import io
 import math
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from hoytsense import average, cli, detector, specfun
+from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
 
@@ -138,15 +140,24 @@ def test_sweep_mc_seeded_determinism(capsys):
 
 
 def test_sweep_method_all_expands_routes(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--method", "all", "--metric",
-                           "auc", "--u", "2", "--q", "0.5", "--snr-db", "10",
-                           "--trials", "30000", "--seed", "1")
-    assert code == 0
-    rows = parse_rows(out)
-    assert [r[4] for r in rows] == ["closed_integer", "quadrature",
-                                    "monte_carlo"]
-    vals = [float(r[5]) for r in rows]
-    assert max(vals) - min(vals) < 0.01
+    # each metric's routes in order; its default is the first of them
+    expanded = {"auc": ["closed_integer", "quadrature", "monte_carlo"],
+                "cauc": ["closed_integer", "quadrature", "monte_carlo"],
+                "pd": ["quadrature", "monte_carlo"],
+                "pf": ["closed_integer", "monte_carlo"]}
+    for metric, labels in expanded.items():
+        argv = ("sweep", "--metric", metric, "--u", "2", "--q", "0.5",
+                "--snr-db", "10", "--lambda", "12", "--trials", "30000",
+                "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv, "--method", "all")
+        assert code == 0, metric
+        rows = parse_rows(out)
+        assert [r[4] for r in rows] == labels
+        vals = [float(r[5]) for r in rows]
+        assert max(vals) - min(vals) < 0.01, metric
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, metric
+        assert parse_rows(out) == rows[:1], metric
 
 
 def test_sweep_fractional_u_high_snr_autobudget(capsys):
@@ -516,3 +527,121 @@ def test_console_entry_point_runs():
 def test_invalid_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
     assert cli.main([]) == 2
+
+
+# point forms that no golden command covers: the unfaded detector, the
+# zero-SNR limit with and without --q, and pf, which reads no channel;
+# each sha256 is of stdout as recorded before point and sweep shared a
+# row evaluator
+POINT_FORMS = [
+    ("point --metric auc --u 2.5 --snr-db 10",
+     "297a16071a2d58965d40ca13ed04fa6e4cf7455ef039fcfb77791edf89e5f8d8"),
+    ("point --metric cauc --u 2.5 --snr-db 10",
+     "30106f86492b85fee9d40ecda852b9c7998fc4cb8a652625078621fd4a169e4a"),
+    ("point --metric pd --u 2.5 --snr-db 10 --lambda 12",
+     "298187f854640e9dcf897b5d5ffdda0d0b73ca032534d73b277b19285d90015d"),
+    ("point --metric auc --u 5 --snr-db 10",
+     "19658483ce9054103a6977ad0f4bb8b4b5f52d4c7f5a09b57b04cd2cdc6747bf"),
+    ("point --metric cauc --u 5 --snr-db 10",
+     "e02d5b22e18330453db80bf6b6a4ff040d81dc48538f9816b3c768ea3a3ecb54"),
+    ("point --metric pd --u 5 --snr-db 10 --lambda 12",
+     "12bb1d8399035d1061d8d800bdd07019753cf11f61f74f09438e2d0a24d65a21"),
+    ("point --metric auc --u 2.5 --snr-db -inf",
+     "be03661597a1f49f321e16003cf4d5601c09ff357f531ad0bc592b2e11a3e75f"),
+    ("point --metric auc --u 2.5 --q 0.4 --snr-db -inf",
+     "3ecb01bc14a26b8bc466f8f508a66c5403d7724139314b713e3766f0ab2ff50a"),
+    ("point --metric cauc --u 2.5 --snr-db -inf",
+     "197aafadfafa448a6fdd5185dc0720f9fb23d7f31f78bf4f9728e43c567cf03a"),
+    ("point --metric cauc --u 2.5 --q 0.4 --snr-db -inf",
+     "e06a2927fe48485e0ab800de6fc86e32e1fbcc01a0fab9aa1b10e663bf72c6f5"),
+    ("point --metric pd --u 2.5 --snr-db -inf --lambda 12",
+     "4733c513f5e35dbbc93f7dbd5ba8c4389f651c98ff1398a1523bece6388db690"),
+    ("point --metric pd --u 2.5 --q 0.4 --snr-db -inf --lambda 12",
+     "76e3e5f35600524acc85bb90c2d2cba3d9a93f27f0b7d3b95fc6d70c799c704c"),
+    ("point --metric auc --u 5 --snr-db -inf",
+     "807aa5a08537b76c71cfd64948e3e845fc6c84ae8c5dcd33845c75f057d16dfc"),
+    ("point --metric auc --u 5 --q 0.4 --snr-db -inf",
+     "959d18e52333c77e091c041bf582b3edd9aa2c2028d5f1b8f2e90e537dafa59a"),
+    ("point --metric cauc --u 5 --snr-db -inf",
+     "cf14740509e30b25a1c46ff93d029d7e615bb223b51e73f931c92a3011df910c"),
+    ("point --metric cauc --u 5 --q 0.4 --snr-db -inf",
+     "50ce5850f84df53e246cf334387a3645883f2660ccd506e193cf3ffcf22458a9"),
+    ("point --metric pd --u 5 --snr-db -inf --lambda 12",
+     "9da8129772e303fd8d6ffd12802a2614e7d38fd61fc5b602f406a693b4ac5554"),
+    ("point --metric pd --u 5 --q 0.4 --snr-db -inf --lambda 12",
+     "9bb10291ef68622f70b0d57462ccce6d27bfb9699d2c66198790eb623db186e9"),
+    ("point --metric pf --u 2.5 --lambda 12",
+     "560df0cdf13ecaf865eb6362fc66936c83e7238d35dd258c045d617ed77472e6"),
+    ("point --metric pf --u 2.5 --q 0.4 --lambda 12",
+     "fd1a87404675243ecbd01abf8fc8c96f2ff67e11fe7a9c74dc02d10208c322ad"),
+    ("point --metric pf --u 2.5 --snr-db 10 --lambda 12",
+     "9ec819124a04a783c8a34034b9f97b30247d6ae9cf4949eb2454025030df40e7"),
+    ("point --metric pf --u 2.5 --q 0.4 --snr-db 10 --lambda 12",
+     "e39a0f36eb5ae087aa1a187c921b4b01c63a4010f7872f95b6b2298ac5a15422"),
+    ("point --metric pf --u 5 --lambda 12",
+     "b91b1127ff2582d7baace9680f1f0f294faf83df3819426fe708bf90a59415e2"),
+    ("point --metric pf --u 5 --q 0.4 --lambda 12",
+     "bbe6fc4329587a8732439e372664161a8cbcedf4db44120040eed85b2103067f"),
+    ("point --metric pf --u 5 --snr-db 10 --lambda 12",
+     "763e4a397ccfa848c2ef11b8755bb4b091a3b4effb3a6f1074eb23d4a2492f6a"),
+    ("point --metric pf --u 5 --q 0.4 --snr-db 10 --lambda 12",
+     "1c7671d23a68a55e8d3173ba481dc083dc00413a915f2b1361620e3764f6b07b"),
+]
+
+
+@pytest.mark.parametrize("command, digest", POINT_FORMS)
+def test_point_forms_are_byte_identical(capsys, command, digest):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("u", ["2.5", "5"])
+@pytest.mark.parametrize("metric", ["auc", "cauc", "pd", "pf"])
+def test_point_is_the_one_cell_sweep(capsys, metric, u):
+    # on a faded channel both commands build the row through one evaluator
+    # with the metric's default route
+    cell = ("--metric", metric, "--u", u, "--q", "0.4", "--snr-db", "10",
+            "--lambda", "12")
+    point = run_cli(capsys, "point", *cell)
+    sweep = run_cli(capsys, "sweep", *cell)
+    assert point[0] == sweep[0] == 0
+    assert point[1] == sweep[1]
+
+
+@pytest.mark.parametrize("argv", [
+    "point --metric auc --u 5 --q 0.5 --snr-db 4000",
+    "sweep --u 5 --q 0.5 --snr-db 3990:4000:10",
+    "roc --u 5 --q 0.5 --snr-db 4000",
+    "point --metric auc --u 5 --snr-db 1e300",
+    "sweep --u 5 --q 0.5 --snr-db 0:1e300:1e-300",
+    "point --metric pf --u 5 --lambda 10 --out {missing}",
+])
+def test_db_past_double_range_and_unwritable_out_are_usage_errors(
+        capsys, tmp_path, argv):
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    code, out, err = run_cli(capsys, *argv.format(missing=missing).split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("hoytsense: error: ") and err.count("\n") == 1
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("u", ["1e-300", "1e-13", "9e-13"])
+def test_tiny_u_takes_the_series(capsys, u):
+    # round(u) is 0 below 1/2: u only counts as an integer near a positive
+    # one, so these rows take the series and approach the u -> 0 limit
+    # 1 - E[exp(-snr)]/2 = 1 - 1/(2 sqrt(85)) at q = 0.5, 10 dB
+    cfg = detector.DetectorConfig(float(u))
+    assert not cfg.is_integer
+    code, out, _ = run_cli(capsys, "point", "--metric", "auc", "--u", u,
+                           "--q", "0.5", "--snr-db", "10")
+    assert code == 0
+    (row,) = parse_rows(out)
+    assert row[4] == "closed_series"
+    series = average.avg_auc_closed(cfg, HoytFading(0.5, 10.0),
+                                    form="series")
+    assert float(row[5]) == series.value
+    assert float(row[6]) == series.est_error
+    limit = 1.0 - 0.5 / math.sqrt(85.0)
+    assert abs(float(row[5]) - limit) <= float(row[6]) + 1e-12
