@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, List, Sequence, Tuple, Union
+from operator import mul
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import specfun
-from .detector import (_DEFAULT_POLICY, DetectorConfig, MetricValue,
-                       _detection_prob, auc_awgn)
+from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import (EvalPolicy, integrate_half_line,
                          integrate_half_line_many)
@@ -247,50 +247,278 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     return MetricValue(value, "quadrature", evals, err + node_err)
 
 
+# the shared Poisson mixture of the averaged Pd (see _mixture): a node's
+# window leaves out at most _WINDOW_MASS of Poisson mass on each side, and
+# a sum stops once its upper tail is below _SUM_TOL of the running total,
+# or below _TAIL_FLOOR, deep in the subnormal range, where a weight times a
+# ratio above 1/2 rounds back to the smallest subnormal and stops falling
+_SURE = 12.0  # a > b + 12: the miss probability is below exp(-72), Pd = 1
+_WINDOW_MASS = 1e-20
+_SUM_TOL = 1e-16
+_TAIL_FLOOR = 1e-320
+_REL_FLOOR = 1e-300
+# a node past h = 2^16 fails the pairs it takes part in (marcum_q stalls
+# there too: at u=5, 60 dB it gives up from lambda ~ 3e5, h ~ 8e4); a
+# window reaches at most _MAX_TERMS past its mode, so no column needs an
+# entry past _MAX_H + _MAX_TERMS
+_MAX_H = float(2 ** 16)
+
+
+class _Window:
+    """Poisson(h) weights w_k of one SNR node, k = lo, lo+1, ...
+
+    Built outward from the mode k0 = int(h) by the same products as
+    `specfun.marcum_q`.  The core [lo, hi) stops on each side at the first
+    weight that bounds the mass beyond it by _WINDOW_MASS; `below` and `top`
+    are those bounds, and `above(k)` bounds the mass from any k > h up (hi
+    is past h already).  `grow` appends weights past the core, below
+    `limit` (_MAX_TERMS past the mode), for a sum that needs them.  The
+    weights are used divided by `mass`, the core's sum: every weight shares
+    the rounding of the mode's exponent, k0 ln h - h - lnGamma(k0+1) (about
+    1e-12 relative at h = 1000), and the true mass is 1, so the division
+    removes that error.
+    """
+
+    __slots__ = ("h", "lo", "hi", "limit", "w", "below", "top", "mass")
+
+    def __init__(self, h: float) -> None:
+        self.h = h
+        if h == 0.0:
+            self.lo, self.hi, self.limit, self.w = 0, 1, 1, [1.0]
+            self.below = self.top = 0.0
+            self.mass = 1.0
+            return
+        k0 = int(h)
+        self.limit = k0 + specfun._MAX_TERMS + 1
+        w_mode = math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
+        # downward, w_(k-1) = w_k k/h, to the first k where the mass under
+        # it, at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is
+        # below _WINDOW_MASS
+        w, last, k = [w_mode], w_mode, k0
+        append = w.append
+        while k > 0:
+            rho = k / h
+            if last * rho <= _WINDOW_MASS * (1.0 - rho):
+                break
+            last *= rho
+            k -= 1
+            append(last)
+        self.below = last * rho / (1.0 - rho) if k > 0 else 0.0
+        w.reverse()
+        self.lo, self.w = k, w
+        # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
+        last, k = w_mode, k0
+        while True:
+            r = h / (k + 1)
+            if last * r <= _WINDOW_MASS * (1.0 - r):
+                break
+            if k + 1 == self.limit:
+                raise ConvergenceError(
+                    f"Poisson window of h={h} passed {specfun._MAX_TERMS} "
+                    f"terms past its mode")
+            last *= r
+            k += 1
+            append(last)
+        self.hi, self.top = k + 1, last * r / (1.0 - r)
+        self.mass = sum(w)
+
+    def above(self, k: int) -> float:
+        # the mass from k > h up is at most w_(k-1) r/(1 - r), r = h/k
+        r = self.h / k
+        return self.w[k - 1 - self.lo] * r / (1.0 - r)
+
+    def grow(self, hi: int) -> None:
+        # weights up to k = hi - 1, by w_k = w_(k-1) h/k
+        w, h = self.w, self.h
+        k = self.lo + len(w)
+        if hi <= k:
+            return
+        more = itertools.accumulate([h / j for j in range(k, hi)], mul,
+                                    initial=w[-1])
+        next(more)
+        w.extend(more)
+
+
+class _Column:
+    """Q(u+k, x) of one threshold, x = b^2/2, for k = 0, 1, ..., on demand.
+
+    The k = 0 entry is Q_u(0, b) from `specfun.marcum_q`; the rest follow by
+    the upward recurrence Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) /
+    Gamma(s+1), s = u + k, which only adds positive terms.  The increments
+    are products away from their peak at s ~ x, seeded there from
+    `specfun.ln_poisson_term` where its logarithm is small; below the peak
+    they fall by (u+k)/x, above it by x/(u+k+1), so an increment that
+    underflows only ever loses what is below the normal range.  Every
+    entry is off by at most `abs0`, the k = 0 entry's error (the kernel's
+    stopping tolerance and the rounding of its prefactor), plus `err`
+    relative in the increments it adds, and 2 ulps a step past the peak.
+    """
+
+    __slots__ = ("u", "x", "c", "e", "err", "abs0")
+
+    def __init__(self, u: float, b: float) -> None:
+        # through the module, so that wrappers of specfun.marcum_q see it
+        c0 = specfun.marcum_q(u, 0.0, b)
+        x = 0.5 * b * b
+        self.u, self.x = u, x
+        # reg_upper_gamma rounds its prefactor u ln x - x - lnGamma(u), and
+        # its 1 - P branch at most triples a relative error
+        self.abs0 = 3.0 * c0 * (specfun._REL_TOL + 2.0 * _EPS * (
+            u * abs(math.log(x)) + x + abs(math.lgamma(u))))
+        peak = min(max(0, int(x - u)), int(_MAX_H) + specfun._MAX_TERMS)
+        ln_e, err = specfun.ln_poisson_term(u + peak, x)
+        e = math.exp(ln_e) if ln_e > specfun.MINLOG else 0.0
+        self.err = err + (2.0 * peak + 1.0) * _EPS
+        # e_(k-1) = e_k (u+k)/x from the peak down to k = 0
+        down = list(itertools.accumulate(
+            ((u + k) / x for k in range(peak, 0, -1)), mul, initial=e))
+        down.reverse()
+        self.c = list(itertools.accumulate(down, initial=c0))
+        self.e = e * (x / (u + peak + 1.0))
+
+    def extend(self, n: int) -> None:
+        # entries up to k = n - 1; self.e is the increment past the last
+        c, u, x = self.c, self.u, self.x
+        k = len(c) - 1
+        if n <= k + 1:
+            return
+        # e_k .. e_(n-1), by e_(j) = e_(j-1) x/(u+j)
+        es = list(itertools.accumulate([x / (u + j) for j in range(k + 1, n)],
+                                       mul, initial=self.e))
+        self.e = es.pop()
+        more = itertools.accumulate(es, initial=c[-1])
+        next(more)
+        c.extend(more)
+
+
+def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
+    """Q_u(a, b) = sum_k w_k Q(u+k, b^2/2) and a bound on its error.
+
+    The sum runs over the node's core window as one dot product; while the
+    weight mass above it, times Q <= 1, exceeds _SUM_TOL of the total, it
+    grows by chunks that double the window.  The bound adds that upper
+    tail, the mass under the window times the smallest Q it holds (Q rises
+    with k), the core's missing mass that the division by `mass` spreads
+    over the weights, the column's own error, and the rounding of the
+    weight and column recurrences (an ulp a step) and of the sums.
+    """
+    lo, hi, w = win.lo, win.hi, win.w
+    c = col.c
+    if len(c) < hi:
+        col.extend(hi)
+    # w may hold weights past hi: map stops at the column slice's end
+    total = sum(map(mul, w, c[lo:hi]))
+    above = win.top
+    while above > _SUM_TOL * total and above > _TAIL_FLOOR:
+        grown = min(2 * hi - lo, win.limit)
+        if grown == hi:
+            raise ConvergenceError(
+                f"Poisson mixture at h={win.h}, x={col.x} passed "
+                f"{specfun._MAX_TERMS} terms past the mode")
+        win.grow(grown)
+        col.extend(grown)
+        total += sum(map(mul, w[hi - lo:grown - lo], c[hi:grown]))
+        hi = grown
+        above = win.above(hi)
+    mass = win.mass
+    total /= mass
+    rounding = win.below + win.top + (6.0 * hi - 4.0 * lo + 1.0) * _EPS
+    # the increments are at most total - Q(u, x) of the total; a subnormal
+    # product or sum rounds by up to 2^-1074 whatever its size
+    return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
+                   + (above + c[lo] * win.below) / mass
+                   + (hi - lo) * 5e-324)
+
+
 def avg_pd_quadrature_curve(cfg: DetectorConfig, f: HoytFading,
                             thresholds: Sequence[float],
                             policy: EvalPolicy = _DEFAULT_POLICY,
                             ) -> List[Union[MetricValue, ArithmeticError]]:
     """Average detection probability at each of several thresholds.
 
-    All thresholds share one quadrature pass: the SNR density and the Marcum
-    argument sqrt(2 g) are evaluated once per node, and each threshold's
-    integral refines, stops and fails on its own, so entry i is exactly
-    avg_pd_quadrature(cfg, f, thresholds[i], policy), or the ArithmeticError
-    that call would raise.  A threshold that is negative, nan or inf raises
-    ValueError before any integration.
+    All thresholds share one quadrature pass over the SNR nodes g, and the
+    Marcum Q_u(sqrt(2g), b) of every (node, threshold) pair is the Poisson
+    mixture sum_k Pois(k; g) Q(u+k, b^2/2) built from shared parts: each
+    node computes its window of Poisson weights once, each threshold its
+    column Q(u+k, b^2/2) once, and a pair is one dot product of the two
+    (`_mixture`).  A pair's sum stops by its own running total, and each
+    threshold's integral refines, stops and fails on its own, so entry i is
+    exactly avg_pd_quadrature(cfg, f, thresholds[i], policy), or the
+    ArithmeticError that call would raise.  A threshold that is negative,
+    nan or inf raises ValueError before any integration.
+
+    est_error adds the node errors to the last change between levels.  The
+    weights and the density are positive, so if no node is off by more
+    than r times its value, the integral is off by at most r times its
+    own: each threshold takes the largest such ratio over its nodes whose
+    value is above 1e-300 (and the largest error over the others), which
+    keeps a tiny average Pd's error relative to it.
     """
     for threshold in thresholds:
         if not 0.0 <= threshold < math.inf:
             raise ValueError(
                 f"threshold must be finite and >= 0, got {threshold}")
     u = cfg.time_bandwidth
-
-    def node(g: float) -> Tuple[float, float]:
-        density = snr_pdf(f, g)
-        if density == 0.0:
-            return 0.0, 0.0
-        return density, math.sqrt(2.0 * g)
-
-    def pd_integrand(b: float):
-        def integrand(at: Tuple[float, float]) -> float:
-            density, a = at
-            if density == 0.0:
-                return 0.0
-            return _detection_prob(u, a, b) * density
-        return integrand
-
     # a zero threshold is detected with certainty and needs no integral
     positive = [i for i, t in enumerate(thresholds) if t != 0.0]
     out: List[Union[MetricValue, ArithmeticError]] = [
         MetricValue(1.0, "quadrature", 0, 0.0)] * len(thresholds)
+    if not positive:
+        return out
+    # past max b + 12 every pair is a sure detection and needs no window
+    sure = math.sqrt(max(thresholds)) + _SURE
+
+    def node(g: float):
+        density = snr_pdf(f, g)
+        if density == 0.0:
+            return None
+        a = math.sqrt(2.0 * g)
+        h = 0.5 * a * a
+        return density, a, (_Window(h) if a <= sure and h <= _MAX_H
+                            else None)
+
+    # per threshold: the largest node error relative to its node's value,
+    # and the largest at a node whose value is below _REL_FLOOR, where the
+    # absolute floors of _mixture's bound dominate
+    node_rel = [0.0] * len(thresholds)
+    node_abs = [0.0] * len(thresholds)
+
+    def pd_integrand(i: int):
+        b = math.sqrt(thresholds[i])
+        reach = b + _SURE
+        col: Optional[_Column] = None
+
+        def integrand(state) -> float:
+            nonlocal col
+            if state is None:
+                return 0.0
+            density, a, win = state
+            if a > reach:
+                return density
+            if win is None:
+                raise ConvergenceError(
+                    f"Marcum Q at a^2/2 = {0.5 * a * a} past {_MAX_H} "
+                    f"(u={u}, b={b})")
+            if col is None:
+                col = _Column(u, b)
+            value, err = _mixture(win, col)
+            if err > node_rel[i] * value:
+                if value > _REL_FLOOR:
+                    node_rel[i] = err / value
+                elif err > node_abs[i]:
+                    node_abs[i] = err
+            return value * density
+        return integrand
+
     outcomes = integrate_half_line_many(
-        node, [pd_integrand(math.sqrt(thresholds[i])) for i in positive],
-        policy, scale=f.mean_snr) if positive else []
+        node, [pd_integrand(i) for i in positive], policy, scale=f.mean_snr)
     for i, outcome in zip(positive, outcomes):
-        out[i] = (outcome if isinstance(outcome, ArithmeticError)
-                  else MetricValue(outcome[0], "quadrature", outcome[2],
-                                   outcome[1]))
+        if isinstance(outcome, ArithmeticError):
+            out[i] = outcome
+            continue
+        value, delta, evals = outcome
+        out[i] = MetricValue(value, "quadrature", evals, delta + node_rel[i]
+                             * abs(value) + node_abs[i])
     return out
 
 
@@ -299,9 +527,11 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     """Average detection probability at a fixed threshold.
 
     The one-threshold call of `avg_pd_quadrature_curve`, raising where that
-    returns an error.  The average has a closed positive series, a Poisson
-    mixture of the fixed-SNR terms, but that route is not implemented; this
-    one pairs with the fading-independent pf to trace averaged ROC curves.
+    returns an error: the threshold's column of Q(u+k, threshold/2) meets
+    each SNR node's window of Poisson weights in one dot product.  The
+    average also has a closed positive series, a negative-binomial mixture
+    of the same column, but that route is not implemented; this one pairs
+    with the fading-independent pf to trace averaged ROC curves.
     """
     (mv,) = avg_pd_quadrature_curve(cfg, f, (threshold,), policy)
     if isinstance(mv, ArithmeticError):

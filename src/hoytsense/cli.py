@@ -13,7 +13,8 @@ The library works in linear SNR throughout; the flags take decibels
 endings, and floats rendered at 17 significant digits.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 usage error (a dB
-value past double range and an unwritable --out included), 3 numerical
+value past double range included, and an --out that cannot be written,
+which is refused before any row is computed), 3 numerical
 non-convergence (sweeps annotate the failing rows with ``nan`` and keep
 going, then exit 3 at the end).
 
@@ -34,6 +35,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -261,6 +263,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # CSV plumbing
 # ---------------------------------------------------------------------------
+
+def _check_out(path: Optional[str]) -> None:
+    # refuse an --out that cannot be written before any row is computed;
+    # the file itself is created or truncated only when the rows are
+    # written (_open_sink), so a later usage error leaves it as it was
+    if path is None or path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write --out: no directory {folder!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --out: {path!r} is a directory")
+    target = path if os.path.exists(path) else folder
+    if not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write --out: {target!r} is not writable")
+
 
 def _open_sink(path: Optional[str]):
     if path is None or path == "-":
@@ -491,6 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers: dict = {"point": _cmd_point, "sweep": _cmd_sweep,
                       "roc": _cmd_roc, "validate": _cmd_validate}
     try:
+        _check_out(getattr(args, "out", None))
         return handlers[args.command](args)
     except ValueError as exc:  # UsageError included
         print(f"hoytsense: error: {exc}", file=sys.stderr)

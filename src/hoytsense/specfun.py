@@ -18,6 +18,7 @@ from typing import Iterator, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
+_EPS = 2.0 ** -52
 
 # x below this the Bessel ascending series cannot overflow (max partial sum
 # is bounded by I_nu(x) ~ e^x/sqrt(2 pi x), and e^600 ~ 3.8e260)
@@ -306,9 +307,42 @@ def _ln_gamma_ratio(u: float) -> Tuple[float, float]:
     ln_x = math.log(u + 1.0)
     value = u * math.log1p(-0.5 / (u + 1.0)) - 0.5 * ln_x + 0.5
     for x in (u + 0.5, -1.0 - u):
-        y = 1.0 / (x * x)
-        value += (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+        value += _stirling_tail(x)
     return value, 4e-16 * (2.0 + ln_x)
+
+
+def _stirling_tail(x: float) -> float:
+    # lnGamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2 by Stirling's series, cut
+    # after x^-7 (below 1e-17 for |x| >= 30)
+    y = 1.0 / (x * x)
+    return (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+
+
+def ln_poisson_term(s: float, x: float) -> Tuple[float, float]:
+    """ln(x^s e^(-x) / Gamma(s+1)) for s > 0, x > 0, and a bound on its
+    absolute error.
+
+    Written as s (ln(x/s) - t) - ln(2 pi s)/2 - stirlerr(s), t = (x - s)/s,
+    with stirlerr(s) = lnGamma(s+1) - (s + 1/2) ln s + s - ln(2 pi)/2 from
+    Stirling's series past s = 30, so no terms of size s ln x cancel: at
+    s = 150, x = 200 the error is ~1e-14 where s ln x - x - lnGamma(s+1)
+    carries ~1e-13.  This is the log of the Poisson(x) pmf at s, largest
+    near s = x, where it is most accurate.
+    """
+    t = (x - s) / s
+    # near s = x, log1p(t) keeps the digits that ln(x/s) rounds away
+    ln_ratio = math.log1p(t) if abs(t) < 0.5 else math.log(x / s)
+    value = s * (ln_ratio - t)
+    if s >= 30.0:
+        value -= 0.5 * math.log(2.0 * math.pi * s) + _stirling_tail(s)
+        rest = 0.5 * abs(math.log(2.0 * math.pi * s))
+    else:
+        ln_s, ln_gamma = s * math.log(s), math.lgamma(s + 1.0)
+        value += ln_s - s - ln_gamma
+        rest = abs(ln_s) + s + abs(ln_gamma)
+    err = 2.0 * _EPS * (s * abs(ln_ratio) + 2.0 * abs(x - s) + rest
+                        + abs(value))
+    return value, err
 
 
 def beta_increments(u: float) -> Tuple[Iterator[float], float]:

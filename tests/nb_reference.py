@@ -13,6 +13,11 @@ the convolution pi of two negative binomial laws and
 Every term is positive and the beta weights fall off like 2^-k, so the sum
 is cut where the weight drops below 1e-18 of the first one.  At a fixed SNR
 K is Poisson(snr) itself, which `cauc` sums the same way.
+
+The averaged detection probability at threshold lam is P(Gamma(u + K) >
+lam/2), so its miss probability is sum_k pi_k * P(u + k, lam/2) with P the
+regularized lower incomplete gamma; P(u + k, lam/2) falls with k, so that
+sum is cut where it drops below 1e-18, whatever the SNR (`avg_pd`).
 """
 
 import math
@@ -44,11 +49,46 @@ def avg_cauc(u, q, mean_snr):
             w = w[:int(np.argmax(w < _CUT * w[0])) + 1]
             break
         count *= 2
-    k = np.arange(len(w), dtype=float)
+    return math.fsum(_pi(len(w), q, mean_snr) * w)
+
+
+def _pi(count, q, mean_snr):
+    # the law of the averaged K: NB(1/2) * NB(1/2), first `count` terms
+    k = np.arange(count, dtype=float)
     q2 = q * q
-    pi = np.convolve(_nbinom_pmf(k, 2.0 * mean_snr / (1.0 + q2)),
-                     _nbinom_pmf(k, 2.0 * mean_snr * q2 / (1.0 + q2)))
-    return math.fsum(pi[:len(w)] * w)
+    return np.convolve(_nbinom_pmf(k, 2.0 * mean_snr / (1.0 + q2)),
+                       _nbinom_pmf(k, 2.0 * mean_snr * q2 / (1.0 + q2)))[:count]
+
+
+def avg_pd(u, q, mean_snr, lam):
+    """Fading-averaged detection probability at threshold lam > 0.
+
+    Above 1/2 it is 1 - the miss sum.  Below, the detection sum
+    sum_k pi_k * Q(u + k, lam/2) is taken itself, so a tiny value keeps its
+    relative accuracy; it is cut where the mass of pi past the last term is
+    below 1e-18 of it.  That mass is at most P(X >= K/2) + P(Y >= K/2) for
+    the two NB(1/2) laws, and each NB(1/2) pmf ratio (j + 1/2) p / (j + 1)
+    stays below p = theta/(1+theta), so each tail is at most its pmf at K/2
+    over 1 - p.
+    """
+    x = 0.5 * lam
+    count = int(x + 40.0 * math.sqrt(x)) + 64
+    while special.gammainc(u + count, x) >= _CUT:
+        count *= 2
+    k = np.arange(count, dtype=float)
+    miss = math.fsum(_pi(count, q, mean_snr) * special.gammainc(u + k, x))
+    if miss <= 0.5:
+        return 1.0 - miss
+    q2 = q * q
+    thetas = (2.0 * mean_snr / (1.0 + q2), 2.0 * mean_snr * q2 / (1.0 + q2))
+    while True:
+        k = np.arange(count, dtype=float)
+        hit = math.fsum(_pi(count, q, mean_snr) * special.gammaincc(u + k, x))
+        tail = sum(_nbinom_pmf(float(count // 2), t) * (1.0 + t)
+                   for t in thetas)
+        if tail < _CUT * hit:
+            return hit
+        count *= 2
 
 
 def avg_auc(u, q, mean_snr):

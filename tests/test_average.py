@@ -328,3 +328,106 @@ def test_pd_curve_equals_per_threshold_calls_bit_for_bit(u):
                         for mv in curve] == [
                     (single[lam].value, single[lam].est_error,
                      single[lam].terms_used) for lam in lams], (q, db, points)
+
+
+def _marcum_columns_mp(mp, u, b, count):
+    # Q(u+k, b^2/2), k < count, by the upward recurrence from mpmath's gammainc
+    u, x = mp.mpf(u), mp.mpf(b) ** 2 / 2
+    col = [mp.gammainc(u, x, mp.inf, regularized=True)]
+    e = mp.exp(u * mp.log(x) - x - mp.loggamma(u + 1))
+    for k in range(count - 1):
+        col.append(col[-1] + e)
+        e *= x / (u + k + 1)
+    return col
+
+
+def _marcum_mp(mp, a, col):
+    # Q_u(a, b) = sum_k Pois(k; a^2/2) Q(u+k, b^2/2) outward from the mode,
+    # cut where the weight mass left (times Q <= 1) is below 1e-22 of it
+    h = mp.mpf(a) ** 2 / 2
+    if h == 0:
+        return col[0]
+    k0 = int(h)
+    w_mode = mp.exp(k0 * mp.log(h) - h - mp.loggamma(k0 + 1))
+    total, w, k = w_mode * col[k0], w_mode, k0
+    while k <= h or w * h / (k + 1 - h) > 1e-22 * total:
+        w *= h / (k + 1)
+        k += 1
+        total += w * col[k]
+    w, k = w_mode, k0
+    while k > 0 and (k >= h or w * col[k] * k / (h - k) > 1e-22 * total):
+        w *= k / h
+        k -= 1
+        total += w * col[k]
+    return total
+
+
+def test_shared_mixture_matches_the_marcum_sum():
+    # one (node, threshold) pair of the averaged Pd, a dot product of the
+    # node's Poisson window and the threshold's Q(u+k, b^2/2) column, is
+    # within 1e-13 relative of a 30-digit Marcum Q and within its own
+    # bound, from Pd = 1 down to 1e-300.  The scalar specfun.marcum_q is
+    # not the arbiter here: it misses the 30-digit values by up to 2e-12
+    # relative at large a^2/2 (its weights share the rounding of the mode's
+    # exponent), and by 0.86% at u=12.7, a=11.4, b=45, where its anchor
+    # increment is subnormal.  At a = 0 the pair is marcum_q(u, 0, b) itself
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        smallest = _check_mixture_grid(mp)
+    assert smallest < 1e-280
+
+
+def _check_mixture_grid(mp):
+    # the grid of test_shared_mixture_matches_the_marcum_sum; returns the
+    # smallest value it checked
+    from hoytsense.average import _Column, _Window, _mixture
+    smallest = 1.0
+    for u in (0.05, 0.7, 5.0, 12.7, 60.5, 150.0):
+        # b = sqrt(200) is the lambda = 200 threshold whose -10 dB average
+        # is 2.4e-35 at u = 5 (test_tiny_average_pd_stays_relative)
+        for b in (0.3, 2.0, 7.0, math.sqrt(200.0), 30.0, 45.0):
+            col = _Column(u, b)
+            count = int((b + 12.0) ** 2 / 2.0 + 20.0 * (b + 12.0)) + 200
+            exact = _marcum_columns_mp(mp, u, b, count)
+            for i in range(11):
+                a = (b + 12.0) * i / 10.0
+                want = _marcum_mp(mp, a, exact)
+                if want < 1e-300:
+                    continue
+                value, err = _mixture(_Window(0.5 * a * a), col)
+                if a == 0.0:
+                    assert value == specfun.marcum_q(u, 0.0, b)
+                    continue
+                miss = abs(value - want)
+                assert miss <= 1e-13 * want, (u, a, b)
+                assert miss <= err, (u, a, b)
+                smallest = min(smallest, value)
+            # past b + 12 the integrand takes Pd = 1: the miss probability
+            # sum_k Pois(k; a^2/2) P(u+k, b^2/2) is below exp(-72) there.
+            # P falls with k; it is summed from k = top down, where
+            # P(s-1, x) = P(s, x) + x^(s-1) e^(-x)/Gamma(s) adds positives
+            h, x = mp.mpf(b + 12.0) ** 2 / 2, mp.mpf(b) ** 2 / 2
+            top = int(x + u + 20.0 * math.sqrt(x + u)) + 50
+            p = mp.gammainc(u + top, 0, x, regularized=True)
+            e = mp.exp((u + top - 1) * mp.log(x) - x - mp.loggamma(u + top))
+            w = mp.exp(top * mp.log(h) - h - mp.loggamma(top + 1))
+            miss = p  # bounds the terms past top, whose weights add to < 1
+            for k in range(top, -1, -1):
+                miss += w * p
+                p += e
+                e *= (u + k - 1) / x
+                w *= k / h
+            assert miss < math.exp(-72.0), (u, b)
+    return smallest
+
+
+def test_tiny_average_pd_stays_relative():
+    # u=5, q=0.5, -10 dB, lambda=200: Pd = 2.4e-35, within 1e-13 relative
+    # of the scipy mixture, and est_error stays relative to it as well
+    import nb_reference as ref  # skips this test when scipy is missing
+    f = _f(0.5, 0.1)
+    want = ref.avg_pd(5.0, 0.5, 0.1, 200.0)
+    mv = avg_pd_quadrature(DetectorConfig(5.0), f, 200.0)
+    assert 2e-35 < want < 3e-35
+    assert abs(mv.value - want) <= min(mv.est_error, 1e-13 * want)
+    assert mv.est_error < 1e-11 * want

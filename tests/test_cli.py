@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hoytsense import average, cli, detector, specfun
+from hoytsense import average, cli, detector, montecarlo, specfun
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
@@ -360,6 +360,30 @@ def test_roc_failure_stays_with_its_point(capsys, monkeypatch):
     assert err.count("synthetic marcum_q failure") == 2
 
 
+@pytest.mark.parametrize("u", ["0.7", "2.5", "5", "12.7", "20", "60.5"])
+def test_roc_pd_rows_within_est_error_of_reference(capsys, u):
+    # every pd row of a 5-point roc against the scipy negative-binomial
+    # mixture: 1 - sum_k pi_k P(u + k, lam/2), at the threshold the row's
+    # pf point inverts to
+    import nb_reference as ref  # skips this test when scipy is missing
+    cfg = detector.DetectorConfig(float(u))
+    lams = [detector.threshold_for_pf(cfg, min(max(k / 4.0, 1e-9),
+                                                1.0 - 1e-9))
+            for k in range(5)]
+    for q in ("0.07", "0.5", "1"):
+        for db in ("-5", "10", "30"):
+            code, out, _ = run_cli(capsys, "roc", "--u", u, "--q", q,
+                                   "--snr-db", db, "--points", "5")
+            assert code == 0
+            pds = [row for row in parse_rows(out) if row[3] == "pd"]
+            assert len(pds) == 5
+            for lam, row in zip(lams, pds):
+                want = ref.avg_pd(float(u), float(q), 10.0 ** (float(db) / 10.0),
+                                  lam)
+                assert abs(float(row[5]) - want) <= float(row[6]) + 1e-12, (
+                    q, db, lam)
+
+
 def test_point_out_of_range_rows_fail(capsys):
     # the real-u series stops at its Chernoff bound before exp(-snr)
     # underflows, and the folded Laguerre sum stays finite up to u = 500:
@@ -625,6 +649,35 @@ def test_db_past_double_range_and_unwritable_out_are_usage_errors(
     assert out == ""
     assert err.startswith("hoytsense: error: ") and err.count("\n") == 1
     assert not missing.exists()
+
+
+def test_unwritable_out_is_refused_before_any_row(capsys, monkeypatch,
+                                                   tmp_path):
+    # an --out in a missing directory, or naming a directory, is a usage
+    # error before the Monte Carlo route runs once; no file is created
+    calls = []
+    estimate_auc = montecarlo.estimate_auc
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_auc(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "estimate_auc", counted)
+    argv = ["sweep", "--metric", "auc", "--method", "mc", "--u", "5",
+            "--q", "0.5", "--snr-db", "0:10:5", "--trials", "2000", "--out"]
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, str(missing))
+    assert code == 2 and out == ""
+    assert err == f"hoytsense: error: cannot write --out: no directory " \
+                  f"{str(missing.parent)!r}\n"
+    assert calls == [] and not missing.parent.exists()
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2 and "is a directory" in err and calls == []
+    # a writable path: the same command computes its 3 rows and writes them
+    good = tmp_path / "x.csv"
+    code, out, _ = run_cli(capsys, *argv, str(good))
+    assert code == 0 and out == "" and len(calls) == 3
+    assert len(good.read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("u", ["1e-300", "1e-13", "9e-13"])
