@@ -24,6 +24,11 @@ Over u <= 500, q in [1e-6, 1] and -10..60 dB it stops after 27-280 terms
 term cap `specfun._MAX_TERMS`.  The finite sum takes u terms whatever the
 SNR: its inner sum over the binomial weights is a binomial tail, and all u
 tails come from one pass over the Bin(2u-1, 1/2) pmf.
+
+The averaged detection probability has a closed route too: the series'
+terms are the law of the Poisson count that the Hoyt-averaged statistic
+carries, so 1 - Pd is a positive sum over that law (`avg_pd_closed`).  Its
+quadrature (`avg_pd_quadrature`) is the independent check.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ __all__ = [
     "avg_auc_closed",
     "avg_cauc_closed",
     "avg_auc_quadrature",
+    "avg_pd_closed",
+    "avg_pd_closed_curve",
     "avg_pd_quadrature",
     "avg_pd_quadrature_curve",
 ]
@@ -361,20 +368,18 @@ class _Column:
         c0 = specfun.marcum_q(u, 0.0, b)
         x = 0.5 * b * b
         self.u, self.x = u, x
+        if x == 0.0:  # the zero threshold: every entry is 1
+            self.c, self.e, self.err, self.abs0 = [c0], 0.0, 0.0, 0.0
+            return
         # reg_upper_gamma rounds its prefactor u ln x - x - lnGamma(u), and
         # its 1 - P branch at most triples a relative error
         self.abs0 = 3.0 * c0 * (specfun._REL_TOL + 2.0 * _EPS * (
             u * abs(math.log(x)) + x + abs(math.lgamma(u))))
-        peak = min(max(0, int(x - u)), int(_MAX_H) + specfun._MAX_TERMS)
-        ln_e, err = specfun.ln_poisson_term(u + peak, x)
-        e = math.exp(ln_e) if ln_e > specfun.MINLOG else 0.0
-        self.err = err + (2.0 * peak + 1.0) * _EPS
-        # e_(k-1) = e_k (u+k)/x from the peak down to k = 0
-        down = list(itertools.accumulate(
-            ((u + k) / x for k in range(peak, 0, -1)), mul, initial=e))
-        down.reverse()
+        down, self.err = specfun.poisson_increments(
+            u, x, int(_MAX_H) + specfun._MAX_TERMS)
         self.c = list(itertools.accumulate(down, initial=c0))
-        self.e = e * (x / (u + peak + 1.0))
+        peak = len(down) - 1
+        self.e = down[-1] * (x / (u + peak + 1.0))
 
     def extend(self, n: int) -> None:
         # entries up to k = n - 1; self.e is the increment past the last
@@ -528,12 +533,246 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
 
     The one-threshold call of `avg_pd_quadrature_curve`, raising where that
     returns an error: the threshold's column of Q(u+k, threshold/2) meets
-    each SNR node's window of Poisson weights in one dot product.  The
-    average also has a closed positive series, a negative-binomial mixture
-    of the same column, but that route is not implemented; this one pairs
-    with the fading-independent pf to trace averaged ROC curves.
+    each SNR node's window of Poisson weights in one dot product.  It is the
+    independent check of `avg_pd_closed`, the closed positive series over
+    the negative-binomial law of the same Poisson count.
     """
     (mv,) = avg_pd_quadrature_curve(cfg, f, (threshold,), policy)
+    if isinstance(mv, ArithmeticError):
+        raise mv
+    return mv
+
+
+# ---------------------------------------------------------------------------
+# closed averaged Pd
+# ---------------------------------------------------------------------------
+
+_ULP = 0.5 * _EPS  # the unit roundoff
+# relative rounding of _series_setup's x, s and pref
+_SETUP_X, _SETUP_S, _SETUP_PREF = 9.0 * _ULP, 14.0 * _ULP, 10.0 * _ULP
+# below this a law term or an increment is subnormal and rounds absolutely
+_TINY = 2.0 ** -1022
+# x = threshold/2 rounds to 0 only below the smallest subnormal
+_LN_SUBNORMAL = math.log(5e-324)
+
+
+class _Law:
+    """pi_l = P(K = l), l = 0, 1, ..., with partial sums S_l = pi_0 + ... +
+    pi_l, built on demand and shared by every threshold of a call.
+
+    Under H1 the statistic is 2 Gamma(u + K), with K Poisson given the SNR;
+    over the Hoyt SNR, K follows pi_l = pref M_l, the terms of the CAUC
+    series (`_series_setup`, `_legendre_terms`, pref sum M_l = 1), and
+    pi_(l+1) <= rho pi_l.  `rel[l]` bounds the relative error of pi_0 ..
+    pi_l.  The recurrence M_(n+1) = x s^2 (a - b)/(n+1), a = (2n+1) M_n,
+    b = n x M_(n-1), carries relative errors by r_(n+1) = (a r_n -
+    b r_(n-1))/(a - b).  The response of later terms to an error made at
+    one step is a difference P_n Q_k - Q_n P_k of Legendre functions, which
+    is positive for s >= 1, so adding each step's rounding (and the
+    setup's) at its full size bounds the error of every term.  Against
+    40-digit NB(1/2) * NB(1/2) sums up to l = 600 the bound is at least 9
+    times the actual error; it grows like l^2 eps where s is near 1.
+    """
+
+    __slots__ = ("q", "mean_snr", "rho", "pi", "partial", "rel", "_x",
+                 "_pref", "_terms", "_m", "_r")
+
+    def __init__(self, q: float, mean_snr: float) -> None:
+        x, s, pref, self.rho = _series_setup(q, mean_snr)
+        self.q, self.mean_snr, self._x, self._pref = q, mean_snr, x, pref
+        self._terms = _legendre_terms(x, s)
+        m0 = next(self._terms)
+        self._m = (0.0, m0)
+        self._r = (0.0, _SETUP_S)
+        self.pi, self.partial = [pref * m0], [pref * m0]
+        self.rel = [_SETUP_S + _SETUP_PREF + _ULP]
+
+    def extend(self, n: int) -> None:
+        # terms up to l = n - 1
+        pi, partial, rel = self.pi, self.partial, self.rel
+        x, pref = self._x, self._pref
+        m_prev, m_cur = self._m
+        r_prev, r_cur = self._r
+        for k in range(len(pi) - 1, n - 1):
+            m_next = next(self._terms)
+            if k == 0:  # M_1 = x s^3
+                r_next = _SETUP_X + 3.0 * _SETUP_S + 3.0 * _ULP
+            elif m_next >= _TINY:
+                a, b = (2.0 * k + 1.0) * m_cur, k * x * m_prev
+                d = a - b
+                r_next = ((a * r_cur - b * r_prev + (a + 2.0 * b) * _ULP
+                           + b * _SETUP_X) / d
+                          + 5.0 * _ULP + _SETUP_X + 2.0 * _SETUP_S)
+            else:  # subnormal: its error is absolute (see _closed_miss)
+                r_next = r_cur
+            m_prev, m_cur, r_prev, r_cur = m_cur, m_next, r_cur, r_next
+            p = pref * m_next
+            pi.append(p)
+            partial.append(partial[-1] + p)
+            rel.append(max(rel[-1], r_next + _SETUP_PREF + _ULP))
+        self._m, self._r = (m_prev, m_cur), (r_prev, r_cur)
+
+
+def _closed_miss(law: _Law, u: float, x: float,
+                 rel_tol: float) -> Tuple[float, int, float]:
+    """(miss, terms, error) of sum_l pi_l P(u+l, x), P = 1 - Q.
+
+    P runs downward, P(s, x) = P(s+1, x) + e_s with the increments e_s =
+    x^s e^(-x)/Gamma(s+1); exchanging the order of summation gives
+    sum_j e_(u+j) S_j, every term positive.  The increments come from their
+    peak (`specfun.poisson_increments`) and fall past it; after term J the
+    rest is at most P(u+J+1, x) <= e_(u+J+1)/(1 - x/(u+J+2)) (S_j <= 1),
+    and the sum stops once that is below rel_tol of the total.
+    """
+    if x - u > specfun._MAX_TERMS:
+        raise ConvergenceError(
+            f"closed average Pd needs more than {specfun._MAX_TERMS} terms "
+            f"(u={u}, q={law.q}, mean_snr={law.mean_snr}, threshold={2 * x})")
+    down, e_err = specfun.poisson_increments(u, x, specfun._MAX_TERMS)
+    peak = len(down) - 1
+    law.extend(peak + 1)
+    partial = law.partial
+    terms = list(map(mul, down, partial))
+    total = sum(terms)
+    e, j = down[-1], peak
+    while True:
+        e *= x / (u + j + 1.0)
+        cut = e / (1.0 - x / (u + j + 2.0))
+        if cut <= rel_tol * total:
+            break
+        j += 1
+        if j == specfun._MAX_TERMS:
+            raise ConvergenceError(
+                f"closed average Pd miss sum passed {specfun._MAX_TERMS} "
+                f"terms (u={u}, q={law.q}, mean_snr={law.mean_snr}, "
+                f"threshold={2 * x})")
+        if j == len(partial):
+            law.extend(2 * j)
+        t = e * partial[j]
+        terms.append(t)
+        total += t
+    miss = math.fsum(terms)
+    # law terms, increments (2 roundings a step past the peak), partial
+    # sums and products; each subnormal step rounds by up to 2^-1074
+    rel = law.rel[j] + e_err + (2.0 * (j - peak) + 1.0) * _EPS + (j + 2) * _ULP
+    return miss, j + 1, cut + miss * rel + (j + 1) * (j + 1) * 5e-324
+
+
+def _closed_hit(law: _Law, u: float, threshold: float, x: float,
+                rel_tol: float) -> Tuple[Optional[float], int, float]:
+    """(Pd, terms, error) by the detection sum sum_l pi_l Q(u+l, x), or
+    (None, terms, inf) where it would pass `specfun._MAX_TERMS`.
+
+    Q comes from the shared column (`_Column`, started at
+    `specfun.marcum_q(u, 0, sqrt(threshold))`).  Q <= 1 and pi_(l+1) <=
+    rho pi_l, so after term L the rest is at most pi_L rho/(1 - rho); the
+    sum grows by chunks, each at most doubling it, until that is below
+    rel_tol of it.  The same ratio bounds the terms still needed, and the
+    sum gives up as soon as that bound passes the cap: with rho near 1 (1 -
+    rho ~ 1/(2 mean_snr)) the tail takes ~2 mean_snr ln(1/(rel_tol Pd))
+    terms.  The column's x = b^2/2 differs from threshold/2 by rounding,
+    and |dQ(s, x)/dx| / Q(s, x) <= 1 + 1/x, so that moves Pd relatively by
+    at most |dx| (1 + 1/x).
+    """
+    rho = law.rho
+    if not rho < 1.0:  # mean SNR past 2^53: no tail bound in double
+        return None, 0, math.inf
+    col = _Column(u, math.sqrt(threshold))
+    pi, c = law.pi, col.c
+    total, lo, hi = 0.0, 0, len(c) + 16
+    while True:
+        law.extend(hi)
+        col.extend(hi)
+        total += sum(map(mul, pi[lo:hi], c[lo:hi]))
+        cut = pi[hi - 1] * (1.0 + law.rel[hi - 1]) * rho / (1.0 - rho)
+        if cut <= rel_tol * total:
+            break
+        # pi falls by rho a term at least: no more than `more` terms reach
+        # the stop, and doubling bounds the overshoot where it falls faster
+        more = (math.log(cut / (rel_tol * total)) / -math.log(rho)
+                if total > 0.0 else hi)
+        if hi == specfun._MAX_TERMS or (total > 0.0 and
+                                        hi + more >= specfun._MAX_TERMS):
+            return None, hi, math.inf
+        lo, hi = hi, min(2 * hi, hi + 1 + int(more), specfun._MAX_TERMS)
+    dx = abs(col.x - x) * (1.0 + 1.0 / min(x, col.x))
+    rel = law.rel[hi - 1] + col.err + dx + (3 * hi + 3) * _EPS
+    return total, hi, cut + total * rel + col.abs0 + hi * hi * 5e-324
+
+
+def _closed_pd(law: _Law, u: float, threshold: float,
+               rel_tol: float) -> MetricValue:
+    """The averaged Pd at one threshold from the shared law."""
+    x = 0.5 * threshold
+    if x == 0.0:
+        # the zero threshold, or one whose half underflows: the miss is
+        # at most P(u, x) <= x^u/Gamma(u+1) with x below 5e-324
+        err = (0.0 if threshold == 0.0
+               else math.exp(u * _LN_SUBNORMAL - math.lgamma(u + 1.0)))
+        return MetricValue(1.0, "closed_series", 0, err)
+    miss, terms, err = _closed_miss(law, u, x, rel_tol)
+    if miss <= 0.5:
+        return MetricValue(1.0 - miss, "closed_series", terms, err + _ULP)
+    # Pd is below 1/2: its own sum keeps a tiny Pd's relative accuracy
+    hit, more, hit_err = _closed_hit(law, u, threshold, x, rel_tol)
+    if hit is not None:
+        return MetricValue(hit, "closed_series", terms + more, hit_err)
+    # the law's tail falls too slowly for the detection sum: Pd is 1 - miss
+    # (exact for miss >= 1/2), the miss summed again to rel_tol of Pd, and
+    # its error is the miss's, absolute (1e-16 and up)
+    tol = max(rel_tol * (1.0 - miss) / miss, _EPS)
+    miss, again, err = _closed_miss(law, u, x, tol)
+    return MetricValue(1.0 - miss, "closed_series", terms + more + again, err)
+
+
+def avg_pd_closed_curve(cfg: DetectorConfig, f: HoytFading,
+                        thresholds: Sequence[float],
+                        policy: EvalPolicy = _DEFAULT_POLICY,
+                        ) -> List[Union[MetricValue, ArithmeticError]]:
+    """Average detection probability at each of several thresholds, closed.
+
+    Under H1 the statistic is 2 Gamma(u + K), and over the Hoyt SNR the
+    Poisson count K follows pi_l = pref M_l, the CAUC series' own terms
+    (`_Law`), so at x = threshold/2
+
+        1 - Pd = sum_l pi_l P(u+l, x),
+
+    a sum of positive terms whose cost does not depend on the SNR (Digham,
+    Alouini and Simon, IEEE Trans. Commun. 55(1), 2007, write average Pd
+    over fading as a series of this kind).  Where that miss exceeds 1/2, Pd
+    is the detection sum sum_l pi_l Q(u+l, x) instead, unless that sum
+    would pass the term cap (the law's tail falls too slowly, as at q =
+    1e-6 from ~24 dB); then Pd is 1 - miss, its error absolute.  The law
+    is built once and shared by every threshold, and each threshold stops
+    and fails on its own, so entry i is exactly avg_pd_closed(cfg, f,
+    thresholds[i], policy), or the ArithmeticError that call would raise.
+    A threshold that is negative, nan or inf raises ValueError first.
+
+    est_error adds the truncation bound, the law's carried recurrence error
+    (`_Law`), the error of the increments or of the column, and the
+    rounding of the sums.
+    """
+    for threshold in thresholds:
+        if not 0.0 <= threshold < math.inf:
+            raise ValueError(
+                f"threshold must be finite and >= 0, got {threshold}")
+    law = _Law(f.q, f.mean_snr)
+    u = cfg.time_bandwidth
+    out: List[Union[MetricValue, ArithmeticError]] = []
+    for threshold in thresholds:
+        try:
+            out.append(_closed_pd(law, u, threshold, policy.rel_tol))
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
+
+
+def avg_pd_closed(cfg: DetectorConfig, f: HoytFading, threshold: float,
+                  policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
+    """Average detection probability at a fixed threshold, closed: the
+    one-threshold call of `avg_pd_closed_curve`, raising where that returns
+    an error."""
+    (mv,) = avg_pd_closed_curve(cfg, f, (threshold,), policy)
     if isinstance(mv, ArithmeticError):
         raise mv
     return mv

@@ -56,12 +56,13 @@ _SWEEP_METRICS = ("auc", "cauc", "pd", "pf", "roc")
 _METHOD_FLAGS = ("closed", "series", "quadrature", "mc", "all")
 
 # each sweepable metric's routes in "--method all" order, the default first;
-# pd's closed fading average is not implemented and pf has no fading
-# integral.  auc and cauc also take "series" (any u), but only when named
+# pd's closed route is the positive series of average.avg_pd_closed, and pf
+# has no fading integral.  auc and cauc also take "series" (any u), but only
+# when named
 _ROUTES = {
     "auc": ("closed", "quadrature", "mc"),
     "cauc": ("closed", "quadrature", "mc"),
-    "pd": ("quadrature", "mc"),
+    "pd": ("closed", "quadrature", "mc"),
     "pf": ("closed", "mc"),
 }
 
@@ -226,9 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="CSV curve families")
     p_sweep.add_argument("--metric", default="auc", choices=_SWEEP_METRICS)
     p_sweep.add_argument("--method", default=None, choices=_METHOD_FLAGS,
-                         help="evaluation route (default: closed, or "
-                              "quadrature for pd, whose closed fading "
-                              "average is not implemented)")
+                         help="evaluation route (default: closed)")
     add_common(p_sweep)
     p_sweep.add_argument("--q", type=_parse_q_list, required=True,
                          help="comma-separated Hoyt parameters, e.g. 0.1,0.5,1")
@@ -327,9 +326,7 @@ def _eval_row(metric: str, method: str, cfg: DetectorConfig,
         if method not in _ROUTES[metric]:
             raise UsageError(
                 f"metric {metric} supports methods "
-                f"{' and '.join(_ROUTES[metric])} only" + (
-                    " (its closed fading average is not implemented)"
-                    if metric == "pd" else ""))
+                f"{', '.join(_ROUTES[metric])} only")
     if metric == "pf":
         channel = 0.0  # pf is pd at zero SNR, by the same evaluation
     if method == "mc":
@@ -345,7 +342,9 @@ def _eval_row(metric: str, method: str, cfg: DetectorConfig,
         mv = fixed(cfg, channel, policy)
         return mv.value, mv.method, mv.est_error
     elif metric == "pd":
-        mv = average.avg_pd_quadrature(cfg, channel, threshold, policy)
+        averaged = (average.avg_pd_closed if method == "closed"
+                    else average.avg_pd_quadrature)
+        mv = averaged(cfg, channel, threshold, policy)
         return mv.value, mv.method, mv.est_error
     elif method == "quadrature":
         mv = average.avg_auc_quadrature(cfg, channel, policy)
@@ -431,10 +430,11 @@ def _cmd_point(args) -> int:
 def _cmd_roc(args) -> int:
     """One (pf, pd) row pair per point of an even false-alarm grid.
 
-    Every threshold is inverted first; then one quadrature pass over shared
-    SNR nodes gives every point's averaged Pd.  A point whose threshold or
-    integral fails gets its own two nan/inf rows; the other points' rows
-    are those a point alone would give.
+    Every threshold is inverted first; then the closed series, on one law
+    of the averaged Poisson count shared by all points, gives every point's
+    averaged Pd.  A point whose threshold or sum fails gets its own two
+    nan/inf rows; the other points' rows are those a point alone would
+    give.
     """
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
@@ -456,7 +456,7 @@ def _cmd_roc(args) -> int:
             points.append(exc)
     lams = [p[0] for p in points if not isinstance(p, ArithmeticError)]
     try:
-        pds = average.avg_pd_quadrature_curve(cfg, f, lams, args.policy)
+        pds = average.avg_pd_closed_curve(cfg, f, lams, args.policy)
     except _ROW_FAILURES as exc:
         pds = [exc] * len(lams)
     pds = iter(pds)
@@ -477,7 +477,8 @@ def _cmd_roc(args) -> int:
         except _ROW_FAILURES as exc:
             failed = True
             pair = [_failure_row(db, args.q, args.u, "pf", "closed", exc),
-                    _failure_row(db, args.q, args.u, "pd", "quadrature", exc)]
+                    _failure_row(db, args.q, args.u, "pd", "closed_series",
+                                 exc)]
         rows.extend(pair)
     _write_rows(rows, args.out)
     return 3 if failed else 0

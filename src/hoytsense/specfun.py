@@ -12,11 +12,14 @@ ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from typing import Iterator, Tuple
+from operator import mul
+from typing import Iterator, List, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
+_LN_NORMAL = math.log(sys.float_info.min)  # below this exp() is subnormal
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 _EPS = 2.0 ** -52
 
@@ -170,9 +173,10 @@ def marcum_q(m: float, a: float, b: float) -> float:
         raise ValueError(f"marcum_q requires m > 0, got {m}")
     if a < 0.0 or b < 0.0:
         raise ValueError("marcum_q requires a >= 0 and b >= 0")
-    if b == 0.0:
-        return 1.0
     x = 0.5 * b * b
+    if x == 0.0:
+        # b = 0, or b^2/2 below the subnormal range: the zero threshold
+        return 1.0
     if a == 0.0:
         return reg_upper_gamma(m, x)
     h = 0.5 * a * a
@@ -184,6 +188,14 @@ def marcum_q(m: float, a: float, b: float) -> float:
     q_anchor = reg_upper_gamma(m + k0, x)
     le = (m + k0) * math.log(x) - x - math.lgamma(m + k0 + 1.0)
     e_anchor = math.exp(le) if le > MINLOG else 0.0
+    # a subnormal anchor increment has few bits, and upward products from it
+    # would carry them into normal values while the increments still rise
+    # (m + k0 + 1 < x): there the upward sum takes them down from their peak
+    rising: List[float] = []
+    if le < _LN_NORMAL and m + k0 + 1.0 < x:
+        rising, _ = poisson_increments(m + k0, x, _MAX_TERMS)
+        e_anchor = rising[0]
+    rise = len(rising) - 1
 
     total = w_up * q_anchor
     rel_tol = _REL_TOL
@@ -195,10 +207,13 @@ def marcum_q(m: float, a: float, b: float) -> float:
     # arithmetic is slower (the values are the same exact integers)
     w, qv, e = w_up, q_anchor, e_anchor
     k = float(k0)
-    for _ in range(_MAX_TERMS):
+    for i in range(_MAX_TERMS):
         w *= h / (k + 1.0)
         qv += e
-        e *= x / (m + k + 1.0)
+        if i < rise:
+            e = rising[i + 1]
+        else:
+            e *= x / (m + k + 1.0)
         k += 1.0
         total += w * qv
         if k > h and w < (rel_tol * (floor if total < floor else total)
@@ -343,6 +358,26 @@ def ln_poisson_term(s: float, x: float) -> Tuple[float, float]:
     err = 2.0 * _EPS * (s * abs(ln_ratio) + 2.0 * abs(x - s) + rest
                         + abs(value))
     return value, err
+
+
+def poisson_increments(s: float, x: float,
+                       limit: int) -> Tuple[List[float], float]:
+    """e_k = x^(s+k) e^(-x) / Gamma(s+k+1), k = 0 .. p, up to their peak
+    p = int(x - s) (at most `limit`, at least 0), and a bound on the
+    relative error of every e_k.
+
+    The peak is seeded from `ln_poisson_term`, most accurate there, and the
+    rest follow by e_(k-1) = e_k (s+k)/x, two roundings a step.  Below the
+    peak the increments only fall, so one that underflows loses only what
+    lies below the normal range; past it e_(k+1) = e_k x/(s+k+1) falls too.
+    """
+    peak = min(max(0, int(x - s)), limit)
+    ln_e, err = ln_poisson_term(s + peak, x)
+    e = math.exp(ln_e) if ln_e > MINLOG else 0.0
+    down = list(itertools.accumulate(
+        ((s + k) / x for k in range(peak, 0, -1)), mul, initial=e))
+    down.reverse()
+    return down, err + (2.0 * peak + 1.0) * _EPS
 
 
 def beta_increments(u: float) -> Tuple[Iterator[float], float]:

@@ -12,7 +12,8 @@ import pytest
 
 from hoytsense import specfun
 from hoytsense.average import (avg_auc_closed, avg_auc_quadrature,
-                               avg_cauc_closed, avg_pd_quadrature,
+                               avg_cauc_closed, avg_pd_closed,
+                               avg_pd_closed_curve, avg_pd_quadrature,
                                avg_pd_quadrature_curve,
                                _binomial_tails)
 from hoytsense.detector import (DetectorConfig, auc_quadrature,
@@ -296,8 +297,10 @@ def test_avg_pd_quadrature_behaviour():
                             form="finite_sum"),
     lambda: avg_cauc_closed(DetectorConfig(5.0), _f(0.5, 10.0),
                             form="series"),
+    lambda: avg_pd_closed(DetectorConfig(5.0), _f(0.5, 10.0), 14.0),
 ], ids=["avg_auc_quadrature", "avg_pd_quadrature", "auc_quadrature",
-        "auc_quadrature_small_u", "cauc_finite_sum", "cauc_series"])
+        "auc_quadrature_small_u", "cauc_finite_sum", "cauc_series",
+        "avg_pd_closed"])
 def test_deterministic_routes_return_python_floats(route):
     mv = route()
     assert type(mv.value) is float
@@ -328,6 +331,122 @@ def test_pd_curve_equals_per_threshold_calls_bit_for_bit(u):
                         for mv in curve] == [
                     (single[lam].value, single[lam].est_error,
                      single[lam].terms_used) for lam in lams], (q, db, points)
+
+
+@pytest.mark.parametrize("u", [0.7, 2.5, 5.0, 12.7, 20.0])
+def test_closed_pd_curve_equals_per_threshold_calls_bit_for_bit(u):
+    # one law shared by every threshold gives each exactly the value,
+    # est_error and term count of its own call
+    cfg = DetectorConfig(u)
+    for q in (0.07, 0.5, 1.0):
+        for db in (-5.0, 10.0, 30.0):
+            f = _f(q, 10.0 ** (db / 10.0))
+            single = {lam: avg_pd_closed(cfg, f, lam)
+                      for lam in _roc_thresholds(cfg, 33)}
+            for points in (2, 5, 33):
+                lams = _roc_thresholds(cfg, points)
+                curve = avg_pd_closed_curve(cfg, f, lams)
+                assert [(mv.value, mv.est_error, mv.terms_used)
+                        for mv in curve] == [
+                    (single[lam].value, single[lam].est_error,
+                     single[lam].terms_used) for lam in lams], (q, db, points)
+
+
+def test_closed_pd_within_est_error_of_reference():
+    # the scipy negative-binomial mixture, over the box and pf from 1e-12
+    # to 1/2, at the CLI's default tolerance and a tight one; 1e-15 leaves
+    # room for the reference's own rounding
+    import nb_reference as ref  # skips this test when scipy is missing
+    for u in (0.05, 0.7, 2.5, 5.0, 12.7, 60.5, 150.0, 500.0):
+        cfg = DetectorConfig(u)
+        lams = [threshold_for_pf(cfg, pf) for pf in (1e-12, 1e-6, 0.01, 0.5)]
+        for q in (1e-6, 1e-3, 0.1, 0.5, 1.0):
+            for db in (-10.0, 10.0, 30.0, 60.0):
+                mean = 10.0 ** (db / 10.0)
+                wants = [ref.avg_pd(u, q, mean, lam) for lam in lams]
+                for policy in (EvalPolicy(), TIGHT):
+                    curve = avg_pd_closed_curve(cfg, _f(q, mean), lams, policy)
+                    for lam, want, mv in zip(lams, wants, curve):
+                        assert abs(mv.value - want) <= mv.est_error + 1e-15, (
+                            u, q, db, lam, policy.rel_tol)
+
+
+def test_closed_pd_where_the_detection_sum_passes_its_cap():
+    # q = 1e-6, 20 to 28 dB: the law's tail falls by rho = 1 - 1/(2 mean)
+    # or so a term, and at u = 500 a Pd below 1/2 would need more than
+    # _MAX_TERMS terms of the detection sum (from ~23.5 dB at the default
+    # tolerance); those thresholds take 1 - miss and stay within est_error
+    import nb_reference as ref  # skips this test when scipy is missing
+    for u in (60.5, 500.0):
+        cfg = DetectorConfig(u)
+        lams = [threshold_for_pf(cfg, pf)
+                for pf in (1e-12, 1e-9, 1e-7, 1e-6, 1e-3)]
+        for db in (20.0, 22.0, 24.0, 25.0, 26.0, 28.0):
+            mean = 10.0 ** (db / 10.0)
+            wants = [ref.avg_pd(u, 1e-6, mean, lam) for lam in lams]
+            for policy in (EvalPolicy(), TIGHT):
+                curve = avg_pd_closed_curve(cfg, _f(1e-6, mean), lams, policy)
+                for lam, want, mv in zip(lams, wants, curve):
+                    assert abs(mv.value - want) <= mv.est_error + 1e-15, (
+                        u, db, lam, policy.rel_tol)
+
+
+def test_closed_pd_agrees_with_the_quadrature():
+    # the two routes share the column's start and nothing else.  60 dB is
+    # left out: there the quadrature converges falsely (Pd 1 for 0.999992
+    # at u = 5, q = 0.3), the defect the closed route removes from pd rows
+    for u in (0.7, 5.0, 60.5):
+        cfg = DetectorConfig(u)
+        lams = [threshold_for_pf(cfg, pf) for pf in (1e-12, 1e-6, 0.01, 0.5)]
+        for q in (0.1, 0.5, 1.0):
+            for db in (-10.0, 10.0, 30.0):
+                f = _f(q, 10.0 ** (db / 10.0))
+                closed = avg_pd_closed_curve(cfg, f, lams)
+                quad = avg_pd_quadrature_curve(cfg, f, lams)
+                for lam, c, qd in zip(lams, closed, quad):
+                    if isinstance(qd, ArithmeticError):
+                        continue
+                    assert abs(c.value - qd.value) <= (
+                        c.est_error + qd.est_error), (u, q, db, lam)
+
+
+def test_closed_tiny_average_pd_stays_relative():
+    # u=5, q=0.5, -10 dB, lambda=200: Pd = 2.4e-35 by the detection sum,
+    # within 1e-13 relative of the scipy mixture, est_error relative too
+    import nb_reference as ref  # skips this test when scipy is missing
+    want = ref.avg_pd(5.0, 0.5, 0.1, 200.0)
+    mv = avg_pd_closed(DetectorConfig(5.0), _f(0.5, 0.1), 200.0)
+    assert 2e-35 < want < 3e-35
+    assert abs(mv.value - want) <= min(mv.est_error, 1e-13 * want)
+    assert mv.est_error < 1e-11 * want
+
+
+def test_closed_pd_law_within_its_carried_bound():
+    # pi_l against the NB(1/2) * NB(1/2) convolution at 40 digits, up to
+    # l = 600, where the bound grows like l^2 eps with s near 1
+    mp = pytest.importorskip("mpmath")
+    from hoytsense.average import _Law
+    count = 601
+    for q, db in ((0.5, 10.0), (0.1, 30.0), (0.3, 60.0), (1.0, 60.0),
+                  (1e-6, 30.0), (1e-3, -10.0)):
+        mean = 10.0 ** (db / 10.0)
+        law = _Law(q, mean)
+        law.extend(count)
+        with mp.workdps(40):
+            q2 = mp.mpf(q) ** 2
+            pmfs = []
+            for theta in (2 * mean / (1 + q2), 2 * mean * q2 / (1 + q2)):
+                p = theta / (1 + theta)
+                pmf = [1 / mp.sqrt(1 + theta)]
+                for k in range(count - 1):
+                    pmf.append(pmf[-1] * (k + mp.mpf(0.5)) * p / (k + 1))
+                pmfs.append(pmf)
+            for l in range(count):
+                want = mp.fsum(pmfs[0][j] * pmfs[1][l - j]
+                               for j in range(l + 1))
+                if want < 1e-300:
+                    break
+                assert abs(law.pi[l] - want) <= law.rel[l] * want, (q, db, l)
 
 
 def _marcum_columns_mp(mp, u, b, count):

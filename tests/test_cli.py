@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hoytsense import average, cli, detector, montecarlo, specfun
+from hoytsense import average, cli, detector, montecarlo
 from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import QuadratureError
 from hoytsense.specfun import ConvergenceError
@@ -143,7 +143,7 @@ def test_sweep_method_all_expands_routes(capsys):
     # each metric's routes in order; its default is the first of them
     expanded = {"auc": ["closed_integer", "quadrature", "monte_carlo"],
                 "cauc": ["closed_integer", "quadrature", "monte_carlo"],
-                "pd": ["quadrature", "monte_carlo"],
+                "pd": ["closed_series", "quadrature", "monte_carlo"],
                 "pf": ["closed_integer", "monte_carlo"]}
     for metric, labels in expanded.items():
         argv = ("sweep", "--metric", metric, "--u", "2", "--q", "0.5",
@@ -200,7 +200,7 @@ def test_point_fractional_u_at_60_db(capsys, monkeypatch):
     (row,) = parse_rows(out)
     assert row[4] == "closed_series"
     want = ref.avg_cauc(2.5, 0.5, 1e6)
-    assert abs(float(row[5]) - want) <= float(row[6])
+    assert abs(float(row[5]) - want) <= float(row[6]) + 1e-15
     assert [mv.terms_used <= 300 for mv in seen] == [True]
 
 
@@ -249,7 +249,7 @@ def test_sweep_pd_pf_with_threshold(capsys):
                            "--lambda", "15")
     assert code == 0
     rows = parse_rows(out)
-    assert all(r[3] == "pd" and r[4] == "quadrature" for r in rows)
+    assert all(r[3] == "pd" and r[4] == "closed_series" for r in rows)
     assert float(rows[1][5]) > float(rows[0][5])
     code, out, _ = run_cli(capsys, "sweep", "--metric", "pf", "--u", "5",
                            "--q", "0.5", "--snr-db", "0:10:10",
@@ -283,9 +283,9 @@ def test_sweep_usage_errors(capsys):
     assert run_cli(capsys, "sweep", "--u", "5", "--q", "0.5",
                    "--snr-db", "-inf:10:1")[0] == 2
     code, _, err = run_cli(capsys, *base, "--snr-db", "0:10:1",
-                           "--metric", "pd", "--method", "closed",
+                           "--metric", "pd", "--method", "series",
                            "--lambda", "3")
-    assert code == 2 and "not implemented" in err   # closed avg pd
+    assert code == 2 and "supports methods closed, quadrature, mc" in err
     assert run_cli(capsys, *base, "--snr-db", "0:10:1", "--trials", "0")[0] == 2
 
 
@@ -313,10 +313,15 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
     monkeypatch.setattr(average, "avg_auc_quadrature", give_up)
     monkeypatch.setattr(average, "avg_pd_quadrature", give_up)
     monkeypatch.setattr(average, "avg_pd_quadrature_curve", give_up)
+    # pd's default route and roc's only one: its per-threshold step gives up
+    monkeypatch.setattr(average, "_closed_pd", give_up)
     for argv in (("sweep", "--metric", "auc", "--method", "quadrature",
                   "--u", "2", "--q", "0.5", "--snr-db", "0:5:5"),
                  ("point", "--metric", "pd", "--u", "2", "--q", "0.5",
                   "--snr-db", "5", "--lambda", "10"),
+                 ("sweep", "--metric", "pd", "--method", "quadrature",
+                  "--u", "2", "--q", "0.5", "--snr-db", "5", "--lambda",
+                  "10"),
                  ("roc", "--u", "2", "--q", "0.5", "--snr-db", "5",
                   "--points", "2")):
         code, out, err = run_cli(capsys, *argv)
@@ -330,24 +335,23 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
 
 
 def test_roc_failure_stays_with_its_point(capsys, monkeypatch):
-    # all thresholds share one pass over the SNR nodes; a Marcum Q failure
-    # at one threshold fails that point's two rows and leaves the others
-    # as they are without it
+    # all thresholds share one law of the averaged Poisson count; a failure
+    # of the closed series at one threshold fails that point's two rows and
+    # leaves the others as they are without it
     argv = ("roc", "--u", "2.5", "--q", "0.5", "--snr-db", "10",
             "--points", "5")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     clean = parse_rows(out)
-    bad_b = math.sqrt(detector.threshold_for_pf(detector.DetectorConfig(2.5),
-                                                0.5))
-    marcum_q = specfun.marcum_q
+    bad_lam = detector.threshold_for_pf(detector.DetectorConfig(2.5), 0.5)
+    closed_pd = average._closed_pd
 
-    def fails_at_bad_b(m, a, b):
-        if b == bad_b:
-            raise ConvergenceError("synthetic marcum_q failure")
-        return marcum_q(m, a, b)
+    def fails_at_bad_lam(law, u, threshold, rel_tol):
+        if threshold == bad_lam:
+            raise ConvergenceError("synthetic closed-series failure")
+        return closed_pd(law, u, threshold, rel_tol)
 
-    monkeypatch.setattr(specfun, "marcum_q", fails_at_bad_b)
+    monkeypatch.setattr(average, "_closed_pd", fails_at_bad_lam)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     rows = parse_rows(out)
@@ -357,7 +361,51 @@ def test_roc_failure_stays_with_its_point(capsys, monkeypatch):
             assert row[:4] == want[:4] and row[5:] == ["nan", "inf"]
         else:
             assert row == want, index
-    assert err.count("synthetic marcum_q failure") == 2
+    assert err.count("synthetic closed-series failure") == 2
+
+
+@pytest.mark.parametrize("snr_db", ["24", "25"])
+def test_roc_where_the_detection_sum_passes_its_cap(capsys, snr_db):
+    # u=500, q=1e-6: the law's tail falls by rho ~ 0.998 a term, so the
+    # detection sum of Pd < 1/2 at pf = 1e-9 would need more than 10,000
+    # terms; Pd is 1 - miss there, and point gives roc's row
+    import nb_reference as ref  # skips this test when scipy is missing
+    mean = 10.0 ** (float(snr_db) / 10.0)
+    code, out, err = run_cli(capsys, "roc", "--u", "500", "--q", "1e-6",
+                             "--snr-db", snr_db)
+    assert code == 0 and err == ""
+    rows = parse_rows(out)
+    pd_rows = [row for row in rows if row[3] == "pd"]
+    assert len(pd_rows) == 21
+    lam = detector.threshold_for_pf(detector.DetectorConfig(500.0), 1e-9)
+    assert float(rows[0][5]) == pytest.approx(1e-9, rel=1e-9)
+    assert float(pd_rows[0][5]) < 0.5
+    code, out, err = run_cli(capsys, "point", "--metric", "pd", "--u", "500",
+                             "--q", "1e-6", "--snr-db", snr_db,
+                             "--lambda", repr(lam))
+    assert code == 0 and err == ""
+    (row,) = parse_rows(out)
+    assert row == pd_rows[0]
+    want = ref.avg_pd(500.0, 1e-6, mean, lam)
+    assert abs(float(row[5]) - want) <= float(row[6]) + 1e-15
+
+
+@pytest.mark.parametrize("argv", [
+    "point --metric pd --u 0.05 --q 0.5 --snr-db 10",
+    "point --metric pd --u 5 --snr-db 3",
+    "sweep --metric pd --method closed --u 0.05 --q 0.5 --snr-db 10",
+    "sweep --metric pd --method quadrature --u 0.05 --q 0.5 --snr-db 10",
+    "sweep --metric pd --method mc --u 0.05 --q 0.5 --snr-db 10 "
+    "--trials 1000",
+])
+def test_threshold_whose_half_underflows_is_the_zero_threshold(capsys,
+                                                               argv):
+    # lambda/2 rounds to 0: every pd route takes it as the zero threshold
+    # and prints Pd = 1 within its est_error
+    code, out, err = run_cli(capsys, *argv.split(), "--lambda", "5e-324")
+    assert code == 0 and err == ""
+    (row,) = parse_rows(out)
+    assert abs(float(row[5]) - 1.0) <= float(row[6])
 
 
 @pytest.mark.parametrize("u", ["0.7", "2.5", "5", "12.7", "20", "60.5"])
@@ -478,7 +526,7 @@ def test_method_series_answers_where_the_finite_sum_overflows(capsys):
     (row,) = parse_rows(out)
     assert row[4] == "closed_series"
     want = ref.avg_cauc(150.0, 0.5, 1000.0)
-    assert abs(float(row[5]) - want) <= float(row[6])
+    assert abs(float(row[5]) - want) <= float(row[6]) + 1e-15
 
 
 @pytest.mark.parametrize("excess, code", [(0.5, 0), (10.0, 3)])

@@ -25,7 +25,7 @@ GOLDEN = [
     ("sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
      "16e1fbd5befeae3f8307c1ec312ec6181cc845de572d44aad0d8849aa0929958"),
     ("roc --u 5 --q 0.5 --snr-db 10 --points 33",
-     "0bcadf56efc465b813134dbc562e9fdc58784da104865fd8f3e30d3758293c9f"),
+     "2ac10dbef8cf2c023b3c008b3bb931951074c2613bcb2b20d31c712b6c72eb9e"),
     ("sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
      "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
     # the real-u series, a seeded Monte Carlo sweep and a quadrature row

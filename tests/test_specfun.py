@@ -238,6 +238,28 @@ def test_marcum_below_the_normal_range(b):
     assert best < 1e-3
 
 
+def test_marcum_subnormal_anchor_increment():
+    # at h = 65, x = 1012.5 the increment at the Poisson mode is subnormal
+    # while the increments still rise; upward products from it put Q 0.86%
+    # high.  The mixture's terms peak near k = 200, far above the mode, and
+    # are below 1e-300 of the total by k = 600
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        h = mpmath.mpf(11.4) ** 2 / 2
+        x = mpmath.mpf(45) ** 2 / 2
+        want = mpmath.fsum(
+            mpmath.exp(-h) * h ** k / mpmath.factorial(k)
+            * mpmath.gammainc(12.7 + k, x, regularized=True)
+            for k in range(600))
+    assert abs(marcum_q(12.7, 11.4, 45.0) - want) <= 1e-13 * want
+
+
+def test_marcum_threshold_whose_half_underflows():
+    # b^2/2 below the subnormal range is the zero threshold, not log(0)
+    for m, a in ((0.05, 0.0), (0.05, 3.0), (5.0, 3.0)):
+        assert marcum_q(m, a, math.sqrt(5e-324)) == 1.0
+
+
 def test_kummer_overflow_raises():
     # the terms pass double range near k = x; inf <= rel_tol * inf must not
     # end the sum as converged
