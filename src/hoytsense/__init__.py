@@ -12,8 +12,7 @@ from .detector import (DetectorConfig, MetricValue, auc_awgn,
                        cauc_awgn, pd, pf, roc_points_awgn, threshold_for_pf)
 from .hoyt import HoytFading, sample_snr, snr_cdf, snr_mgf, snr_pdf
 from .average import (avg_auc_closed, avg_auc_quadrature, avg_cauc_closed,
-                      avg_pd_closed, avg_pd_closed_curve, avg_pd_quadrature,
-                      avg_pd_quadrature_curve)
+                      avg_pd_closed, avg_pd_closed_curve, avg_pd_quadrature)
 from .montecarlo import (McConfig, McEstimate, batch_rng, estimate_auc,
                          estimate_pd, sample_statistic)
 from .quadrature import (EvalPolicy, QuadratureError, integrate_half_line,
@@ -33,7 +32,7 @@ __all__ = [
     "snr_pdf", "snr_cdf", "snr_mgf", "sample_snr",
     "avg_auc_closed", "avg_cauc_closed", "avg_auc_quadrature",
     "avg_pd_closed", "avg_pd_closed_curve",
-    "avg_pd_quadrature", "avg_pd_quadrature_curve",
+    "avg_pd_quadrature",
     "batch_rng", "sample_statistic", "estimate_auc", "estimate_pd",
     "integrate_unit_interval", "integrate_half_line",
     "run_suite",

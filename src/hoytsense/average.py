@@ -41,8 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from . import specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
-from .quadrature import (EvalPolicy, integrate_half_line,
-                         integrate_half_line_many)
+from .quadrature import EvalPolicy, integrate_half_line
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "avg_pd_closed",
     "avg_pd_closed_curve",
     "avg_pd_quadrature",
-    "avg_pd_quadrature_curve",
 ]
 
 _EPS = 2.0 ** -52
@@ -264,7 +262,7 @@ _WINDOW_MASS = 1e-20
 _SUM_TOL = 1e-16
 _TAIL_FLOOR = 1e-320
 _REL_FLOOR = 1e-300
-# a node past h = 2^16 fails the pairs it takes part in (marcum_q stalls
+# a node past h = 2^16 fails the integral that needs it (marcum_q stalls
 # there too: at u=5, 60 dB it gives up from lambda ~ 3e5, h ~ 8e4); a
 # window reaches at most _MAX_TERMS past its mode, so no column needs an
 # entry past _MAX_H + _MAX_TERMS
@@ -435,112 +433,68 @@ def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
                    + (hi - lo) * 5e-324)
 
 
-def avg_pd_quadrature_curve(cfg: DetectorConfig, f: HoytFading,
-                            thresholds: Sequence[float],
-                            policy: EvalPolicy = _DEFAULT_POLICY,
-                            ) -> List[Union[MetricValue, ArithmeticError]]:
-    """Average detection probability at each of several thresholds.
-
-    All thresholds share one quadrature pass over the SNR nodes g, and the
-    Marcum Q_u(sqrt(2g), b) of every (node, threshold) pair is the Poisson
-    mixture sum_k Pois(k; g) Q(u+k, b^2/2) built from shared parts: each
-    node computes its window of Poisson weights once, each threshold its
-    column Q(u+k, b^2/2) once, and a pair is one dot product of the two
-    (`_mixture`).  A pair's sum stops by its own running total, and each
-    threshold's integral refines, stops and fails on its own, so entry i is
-    exactly avg_pd_quadrature(cfg, f, thresholds[i], policy), or the
-    ArithmeticError that call would raise.  A threshold that is negative,
-    nan or inf raises ValueError before any integration.
-
-    est_error adds the node errors to the last change between levels.  The
-    weights and the density are positive, so if no node is off by more
-    than r times its value, the integral is off by at most r times its
-    own: each threshold takes the largest such ratio over its nodes whose
-    value is above 1e-300 (and the largest error over the others), which
-    keeps a tiny average Pd's error relative to it.
-    """
-    for threshold in thresholds:
-        if not 0.0 <= threshold < math.inf:
-            raise ValueError(
-                f"threshold must be finite and >= 0, got {threshold}")
-    u = cfg.time_bandwidth
-    # a zero threshold is detected with certainty and needs no integral
-    positive = [i for i, t in enumerate(thresholds) if t != 0.0]
-    out: List[Union[MetricValue, ArithmeticError]] = [
-        MetricValue(1.0, "quadrature", 0, 0.0)] * len(thresholds)
-    if not positive:
-        return out
-    # past max b + 12 every pair is a sure detection and needs no window
-    sure = math.sqrt(max(thresholds)) + _SURE
-
-    def node(g: float):
-        density = snr_pdf(f, g)
-        if density == 0.0:
-            return None
-        a = math.sqrt(2.0 * g)
-        h = 0.5 * a * a
-        return density, a, (_Window(h) if a <= sure and h <= _MAX_H
-                            else None)
-
-    # per threshold: the largest node error relative to its node's value,
-    # and the largest at a node whose value is below _REL_FLOOR, where the
-    # absolute floors of _mixture's bound dominate
-    node_rel = [0.0] * len(thresholds)
-    node_abs = [0.0] * len(thresholds)
-
-    def pd_integrand(i: int):
-        b = math.sqrt(thresholds[i])
-        reach = b + _SURE
-        col: Optional[_Column] = None
-
-        def integrand(state) -> float:
-            nonlocal col
-            if state is None:
-                return 0.0
-            density, a, win = state
-            if a > reach:
-                return density
-            if win is None:
-                raise ConvergenceError(
-                    f"Marcum Q at a^2/2 = {0.5 * a * a} past {_MAX_H} "
-                    f"(u={u}, b={b})")
-            if col is None:
-                col = _Column(u, b)
-            value, err = _mixture(win, col)
-            if err > node_rel[i] * value:
-                if value > _REL_FLOOR:
-                    node_rel[i] = err / value
-                elif err > node_abs[i]:
-                    node_abs[i] = err
-            return value * density
-        return integrand
-
-    outcomes = integrate_half_line_many(
-        node, [pd_integrand(i) for i in positive], policy, scale=f.mean_snr)
-    for i, outcome in zip(positive, outcomes):
-        if isinstance(outcome, ArithmeticError):
-            out[i] = outcome
-            continue
-        value, delta, evals = outcome
-        out[i] = MetricValue(value, "quadrature", evals, delta + node_rel[i]
-                             * abs(value) + node_abs[i])
-    return out
-
-
 def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
                       policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Average detection probability at a fixed threshold.
 
-    The one-threshold call of `avg_pd_quadrature_curve`, raising where that
-    returns an error: the threshold's column of Q(u+k, threshold/2) meets
-    each SNR node's window of Poisson weights in one dot product.  It is the
-    independent check of `avg_pd_closed`, the closed positive series over
-    the negative-binomial law of the same Poisson count.
+    The quadrature over the SNR nodes g of Q_u(sqrt(2g), b) times the
+    density, b = sqrt(threshold).  Each node's Marcum Q is the Poisson
+    mixture sum_k Pois(k; g) Q(u+k, b^2/2): the node's window of Poisson
+    weights meets the threshold's column Q(u+k, b^2/2), built once per
+    call, in one dot product (`_mixture`).  It is the independent check of
+    `avg_pd_closed`, the closed positive series over the negative-binomial
+    law of the same Poisson count.
+
+    est_error adds the node errors to the last change between levels.  The
+    weights and the density are positive, so if no node is off by more
+    than r times its value, the integral is off by at most r times its
+    own: it takes the largest such ratio over the nodes whose value is
+    above 1e-300 (and the largest error over the others), which keeps a
+    tiny average Pd's error relative to it.
     """
-    (mv,) = avg_pd_quadrature_curve(cfg, f, (threshold,), policy)
-    if isinstance(mv, ArithmeticError):
-        raise mv
-    return mv
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(
+            f"threshold must be finite and >= 0, got {threshold}")
+    # a zero threshold is detected with certainty and needs no integral
+    if threshold == 0.0:
+        return MetricValue(1.0, "quadrature", 0, 0.0)
+    u = cfg.time_bandwidth
+    b = math.sqrt(threshold)
+    reach = b + _SURE
+    col: Optional[_Column] = None
+    # the largest node error relative to its node's value, and the largest
+    # at a node whose value is below _REL_FLOOR, where the absolute floors
+    # of _mixture's bound dominate
+    node_rel = 0.0
+    node_abs = 0.0
+
+    def integrand(g: float) -> float:
+        nonlocal col, node_rel, node_abs
+        density = snr_pdf(f, g)
+        if density == 0.0:
+            return 0.0
+        a = math.sqrt(2.0 * g)
+        if a > reach:
+            return density
+        h = 0.5 * a * a
+        if h > _MAX_H:
+            raise ConvergenceError(
+                f"Marcum Q at a^2/2 = {h} past {_MAX_H} (u={u}, b={b})")
+        win = _Window(h)
+        if col is None:
+            col = _Column(u, b)
+        value, err = _mixture(win, col)
+        if err > node_rel * value:
+            if value > _REL_FLOOR:
+                node_rel = err / value
+            elif err > node_abs:
+                node_abs = err
+        return value * density
+
+    value, delta, evals = integrate_half_line(integrand, policy,
+                                              scale=f.mean_snr)
+    return MetricValue(value, "quadrature", evals,
+                       delta + node_rel * abs(value) + node_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,6 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
 
     monkeypatch.setattr(average, "avg_auc_quadrature", give_up)
     monkeypatch.setattr(average, "avg_pd_quadrature", give_up)
-    monkeypatch.setattr(average, "avg_pd_quadrature_curve", give_up)
     # pd's default route and roc's only one: its per-threshold step gives up
     monkeypatch.setattr(average, "_closed_pd", give_up)
     for argv in (("sweep", "--metric", "auc", "--method", "quadrature",
@@ -332,6 +331,16 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
     # outside a row loop it is a non-convergence exit, not a traceback
     monkeypatch.setattr(cli.validation, "run_suite", give_up)
     assert run_cli(capsys, "validate", "--suite", "average")[0] == 3
+
+
+def test_quadrature_pd_past_the_window_cap_is_a_failed_row(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--metric", "pd", "--method",
+                             "quadrature", "--u", "5", "--q", "0.5",
+                             "--snr-db", "60", "--lambda", "3e5")
+    assert code == 3
+    rows = parse_rows(out)
+    assert len(rows) == 1 and rows[0][5:] == ["nan", "inf"]
+    assert "past 65536.0" in err
 
 
 def test_roc_failure_stays_with_its_point(capsys, monkeypatch):

@@ -115,6 +115,24 @@ def test_non_finite_level_raises_at_once():
         with pytest.raises(QuadratureError, match="level 0"):
             integrate_unit_interval(f, TIGHT)
         assert len(calls) == 32
+    # an integrand's own ArithmeticError leaves as it was raised, type and
+    # message unchanged, and ends the integral there
+    for integrate, past in ((integrate_half_line, 50.0),
+                            (integrate_unit_interval, 0.5)):
+        raised = []
+
+        def g(x):
+            try:
+                return 1.0 / (0.0 if x > past else 1.0)
+            except ZeroDivisionError as exc:
+                raised.append(exc)
+                raise
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(g, TIGHT)
+        assert type(info.value) is ZeroDivisionError
+        assert str(info.value) == "float division by zero"
+        assert raised == [info.value]
 
 
 def test_reported_error_is_honest():
@@ -125,54 +143,3 @@ def test_reported_error_is_honest():
     assert abs(value - true) <= max(err, 1e-14) * 10.0
     assert value == pytest.approx(true, rel=1e-12)
 
-
-
-def test_shared_nodes_give_each_integrand_its_own_outcome():
-    # integrate_half_line_many evaluates node(x) once per node for all
-    # integrands; each one converges, fails a panel or raises on its own,
-    # exactly as it does alone, and the rest carry on
-    policy = EvalPolicy(rel_tol=1e-12)
-    integrands = [
-        lambda s: s[1],                                  # settles early
-        lambda s: s[1] * s[0] ** 6,                      # needs more levels
-        lambda s: math.nan if s[0] > 5.0 else s[1],      # non-finite panel
-        lambda s: 1.0 / (0.0 if s[0] > 50.0 else 1.0),   # raises past x=50
-    ]
-    calls = []
-
-    def node(x):
-        calls.append(x)
-        return x, math.exp(-x)
-
-    outcomes = quadrature.integrate_half_line_many(node, integrands, policy,
-                                                   scale=2.0)
-    shared_nodes = len(calls)
-    alone = []
-    for f in integrands:
-        try:
-            alone.append(integrate_half_line(lambda x: f(node(x)), policy,
-                                             scale=2.0))
-        except ArithmeticError as exc:
-            alone.append(exc)
-    assert outcomes[:2] == alone[:2]
-    assert outcomes[0][2] < outcomes[1][2]
-    for got, want, kind in zip(outcomes[2:], alone[2:],
-                               (QuadratureError, ZeroDivisionError)):
-        assert type(got) is type(want) is kind
-        assert str(got) == str(want)
-    # the pass ends with the last integrand to retire
-    assert shared_nodes == outcomes[1][2]
-    # a failing shared step fails every integrand still running, after
-    # each has seen the nodes before it: past x=50 the last integrand has
-    # raised already, and the NaN panel is not yet complete
-    def failing_node(x):
-        if x > 100.0:
-            raise OverflowError("synthetic node failure")
-        return x, math.exp(-x)
-
-    outcomes = quadrature.integrate_half_line_many(failing_node, integrands,
-                                                   policy, scale=2.0)
-    assert isinstance(outcomes[3], ZeroDivisionError)
-    for got in outcomes[:3]:
-        assert type(got) is OverflowError
-        assert str(got) == "synthetic node failure"
