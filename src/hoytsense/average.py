@@ -28,7 +28,8 @@ tails come from one pass over the Bin(2u-1, 1/2) pmf.
 The averaged detection probability has a closed route too: the series'
 terms are the law of the Poisson count that the Hoyt-averaged statistic
 carries, so 1 - Pd is a positive sum over that law (`avg_pd_closed`).  Its
-quadrature (`avg_pd_quadrature`) is the independent check.
+quadrature (`avg_pd_quadrature`) is the independent check; each node sums
+`specfun`'s Marcum Q mixture against one column per threshold.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from . import specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
-from .specfun import ConvergenceError
+from .specfun import _SURE, ConvergenceError, _Column, _Window, _mixture
 
 __all__ = [
     "avg_auc_closed",
@@ -252,185 +253,11 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     return MetricValue(value, "quadrature", evals, err + node_err)
 
 
-# the shared Poisson mixture of the averaged Pd (see _mixture): a node's
-# window leaves out at most _WINDOW_MASS of Poisson mass on each side, and
-# a sum stops once its upper tail is below _SUM_TOL of the running total,
-# or below _TAIL_FLOOR, deep in the subnormal range, where a weight times a
-# ratio above 1/2 rounds back to the smallest subnormal and stops falling
-_SURE = 12.0  # a > b + 12: the miss probability is below exp(-72), Pd = 1
-_WINDOW_MASS = 1e-20
-_SUM_TOL = 1e-16
-_TAIL_FLOOR = 1e-320
 _REL_FLOOR = 1e-300
-# a node past h = 2^16 fails the integral that needs it (marcum_q stalls
-# there too: at u=5, 60 dB it gives up from lambda ~ 3e5, h ~ 8e4); a
-# window reaches at most _MAX_TERMS past its mode, so no column needs an
-# entry past _MAX_H + _MAX_TERMS
+# a node past h = 2^16 fails the integral that needs it (its column starts
+# at k = 0; marcum_q alone reaches h ~ 1e6), and a window reaches at most
+# _MAX_TERMS past its mode: no column needs an entry past their sum
 _MAX_H = float(2 ** 16)
-
-
-class _Window:
-    """Poisson(h) weights w_k of one SNR node, k = lo, lo+1, ...
-
-    Built outward from the mode k0 = int(h) by the same products as
-    `specfun.marcum_q`.  The core [lo, hi) stops on each side at the first
-    weight that bounds the mass beyond it by _WINDOW_MASS; `below` and `top`
-    are those bounds, and `above(k)` bounds the mass from any k > h up (hi
-    is past h already).  `grow` appends weights past the core, below
-    `limit` (_MAX_TERMS past the mode), for a sum that needs them.  The
-    weights are used divided by `mass`, the core's sum: every weight shares
-    the rounding of the mode's exponent, k0 ln h - h - lnGamma(k0+1) (about
-    1e-12 relative at h = 1000), and the true mass is 1, so the division
-    removes that error.
-    """
-
-    __slots__ = ("h", "lo", "hi", "limit", "w", "below", "top", "mass")
-
-    def __init__(self, h: float) -> None:
-        self.h = h
-        if h == 0.0:
-            self.lo, self.hi, self.limit, self.w = 0, 1, 1, [1.0]
-            self.below = self.top = 0.0
-            self.mass = 1.0
-            return
-        k0 = int(h)
-        self.limit = k0 + specfun._MAX_TERMS + 1
-        w_mode = math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
-        # downward, w_(k-1) = w_k k/h, to the first k where the mass under
-        # it, at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is
-        # below _WINDOW_MASS
-        w, last, k = [w_mode], w_mode, k0
-        append = w.append
-        while k > 0:
-            rho = k / h
-            if last * rho <= _WINDOW_MASS * (1.0 - rho):
-                break
-            last *= rho
-            k -= 1
-            append(last)
-        self.below = last * rho / (1.0 - rho) if k > 0 else 0.0
-        w.reverse()
-        self.lo, self.w = k, w
-        # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
-        last, k = w_mode, k0
-        while True:
-            r = h / (k + 1)
-            if last * r <= _WINDOW_MASS * (1.0 - r):
-                break
-            if k + 1 == self.limit:
-                raise ConvergenceError(
-                    f"Poisson window of h={h} passed {specfun._MAX_TERMS} "
-                    f"terms past its mode")
-            last *= r
-            k += 1
-            append(last)
-        self.hi, self.top = k + 1, last * r / (1.0 - r)
-        self.mass = sum(w)
-
-    def above(self, k: int) -> float:
-        # the mass from k > h up is at most w_(k-1) r/(1 - r), r = h/k
-        r = self.h / k
-        return self.w[k - 1 - self.lo] * r / (1.0 - r)
-
-    def grow(self, hi: int) -> None:
-        # weights up to k = hi - 1, by w_k = w_(k-1) h/k
-        w, h = self.w, self.h
-        k = self.lo + len(w)
-        if hi <= k:
-            return
-        more = itertools.accumulate([h / j for j in range(k, hi)], mul,
-                                    initial=w[-1])
-        next(more)
-        w.extend(more)
-
-
-class _Column:
-    """Q(u+k, x) of one threshold, x = b^2/2, for k = 0, 1, ..., on demand.
-
-    The k = 0 entry is Q_u(0, b) from `specfun.marcum_q`; the rest follow by
-    the upward recurrence Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) /
-    Gamma(s+1), s = u + k, which only adds positive terms.  The increments
-    are products away from their peak at s ~ x, seeded there from
-    `specfun.ln_poisson_term` where its logarithm is small; below the peak
-    they fall by (u+k)/x, above it by x/(u+k+1), so an increment that
-    underflows only ever loses what is below the normal range.  Every
-    entry is off by at most `abs0`, the k = 0 entry's error (the kernel's
-    stopping tolerance and the rounding of its prefactor), plus `err`
-    relative in the increments it adds, and 2 ulps a step past the peak.
-    """
-
-    __slots__ = ("u", "x", "c", "e", "err", "abs0")
-
-    def __init__(self, u: float, b: float) -> None:
-        # through the module, so that wrappers of specfun.marcum_q see it
-        c0 = specfun.marcum_q(u, 0.0, b)
-        x = 0.5 * b * b
-        self.u, self.x = u, x
-        if x == 0.0:  # the zero threshold: every entry is 1
-            self.c, self.e, self.err, self.abs0 = [c0], 0.0, 0.0, 0.0
-            return
-        # reg_upper_gamma rounds its prefactor u ln x - x - lnGamma(u), and
-        # its 1 - P branch at most triples a relative error
-        self.abs0 = 3.0 * c0 * (specfun._REL_TOL + 2.0 * _EPS * (
-            u * abs(math.log(x)) + x + abs(math.lgamma(u))))
-        down, self.err = specfun.poisson_increments(
-            u, x, int(_MAX_H) + specfun._MAX_TERMS)
-        self.c = list(itertools.accumulate(down, initial=c0))
-        peak = len(down) - 1
-        self.e = down[-1] * (x / (u + peak + 1.0))
-
-    def extend(self, n: int) -> None:
-        # entries up to k = n - 1; self.e is the increment past the last
-        c, u, x = self.c, self.u, self.x
-        k = len(c) - 1
-        if n <= k + 1:
-            return
-        # e_k .. e_(n-1), by e_(j) = e_(j-1) x/(u+j)
-        es = list(itertools.accumulate([x / (u + j) for j in range(k + 1, n)],
-                                       mul, initial=self.e))
-        self.e = es.pop()
-        more = itertools.accumulate(es, initial=c[-1])
-        next(more)
-        c.extend(more)
-
-
-def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
-    """Q_u(a, b) = sum_k w_k Q(u+k, b^2/2) and a bound on its error.
-
-    The sum runs over the node's core window as one dot product; while the
-    weight mass above it, times Q <= 1, exceeds _SUM_TOL of the total, it
-    grows by chunks that double the window.  The bound adds that upper
-    tail, the mass under the window times the smallest Q it holds (Q rises
-    with k), the core's missing mass that the division by `mass` spreads
-    over the weights, the column's own error, and the rounding of the
-    weight and column recurrences (an ulp a step) and of the sums.
-    """
-    lo, hi, w = win.lo, win.hi, win.w
-    c = col.c
-    if len(c) < hi:
-        col.extend(hi)
-    # w may hold weights past hi: map stops at the column slice's end
-    total = sum(map(mul, w, c[lo:hi]))
-    above = win.top
-    while above > _SUM_TOL * total and above > _TAIL_FLOOR:
-        grown = min(2 * hi - lo, win.limit)
-        if grown == hi:
-            raise ConvergenceError(
-                f"Poisson mixture at h={win.h}, x={col.x} passed "
-                f"{specfun._MAX_TERMS} terms past the mode")
-        win.grow(grown)
-        col.extend(grown)
-        total += sum(map(mul, w[hi - lo:grown - lo], c[hi:grown]))
-        hi = grown
-        above = win.above(hi)
-    mass = win.mass
-    total /= mass
-    rounding = win.below + win.top + (6.0 * hi - 4.0 * lo + 1.0) * _EPS
-    # the increments are at most total - Q(u, x) of the total; a subnormal
-    # product or sum rounds by up to 2^-1074 whatever its size
-    return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
-                   + (above + c[lo] * win.below) / mass
-                   + (hi - lo) * 5e-324)
 
 
 def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
@@ -441,9 +268,9 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     density, b = sqrt(threshold).  Each node's Marcum Q is the Poisson
     mixture sum_k Pois(k; g) Q(u+k, b^2/2): the node's window of Poisson
     weights meets the threshold's column Q(u+k, b^2/2), built once per
-    call, in one dot product (`_mixture`).  It is the independent check of
-    `avg_pd_closed`, the closed positive series over the negative-binomial
-    law of the same Poisson count.
+    call from k = 0, in one dot product (`specfun._mixture`).  It is the
+    independent check of `avg_pd_closed`, the closed positive series over
+    the negative-binomial law of the same Poisson count.
 
     est_error adds the node errors to the last change between levels.  The
     weights and the density are positive, so if no node is off by more
@@ -482,7 +309,7 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
                 f"Marcum Q at a^2/2 = {h} past {_MAX_H} (u={u}, b={b})")
         win = _Window(h)
         if col is None:
-            col = _Column(u, b)
+            col = _Column(u, b, 0, int(_MAX_H) + specfun._MAX_TERMS)
         value, err = _mixture(win, col)
         if err > node_rel * value:
             if value > _REL_FLOOR:
@@ -631,7 +458,8 @@ def _closed_hit(law: _Law, u: float, threshold: float, x: float,
     rho = law.rho
     if not rho < 1.0:  # mean SNR past 2^53: no tail bound in double
         return None, 0, math.inf
-    col = _Column(u, math.sqrt(threshold))
+    col = _Column(u, math.sqrt(threshold), 0,
+                  int(_MAX_H) + specfun._MAX_TERMS)
     pi, c = law.pi, col.c
     total, lo, hi = 0.0, 0, len(c) + 16
     while True:

@@ -336,8 +336,8 @@ def _eval_row(metric: str, method: str, cfg: DetectorConfig,
         val, label, err = est.value, "monte_carlo", est.std_error
     elif not isinstance(channel, HoytFading):
         if metric in ("pd", "pf"):
-            return (detector.pd(cfg, channel, threshold), _closed_label(cfg),
-                    1e-15)
+            value, err = detector._pd(cfg, channel, threshold)
+            return value, _closed_label(cfg), err
         fixed = detector.auc_awgn if metric == "auc" else detector.cauc_awgn
         mv = fixed(cfg, channel, policy)
         return mv.value, mv.method, mv.est_error

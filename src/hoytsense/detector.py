@@ -114,6 +114,12 @@ def pd(cfg: DetectorConfig, snr: float, threshold: float) -> float:
     pf (same incomplete-gamma evaluation), which keeps ROC curves honest at
     the no-signal end.
     """
+    return _pd(cfg, snr, threshold)[0]
+
+
+def _pd(cfg: DetectorConfig, snr: float,
+        threshold: float) -> Tuple[float, float]:
+    # pd and its error bound (at snr = 0 the fixed 1e-15 of pf rows)
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if not 0.0 <= threshold < math.inf:
@@ -121,9 +127,9 @@ def pd(cfg: DetectorConfig, snr: float, threshold: float) -> float:
     if snr == 0.0:
         # identical evaluation, not just equal in the limit: avoids the
         # sqrt/square round-trip perturbing the gamma argument by an ulp
-        return pf(cfg, threshold)
-    return specfun.marcum_q(cfg.time_bandwidth,
-                            math.sqrt(2.0 * snr), math.sqrt(threshold))
+        return pf(cfg, threshold), 1e-15
+    return specfun._marcum_q(cfg.time_bandwidth,
+                             math.sqrt(2.0 * snr), math.sqrt(threshold))
 
 
 def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
@@ -295,14 +301,6 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
     return MetricValue(acc, "closed_integer", u, 8.0 * u * _EPS * acc)
 
 
-def _detection_prob(u: float, a: float, b: float) -> float:
-    # Q_u(a, b), called through the module so that wrappers of
-    # specfun.marcum_q see it
-    if a > b + 12.0:
-        return 1.0  # miss probability below exp(-72) here
-    return specfun.marcum_q(u, a, b)
-
-
 def _ln_threshold_density(u: float, lam: float, ln_norm: float) -> float:
     if lam <= 0.0:
         return -math.inf
@@ -333,7 +331,7 @@ def auc_quadrature(cfg: DetectorConfig, snr: float,
         ln_pdf = _ln_threshold_density(u, lam, ln_norm)
         if ln_pdf < -740.0:
             return 0.0
-        return _detection_prob(u, a, math.sqrt(lam)) * math.exp(ln_pdf)
+        return specfun.marcum_q(u, a, math.sqrt(lam)) * math.exp(ln_pdf)
 
     scale = 2.0 * u + snr + 1.0
     if cfg.is_integer:

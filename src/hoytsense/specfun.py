@@ -7,19 +7,18 @@ follow the usual series/continued-fraction splits (Numerical Recipes style for
 the incomplete gamma) and are tuned for the argument ranges the detector
 formulas actually hit. Extended precision lives only in the test oracles,
 never here.  Every series stops at one fixed relative tolerance and raises
-ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).
+ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum Q
+is one Poisson-mixture dot product (`_mixture`), shared with the quadrature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from operator import mul
 from typing import Iterator, List, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
-_LN_NORMAL = math.log(sys.float_info.min)  # below this exp() is subnormal
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 _EPS = 2.0 ** -52
 
@@ -156,19 +155,34 @@ def bessel_i(nu: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q
+# Marcum Q: a Poisson mixture of regularized upper gammas
 # ---------------------------------------------------------------------------
+
+# a window leaves out at most _WINDOW_MASS of Poisson mass on each side, and
+# a mixture stops once its upper tail is below _SUM_TOL of the running total,
+# or below _TAIL_FLOOR, deep in the subnormal range, where a weight times a
+# ratio above 1/2 rounds back to the smallest subnormal and stops falling
+_SURE = 12.0  # a > b + 12: the miss probability is below exp(-72), Q = 1
+_WINDOW_MASS = 1e-20
+_SUM_TOL = 1e-16
+_TAIL_FLOOR = 1e-320
+
 
 def marcum_q(m: float, a: float, b: float) -> float:
     """Generalized Marcum Q_m(a, b) for real order m > 0.
 
-    Canonical Poisson mixture: Q_m(a,b) = sum_k w_k Q(m+k, b^2/2) with
-    w_k Poisson(a^2/2) weights. The sum is taken outward from the Poisson
-    mode so large a^2/2 costs O(sqrt(a^2/2)) terms instead of O(a^2/2), and
-    the per-term incomplete gammas come from the stable one-step recurrence
-    Q(s+1, x) = Q(s, x) + x^s e^{-x}/Gamma(s+1) anchored at a single
-    continued-fraction/series evaluation.
+    The Poisson mixture sum_k Pois(k; a^2/2) Q(m+k, b^2/2) summed from the
+    mode (Shnidman 1989): a `_Window` of weights dotted with a `_Column` of
+    incomplete gammas, anchored once by the a = 0 case, in `_mixture`, which
+    also bounds the error; the value may pass [0, 1] by up to that bound.
+    It is 1 past a > b + _SURE, and raises ConvergenceError where a^2/2 is
+    too large (~1e6) for the window to close within _MAX_TERMS terms.
     """
+    return _marcum_q(m, a, b)[0]
+
+
+def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
+    # marcum_q and a bound on its absolute error
     if not m > 0.0:
         raise ValueError(f"marcum_q requires m > 0, got {m}")
     if a < 0.0 or b < 0.0:
@@ -176,70 +190,180 @@ def marcum_q(m: float, a: float, b: float) -> float:
     x = 0.5 * b * b
     if x == 0.0:
         # b = 0, or b^2/2 below the subnormal range: the zero threshold
-        return 1.0
+        return 1.0, 0.0
     if a == 0.0:
-        return reg_upper_gamma(m, x)
-    h = 0.5 * a * a
+        q = reg_upper_gamma(m, x)
+        return q, _upper_gamma_error(m, x, q)
+    if a > b + _SURE:
+        return 1.0, math.exp(-0.5 * _SURE * _SURE)
+    win = _Window(0.5 * a * a)
+    # the anchor's error, ~(m+k) ln x ulps relative, reaches every entry:
+    # start at lo, or where Q(m+k, x) < _WINDOW_MASS (Chernoff) if lower
+    t = math.sqrt(2.0 * x * -math.log(_WINDOW_MASS))
+    start = int(max(0.0, min(win.lo, x - m - t)))
+    return _mixture(win, _Column(m, b, start, win.limit))
 
-    k0 = int(h)
-    # anchor at the mode: weight, Q, and gamma increment, all via logs
-    lw = k0 * math.log(h) - h - math.lgamma(k0 + 1.0)
-    w_up = math.exp(lw)
-    q_anchor = reg_upper_gamma(m + k0, x)
-    le = (m + k0) * math.log(x) - x - math.lgamma(m + k0 + 1.0)
-    e_anchor = math.exp(le) if le > MINLOG else 0.0
-    # a subnormal anchor increment has few bits, and upward products from it
-    # would carry them into normal values while the increments still rise
-    # (m + k0 + 1 < x): there the upward sum takes them down from their peak
-    rising: List[float] = []
-    if le < _LN_NORMAL and m + k0 + 1.0 < x:
-        rising, _ = poisson_increments(m + k0, x, _MAX_TERMS)
-        e_anchor = rising[0]
-    rise = len(rising) - 1
 
-    total = w_up * q_anchor
-    rel_tol = _REL_TOL
-    # the stop test compares w with a fraction of total; below the normal
-    # range that fraction rounds to 0 and no w would ever pass it
-    floor = sys.float_info.min
+def _upper_gamma_error(s: float, x: float, q: float) -> float:
+    # the error of q = reg_upper_gamma(s, x): its tolerance and the rounding
+    # of its prefactor, which its 1 - P branch at most triples
+    return 3.0 * q * (_REL_TOL + 2.0 * _EPS * (
+        s * abs(math.log(x)) + x + abs(math.lgamma(s))))
 
-    # upward from the mode; k counts in floats, as mixed int/float
-    # arithmetic is slower (the values are the same exact integers)
-    w, qv, e = w_up, q_anchor, e_anchor
-    k = float(k0)
-    for i in range(_MAX_TERMS):
-        w *= h / (k + 1.0)
-        qv += e
-        if i < rise:
-            e = rising[i + 1]
-        else:
-            e *= x / (m + k + 1.0)
-        k += 1.0
-        total += w * qv
-        if k > h and w < (rel_tol * (floor if total < floor else total)
-                              * (1.0 - h / (k + 1.0))):
-            break
-    else:
-        raise ConvergenceError(f"marcum_q upward sum stalled (m={m}, a={a}, b={b})")
 
-    # downward from the mode; Q(s-1,x) = Q(s,x) - x^{s-1}e^{-x}/Gamma(s)
-    w, qv, e = w_up, q_anchor, e_anchor
-    k = float(k0)
-    for _ in range(k0):
-        w *= k / h
-        e *= (m + k) / x
-        nxt = qv - e
-        if nxt < 0.1 * qv:
-            # heavy cancellation in the deep tail: re-anchor exactly
-            nxt = reg_upper_gamma(m + k - 1.0, x)
-        qv = nxt
-        total += w * qv
-        if w < rel_tol * total:
-            break
-        k -= 1.0
+class _Window:
+    """Poisson(h) weights w_k, k = lo, lo+1, ..., of one Marcum Q.
 
-    # the weights are a probability mass; roundoff can push the sum a hair out
-    return min(1.0, max(0.0, total))
+    Built outward from the mode k0 = int(h).  The core [lo, hi) stops on
+    each side at the first weight that bounds the mass beyond it, `below`
+    or `top`, by _WINDOW_MASS.  `grow` appends weights past the core, below
+    `limit` (_MAX_TERMS past the mode), for a sum that needs them.  The
+    weights are used divided by `mass`, the core's sum: they all share the
+    rounding of the mode's exponent, k0 ln h - h - lnGamma(k0+1) (~1e-12
+    relative at h = 1000), and the true mass is 1, so that error drops out.
+    """
+
+    __slots__ = ("h", "lo", "hi", "limit", "w", "below", "top", "mass")
+
+    def __init__(self, h: float) -> None:
+        self.h = h
+        # the mass past h + T is at most exp(-T^2 / (2 (h + T))) (Chernoff);
+        # fail before the ~10 sqrt(h) steps down if that passes _WINDOW_MASS
+        cap = _MAX_TERMS
+        if cap * cap < 2.0 * (h + cap) * -math.log(_WINDOW_MASS):
+            raise ConvergenceError(f"Poisson window of h={h} cannot close "
+                                   f"within {cap} terms past its mode")
+        k0 = int(h)
+        self.limit = k0 + cap + 1
+        w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
+                  if k0 else math.exp(-h))
+        # downward, w_(k-1) = w_k k/h, to the first k where the mass under
+        # it, at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is
+        # below _WINDOW_MASS
+        w, last, k = [w_mode], w_mode, k0
+        append = w.append
+        while k > 0:
+            rho = k / h
+            if last * rho <= _WINDOW_MASS * (1.0 - rho):
+                break
+            last *= rho
+            k -= 1
+            append(last)
+        self.below = last * rho / (1.0 - rho) if k > 0 else 0.0
+        w.reverse()
+        self.lo, self.w = k, w
+        # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
+        last, k = w_mode, k0
+        while True:
+            r = h / (k + 1)
+            if last * r <= _WINDOW_MASS * (1.0 - r):
+                break
+            if k + 1 == self.limit:
+                raise ConvergenceError(f"Poisson window of h={h} passed "
+                                       f"{cap} terms past its mode")
+            last *= r
+            k += 1
+            append(last)
+        self.hi, self.top = k + 1, last * r / (1.0 - r)
+        self.mass = sum(w)
+
+    def grow(self, hi: int) -> None:
+        # weights up to k = hi - 1, by w_k = w_(k-1) h/k
+        w, h = self.w, self.h
+        k = self.lo + len(w)
+        more = itertools.accumulate([h / j for j in range(k, hi)], mul,
+                                    initial=w[-1])
+        next(more)
+        w.extend(more)
+
+
+class _Column:
+    """Q(u+k, x) at one threshold, x = b^2/2, in `c[k - start]` for k =
+    start, start+1, ... on demand, and up to k = limit within its bound.
+
+    The first entry is Q_(u+start)(0, b) from `marcum_q`; the rest follow by
+    the upward recurrence Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) /
+    Gamma(s+1), s = u + k, which only adds positive terms.  The increments
+    are products away from their peak at s ~ x (sought up to `limit`),
+    seeded there from `ln_poisson_term` where its logarithm is small; below
+    the peak they fall by s/x, above it by x/(s+1), so an increment that
+    underflows only ever loses what is below the normal range.  Every entry
+    is off by at most `abs0`, the first entry's error, plus `err` relative
+    in the increments it adds, and 2 ulps a step past the peak.
+    """
+
+    __slots__ = ("start", "s", "x", "c", "e", "err", "abs0")
+
+    def __init__(self, u: float, b: float, start: int, limit: int) -> None:
+        s = u + start
+        # by the global name, so that wrappers of specfun.marcum_q see it
+        c0 = marcum_q(s, 0.0, b)
+        x = 0.5 * b * b
+        self.start, self.s, self.x = start, s, x
+        if x == 0.0:  # the zero threshold: every entry is 1
+            self.c, self.e, self.err, self.abs0 = [c0], 0.0, 0.0, 0.0
+            return
+        self.abs0 = _upper_gamma_error(s, x, c0)
+        down, self.err = poisson_increments(s, x, limit - start)
+        self.c = list(itertools.accumulate(down, initial=c0))
+        peak = len(down) - 1
+        self.e = down[-1] * (x / (s + peak + 1.0))
+
+    def extend(self, n: int) -> None:
+        # the first n entries; self.e is the increment past the last
+        c, s, x = self.c, self.s, self.x
+        k = len(c) - 1
+        # e_k .. e_(n-1), by e_(j) = e_(j-1) x/(s+j)
+        es = list(itertools.accumulate([x / (s + j) for j in range(k + 1, n)],
+                                       mul, initial=self.e))
+        self.e = es.pop()
+        more = itertools.accumulate(es, initial=c[-1])
+        next(more)
+        c.extend(more)
+
+
+def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
+    """Q_u(a, b) = sum_k w_k Q(u+k, b^2/2) and a bound on its error.
+
+    The sum runs over the window's core as one dot product; while the
+    weight mass above it, times Q <= 1, exceeds _SUM_TOL of the total, it
+    grows by chunks that double the window.  The bound adds that upper
+    tail, the mass under the window times the smallest Q it holds (Q rises
+    with k), the core's missing mass that the division by `mass` spreads
+    over the weights, the column's own error, and the rounding of the
+    weight recurrence over the window and of the column's from its start
+    (an ulp a step) and of the sums.
+    """
+    lo, hi, w = win.lo, win.hi, win.w
+    c, start = col.c, col.start
+    if len(c) < hi - start:
+        col.extend(hi - start)
+    # w may hold weights past hi: map stops at the column slice's end
+    total = sum(map(mul, w, c[lo - start:hi - start]))
+    above = win.top
+    while above > _SUM_TOL * total and above > _TAIL_FLOOR:
+        grown = min(2 * hi - lo, win.limit)
+        if grown == hi:
+            raise ConvergenceError(
+                f"Poisson mixture at h={win.h}, x={col.x} passed "
+                f"{_MAX_TERMS} terms past the mode")
+        win.grow(grown)
+        col.extend(grown - start)
+        total += sum(map(mul, w[hi - lo:grown - lo],
+                         c[hi - start:grown - start]))
+        hi = grown
+        # the mass from hi > h up is at most w_(hi-1) r/(1 - r), r = h/hi
+        r = win.h / hi
+        above = w[hi - 1 - lo] * r / (1.0 - r)
+    mass = win.mass
+    total /= mass
+    rounding = win.below + win.top + (
+        4.0 * (hi - lo) + 2.0 * (hi - start) + 1.0) * _EPS
+    # the increments are at most total - Q(u+start, x) of the total; a
+    # subnormal product or sum rounds by up to 2^-1074 whatever its size
+    return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
+                   + (above + c[lo - start] * win.below) / mass
+                   + (hi - lo) * 5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def specfun_suite() -> List[Line]:
     lines.append(("binomial_pochhammer_consistency", worst < 1e-13,
                   f"max rel = {worst:.2e}"))
 
-    # order and argument 5e9 at the Poisson mode: the incomplete-gamma series
-    # there needs ~6e5 terms, far past the term cap
+    # a^2/2 = 5e9: the Poisson window would need ~7e5 terms each side of its
+    # mode, far past the term cap
     try:
         specfun.marcum_q(1.0, 1e5, 1e5)
         lines.append(("series_cap_raises", False, "no ConvergenceError raised"))

@@ -286,7 +286,8 @@ def test_avg_pd_quadrature_behaviour():
     assert avg_pd_quadrature(cfg, f, lam, TIGHT).value < pd_fixed(
         cfg, 10.0, lam)
     # 60 dB, lambda=3e5: the first node that needs its Marcum Q lies past
-    # a^2/2 = 2^16, where marcum_q stalls too
+    # a^2/2 = 2^16, beyond the shared column's reach (marcum_q alone goes
+    # on to a^2/2 ~ 1e6)
     with pytest.raises(ConvergenceError,
                        match=r"Marcum Q at a\^2/2 = 81450\.75384088153 "
                              r"past 65536\.0"):
@@ -469,14 +470,11 @@ def _marcum_mp(mp, a, col):
 
 
 def test_shared_mixture_matches_the_marcum_sum():
-    # one (node, threshold) pair of the averaged Pd, a dot product of the
-    # node's Poisson window and the threshold's Q(u+k, b^2/2) column, is
-    # within 1e-13 relative of a 30-digit Marcum Q and within its own
-    # bound, from Pd = 1 down to 1e-300.  The scalar specfun.marcum_q is
-    # not the arbiter here: it misses the 30-digit values by up to 2e-12
-    # relative at large a^2/2 (its weights share the rounding of the mode's
-    # exponent), and by 0.86% at u=12.7, a=11.4, b=45, where its anchor
-    # increment is subnormal.  At a = 0 the pair is marcum_q(u, 0, b) itself
+    # specfun.marcum_q, the dot product of a Poisson window and a column
+    # Q(u+k, b^2/2) that the averaged Pd's nodes share, is within 1e-13
+    # relative of a 30-digit Marcum Q and within its own bound, from Q = 1
+    # down to 1e-300.  At a = 0 it is the column's anchor Q(u, b^2/2), held
+    # to its bound only
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         smallest = _check_mixture_grid(mp)
@@ -486,13 +484,12 @@ def test_shared_mixture_matches_the_marcum_sum():
 def _check_mixture_grid(mp):
     # the grid of test_shared_mixture_matches_the_marcum_sum; returns the
     # smallest value it checked
-    from hoytsense.average import _Column, _Window, _mixture
+    from hoytsense.specfun import _marcum_q
     smallest = 1.0
     for u in (0.05, 0.7, 5.0, 12.7, 60.5, 150.0):
         # b = sqrt(200) is the lambda = 200 threshold whose -10 dB average
         # is 2.4e-35 at u = 5 (test_tiny_average_pd_stays_relative)
         for b in (0.3, 2.0, 7.0, math.sqrt(200.0), 30.0, 45.0):
-            col = _Column(u, b)
             count = int((b + 12.0) ** 2 / 2.0 + 20.0 * (b + 12.0)) + 200
             exact = _marcum_columns_mp(mp, u, b, count)
             for i in range(11):
@@ -500,13 +497,13 @@ def _check_mixture_grid(mp):
                 want = _marcum_mp(mp, a, exact)
                 if want < 1e-300:
                     continue
-                value, err = _mixture(_Window(0.5 * a * a), col)
-                if a == 0.0:
-                    assert value == specfun.marcum_q(u, 0.0, b)
-                    continue
+                value, err = _marcum_q(u, a, b)
+                assert value == specfun.marcum_q(u, a, b)
                 miss = abs(value - want)
-                assert miss <= 1e-13 * want, (u, a, b)
                 assert miss <= err, (u, a, b)
+                if a == 0.0:
+                    continue  # the incomplete gamma alone, held to its bound
+                assert miss <= 1e-13 * want, (u, a, b)
                 smallest = min(smallest, value)
             # past b + 12 the integrand takes Pd = 1: the miss probability
             # sum_k Pois(k; a^2/2) P(u+k, b^2/2) is below exp(-72) there.

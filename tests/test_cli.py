@@ -71,6 +71,19 @@ def test_point_detector_metrics_without_fading(capsys):
                                           abs=1e-12)
 
 
+def test_unfaded_pd_row_within_its_est_error(capsys):
+    # 60 dB, a^2/2 = 1e6: the row carries the Marcum Q's own error bound,
+    # and the 30-digit Poisson mixture lies within it
+    import mp_reference
+    code, out, _ = run_cli(capsys, "point", "--metric", "pd", "--u", "5",
+                           "--snr-db", "60", "--lambda", "2004000")
+    assert code == 0
+    row = parse_rows(out)[0]
+    value, est_error = float(row[5]), float(row[6])
+    want = mp_reference.marcum_q(5.0, math.sqrt(2e6), math.sqrt(2004000.0))
+    assert abs(value - want) <= est_error
+
+
 def test_point_usage_errors(capsys):
     assert run_cli(capsys, "point", "--metric", "pd", "--u", "2",
                    "--snr-db", "3")[0] == 2          # missing --lambda
@@ -613,20 +626,22 @@ def test_invalid_subcommand_exits_2(capsys):
 # point forms that no golden command covers: the unfaded detector, the
 # zero-SNR limit with and without --q, and pf, which reads no channel;
 # each sha256 is of stdout as recorded before point and sweep shared a
-# row evaluator
+# row evaluator, but the two unfaded pd rows: those were re-recorded when
+# they took the Marcum Q's own error bound for est_error (in place of a
+# fixed 1e-15, which their old values missed the truth by 7x)
 POINT_FORMS = [
     ("point --metric auc --u 2.5 --snr-db 10",
      "297a16071a2d58965d40ca13ed04fa6e4cf7455ef039fcfb77791edf89e5f8d8"),
     ("point --metric cauc --u 2.5 --snr-db 10",
      "30106f86492b85fee9d40ecda852b9c7998fc4cb8a652625078621fd4a169e4a"),
     ("point --metric pd --u 2.5 --snr-db 10 --lambda 12",
-     "298187f854640e9dcf897b5d5ffdda0d0b73ca032534d73b277b19285d90015d"),
+     "3f75490e78f85088da20a417020535af489f7f8310efdcd676d5cc3eaed02a51"),
     ("point --metric auc --u 5 --snr-db 10",
      "19658483ce9054103a6977ad0f4bb8b4b5f52d4c7f5a09b57b04cd2cdc6747bf"),
     ("point --metric cauc --u 5 --snr-db 10",
      "e02d5b22e18330453db80bf6b6a4ff040d81dc48538f9816b3c768ea3a3ecb54"),
     ("point --metric pd --u 5 --snr-db 10 --lambda 12",
-     "12bb1d8399035d1061d8d800bdd07019753cf11f61f74f09438e2d0a24d65a21"),
+     "6ebe7b4e6cfe7a89b709c1940c940c053494e018a14442210cc783ede324bd0c"),
     ("point --metric auc --u 2.5 --snr-db -inf",
      "be03661597a1f49f321e16003cf4d5601c09ff357f531ad0bc592b2e11a3e75f"),
     ("point --metric auc --u 2.5 --q 0.4 --snr-db -inf",

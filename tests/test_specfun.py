@@ -5,13 +5,16 @@ working precision and frozen here; tolerances are relative unless the value
 itself is O(1), in which case absolute and relative coincide.
 """
 
+import inspect
 import math
+import random
 import sys
 import time
 
 import pytest
 
-from hoytsense.specfun import (ConvergenceError, bessel_i,
+from hoytsense import specfun
+from hoytsense.specfun import (ConvergenceError, _marcum_q, bessel_i,
                                binomial, kummer_1f1, laguerre, ln_gamma,
                                marcum_q, pochhammer, reg_upper_gamma)
 
@@ -116,7 +119,8 @@ def test_marcum_frozen_values():
     assert marcum_q(1.0, 2.0, 1.0) == pytest.approx(MARCUM_1_2_1, rel=1e-13)
     assert marcum_q(2.5, 1.3, 2.1) == pytest.approx(MARCUM_2P5_1P3_2P1, rel=1e-13)
     assert marcum_q(5.0, 2.0, 3.0) == pytest.approx(MARCUM_5_2_3, rel=1e-13)
-    # large, nearly balanced arguments exercise the downward re-anchoring
+    # large, nearly balanced arguments: the window around a^2/2 = 55 meets
+    # the threshold b^2/2 = 60.5 inside it, where Q climbs fastest
     assert marcum_q(1.0, 10.5, 11.0) == pytest.approx(MARCUM_1_10P5_11, rel=1e-12)
 
 
@@ -205,10 +209,56 @@ def test_pochhammer_and_binomial():
 
 
 def test_series_cap_raises_convergence_error():
-    # order and argument 5e9 at the Poisson mode: the incomplete-gamma
-    # series there needs ~6e5 terms, past the fixed term cap
+    # a^2/2 = 5e9: the Poisson window would need ~7e5 terms each side of
+    # its mode, past the fixed term cap, and says so before walking them
     with pytest.raises(ConvergenceError):
         marcum_q(1.0, 1e5, 1e5)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            marcum_q(1.0, 1e5, 1e5)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+
+
+@pytest.mark.parametrize("m, h, lam", [
+    (150.0, 1436.0, 3025.0), (150.0, 1e4, 20600.0), (5.0, 1e5, 200900.0),
+    (5.0, 1e6, 2e6), (5.0, 1e6, 2004000.0)])
+def test_marcum_within_its_bound_at_large_noncentrality(m, h, lam):
+    # a^2/2 = h up to 1e6: the window's weights are divided by their own
+    # sum, so the rounding of the mode's exponent (~h ln h ulps) drops out.
+    # What is left, the column anchor's own prefactor, is in the bound
+    import mp_reference
+    a, b = math.sqrt(2.0 * h), math.sqrt(lam)
+    want = mp_reference.marcum_q(m, a, b)
+    value, err = _marcum_q(m, a, b)
+    assert value == marcum_q(m, a, b)
+    assert abs(value - want) <= err
+    assert err < 1e-10 * want
+
+
+def test_marcum_leaves_the_unit_interval_by_less_than_its_bound():
+    # nothing clamps the sum into [0, 1]; where rounding carries it out,
+    # the returned bound covers the excess.  Noncentralities a^2/2 from 10
+    # to 1e6, thresholds 1 to 10 standard deviations below the mean, where
+    # Q is near 1 and some sums do pass it
+    rng = random.Random(20261019)
+    outside = 0
+    for _ in range(100):
+        m = rng.choice((0.05, 0.7, 5.0, 60.5, 500.0))
+        h = 10.0 ** rng.uniform(1.0, 6.0)
+        mean, sd = 2.0 * (h + m), math.sqrt(4.0 * m + 8.0 * h)
+        lam = max(0.0, mean - rng.uniform(1.0, 10.0) * sd)
+        value, err = _marcum_q(m, math.sqrt(2.0 * h), math.sqrt(lam))
+        assert -err <= value <= 1.0 + err, (m, h, lam)
+        outside += not 0.0 <= value <= 1.0
+    assert outside > 0
+
+
+def test_specfun_has_no_unit_interval_clamp():
+    source = inspect.getsource(specfun)
+    assert "min(1.0, max(0.0" not in source
 
 
 @pytest.mark.parametrize("b", [43.0, 43.565, 45.0])
