@@ -437,44 +437,12 @@ def test_closed_pd_law_within_its_carried_bound():
                 assert abs(law.pi[l] - want) <= law.rel[l] * want, (q, db, l)
 
 
-def _marcum_columns_mp(mp, u, b, count):
-    # Q(u+k, b^2/2), k < count, by the upward recurrence from mpmath's gammainc
-    u, x = mp.mpf(u), mp.mpf(b) ** 2 / 2
-    col = [mp.gammainc(u, x, mp.inf, regularized=True)]
-    e = mp.exp(u * mp.log(x) - x - mp.loggamma(u + 1))
-    for k in range(count - 1):
-        col.append(col[-1] + e)
-        e *= x / (u + k + 1)
-    return col
-
-
-def _marcum_mp(mp, a, col):
-    # Q_u(a, b) = sum_k Pois(k; a^2/2) Q(u+k, b^2/2) outward from the mode,
-    # cut where the weight mass left (times Q <= 1) is below 1e-22 of it
-    h = mp.mpf(a) ** 2 / 2
-    if h == 0:
-        return col[0]
-    k0 = int(h)
-    w_mode = mp.exp(k0 * mp.log(h) - h - mp.loggamma(k0 + 1))
-    total, w, k = w_mode * col[k0], w_mode, k0
-    while k <= h or w * h / (k + 1 - h) > 1e-22 * total:
-        w *= h / (k + 1)
-        k += 1
-        total += w * col[k]
-    w, k = w_mode, k0
-    while k > 0 and (k >= h or w * col[k] * k / (h - k) > 1e-22 * total):
-        w *= k / h
-        k -= 1
-        total += w * col[k]
-    return total
-
-
 def test_shared_mixture_matches_the_marcum_sum():
     # specfun.marcum_q, the dot product of a Poisson window and a column
-    # Q(u+k, b^2/2) that the averaged Pd's nodes share, is within 1e-13
-    # relative of a 30-digit Marcum Q and within its own bound, from Q = 1
-    # down to 1e-300.  At a = 0 it is the column's anchor Q(u, b^2/2), held
-    # to its bound only
+    # Q(u+k, b^2/2) (the pieces of the averaged Pd's quadrature), is within
+    # 1e-13 relative of a 30-digit Marcum Q and within its own bound, from
+    # Q = 1 down to 1e-300.  At a = 0 it is the column's anchor Q(u, b^2/2),
+    # held to its bound only
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         smallest = _check_mixture_grid(mp)
@@ -484,17 +452,16 @@ def test_shared_mixture_matches_the_marcum_sum():
 def _check_mixture_grid(mp):
     # the grid of test_shared_mixture_matches_the_marcum_sum; returns the
     # smallest value it checked
+    import mp_reference
     from hoytsense.specfun import _marcum_q
     smallest = 1.0
     for u in (0.05, 0.7, 5.0, 12.7, 60.5, 150.0):
         # b = sqrt(200) is the lambda = 200 threshold whose -10 dB average
         # is 2.4e-35 at u = 5 (test_tiny_average_pd_stays_relative)
         for b in (0.3, 2.0, 7.0, math.sqrt(200.0), 30.0, 45.0):
-            count = int((b + 12.0) ** 2 / 2.0 + 20.0 * (b + 12.0)) + 200
-            exact = _marcum_columns_mp(mp, u, b, count)
             for i in range(11):
                 a = (b + 12.0) * i / 10.0
-                want = _marcum_mp(mp, a, exact)
+                want = mp_reference.marcum_q(u, a, b)
                 if want < 1e-300:
                     continue
                 value, err = _marcum_q(u, a, b)
