@@ -39,11 +39,11 @@ import math
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import specfun
+from . import detector, specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
-from .specfun import _SURE, ConvergenceError, _Column, _Window, _mixture
+from .specfun import _SURE, ConvergenceError, _q_column, _Window, _mixture
 
 __all__ = [
     "avg_auc_closed",
@@ -232,12 +232,15 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     This is the arbiter the closed forms are judged against, so it goes out
     of its way to share nothing with them: the integrand composes the
     detector's AUC (Laguerre or fixed-SNR series) with the Bessel-form
-    density, on the substituted half line scaled by the mean SNR.
+    density, on the substituted half line scaled by the mean SNR; at real
+    u all nodes share one column of betas (`specfun._beta_column`).
 
     est_error adds the largest fixed-SNR est_error at any node to the last
     change between levels: with positive weights and a density that
     integrates to 1, the nodes' own errors move the result by no more.
     """
+    u = cfg.time_bandwidth
+    col = None if cfg.is_integer else specfun._beta_column(u)
     node_err = 0.0
 
     def integrand(g: float) -> float:
@@ -245,7 +248,8 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
-        mv = auc_awgn(cfg, g, policy)
+        mv = (auc_awgn(cfg, g, policy) if col is None
+              else detector._auc_series(u, g, policy.rel_tol, col))
         node_err = max(node_err, mv.est_error)
         return mv.value * density
 
@@ -288,7 +292,7 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     u = cfg.time_bandwidth
     b = math.sqrt(threshold)
     reach = b + _SURE
-    col: Optional[_Column] = None
+    col: Optional[specfun._Column] = None
     # the largest node error relative to its node's value, and the largest
     # at a node whose value is below _REL_FLOOR, where the absolute floors
     # of _mixture's bound dominate
@@ -309,7 +313,7 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
                 f"Marcum Q at a^2/2 = {h} past {_MAX_H} (u={u}, b={b})")
         win = _Window(h)
         if col is None:
-            col = _Column(u, b, 0, int(_MAX_H) + specfun._MAX_TERMS)
+            col = _q_column(u, b, 0, int(_MAX_H) + specfun._MAX_TERMS)
         value, err = _mixture(win, col)
         if err > node_rel * value:
             if value > _REL_FLOOR:
@@ -444,7 +448,7 @@ def _closed_hit(law: _Law, u: float, threshold: float, x: float,
     """(Pd, terms, error) by the detection sum sum_l pi_l Q(u+l, x), or
     (None, terms, inf) where it would pass `specfun._MAX_TERMS`.
 
-    Q comes from the shared column (`_Column`, started at
+    Q comes from the threshold's column (`specfun._q_column`, anchored at
     `specfun.marcum_q(u, 0, sqrt(threshold))`).  Q <= 1 and pi_(l+1) <=
     rho pi_l, so after term L the rest is at most pi_L rho/(1 - rho); the
     sum grows by chunks, each at most doubling it, until that is below
@@ -458,8 +462,8 @@ def _closed_hit(law: _Law, u: float, threshold: float, x: float,
     rho = law.rho
     if not rho < 1.0:  # mean SNR past 2^53: no tail bound in double
         return None, 0, math.inf
-    col = _Column(u, math.sqrt(threshold), 0,
-                  int(_MAX_H) + specfun._MAX_TERMS)
+    col = _q_column(u, math.sqrt(threshold), 0,
+                    int(_MAX_H) + specfun._MAX_TERMS)
     pi, c = law.pi, col.c
     total, lo, hi = 0.0, 0, len(c) + 16
     while True:

@@ -13,10 +13,11 @@ real u > 0, and direct quadrature of P_d against the noise-only threshold
 density.  They must agree; the validation suite holds them to that.
 
 The Laguerre form sums the complementary AUC (CAUC), returned by
-`cauc_awgn` to full relative precision; the real-u series sums the AUC
-(a CAUC kernel measured slower at small SNR, where it is cheap).  One
-derived CAUC bound, `_cauc_chernoff`, ends the series with AUC 1 and covers
-the Laguerre form where e^(-snr/2) underflows.
+`cauc_awgn` to full relative precision; the real-u series is the AUC's
+Poisson mixture of half-domain incomplete betas (`specfun._mixture`, as
+Marcum Q is of incomplete gammas).  One derived CAUC bound, `_cauc_chernoff`,
+ends the series with AUC 1 and covers the Laguerre form where e^(-snr/2)
+underflows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import specfun
 from .specfun import ConvergenceError
@@ -184,48 +185,29 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
                     policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """AUC at fixed SNR by the real-u series (works for integer u too).
 
-    The series is a Poisson(snr) mixture of half-domain regularized
-    incomplete-beta weights c_l = I_{1/2}(u, u+l).  The weights are built by
-    an additive recurrence with strictly positive increments (c_0 = 1/2
-    exactly), so no cancellation occurs anywhere; the truncation error is
-    bounded by the Poisson tail because every weight is below 1.  Where the
-    CAUC bound is below rel_tol/2 it returns AUC 1 with that est_error, well
-    before exp(-snr) underflows (only a tiny rel_tol gets there: it raises).
+    sum_k Pois(k; snr) c_k, c_k = I_{1/2}(u, u+k) = 1/2 + inc_0 + ... +
+    inc_(k-1) with positive increments (`specfun.beta_increments`): a
+    Poisson window dotted with that column in `specfun._mixture`, whose
+    bound is est_error.  It reaches snr ~1e6, where the window stops
+    closing (ConvergenceError).  rel_tol only sets the exit: where the
+    Chernoff CAUC bound is below rel_tol/2, AUC 1 with that bound.
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    u = cfg.time_bandwidth
+    return _auc_series(cfg.time_bandwidth, snr, policy.rel_tol)
+
+
+def _auc_series(u: float, snr: float, rel_tol: float,
+                col: Optional[specfun._Column] = None) -> MetricValue:
+    # auc_awgn_series on a shared specfun._beta_column(u), or a new one
     bound = _cauc_chernoff(u, snr)
-    if bound <= 0.5 * policy.rel_tol:
+    if bound <= 0.5 * rel_tol:
         return MetricValue(1.0, "closed_series", 0, bound)
-    pois = math.exp(-snr)
-    if pois < sys.float_info.min:  # subnormal or 0: every weight falls short
-        raise ConvergenceError(
-            f"AUC series: exp(-snr) underflows (snr={snr}, u={u})")
-    increments, lgamma_err = specfun.beta_increments(u)
-    c = 0.5
-    total = 0.0
-    streak = 0
-    for l, inc in zip(range(specfun._MAX_TERMS), increments):
-        total += pois * c
-        nxt = pois * snr / (l + 1.0)
-        if l >= snr:
-            tail = nxt / (1.0 - snr / (l + 2.0))
-            if tail <= policy.rel_tol * total:
-                streak += 1
-                if streak >= 3 or tail == 0.0:
-                    # truncation tail, lgamma's error in the first
-                    # increment (every weight carries it) and per-term
-                    # roundoff accumulation
-                    rounding = (lgamma_err + 1e-16 * (l + 1)) * total
-                    return MetricValue(total, "closed_series", l + 1,
-                                       tail + rounding)
-            else:
-                streak = 0
-        pois = nxt
-        c += inc
-    raise ConvergenceError(
-        f"AUC series needed more than {specfun._MAX_TERMS} terms at snr={snr}")
+    if col is None:
+        col = specfun._beta_column(u)
+    win = specfun._Window(snr)
+    value, err = specfun._mixture(win, col)
+    return MetricValue(value, "closed_series", win.hi - win.lo, err)
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,

@@ -80,7 +80,7 @@ def snr_cdf(f: HoytFading, snr: float) -> float:
     a = (1.0 + f.q) * r
     b = (1.0 - f.q) * r
     val = specfun.marcum_q(1.0, a, b) - specfun.marcum_q(1.0, b, a)
-    # each Q is in [0,1]; roundoff can leave a tiny negative residue near 0
+    # each Q may pass [0, 1] by its bound; near F = 0 the difference cancels
     return min(1.0, max(0.0, val))
 
 

@@ -8,14 +8,15 @@ the incomplete gamma) and are tuned for the argument ranges the detector
 formulas actually hit. Extended precision lives only in the test oracles,
 never here.  Every series stops at one fixed relative tolerance and raises
 ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum Q
-is one Poisson-mixture dot product (`_mixture`), shared with the quadrature.
+and the fixed-SNR AUC are one Poisson-mixture dot product (`_mixture`) with
+incomplete gammas (`_q_column`) or half-domain betas (`_beta_column`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
+from operator import add, mul, truediv
 from typing import Iterator, List, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
@@ -32,8 +33,8 @@ class ConvergenceError(ArithmeticError):
 
 
 # truncation of every kernel series: stop once a term falls below _REL_TOL of
-# the sum, raise ConvergenceError after _MAX_TERMS terms.  The AUC series in
-# detector and average stop at the same cap, at their own EvalPolicy.rel_tol
+# the sum, raise ConvergenceError after _MAX_TERMS terms.  The average AUC
+# series stops at the same cap, at its own EvalPolicy.rel_tol
 _REL_TOL = 1e-13
 _MAX_TERMS = 10_000
 
@@ -201,7 +202,7 @@ def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
     # start at lo, or where Q(m+k, x) < _WINDOW_MASS (Chernoff) if lower
     t = math.sqrt(2.0 * x * -math.log(_WINDOW_MASS))
     start = int(max(0.0, min(win.lo, x - m - t)))
-    return _mixture(win, _Column(m, b, start, win.limit))
+    return _mixture(win, _q_column(m, b, start, win.limit))
 
 
 def _upper_gamma_error(s: float, x: float, q: float) -> float:
@@ -278,66 +279,69 @@ class _Window:
 
 
 class _Column:
-    """Q(u+k, x) at one threshold, x = b^2/2, in `c[k - start]` for k =
-    start, start+1, ... on demand, and up to k = limit within its bound.
-
-    The first entry is Q_(u+start)(0, b) from `marcum_q`; the rest follow by
-    the upward recurrence Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) /
-    Gamma(s+1), s = u + k, which only adds positive terms.  The increments
-    are products away from their peak at s ~ x (sought up to `limit`),
-    seeded there from `ln_poisson_term` where its logarithm is small; below
-    the peak they fall by s/x, above it by x/(s+1), so an increment that
-    underflows only ever loses what is below the normal range.  Every entry
-    is off by at most `abs0`, the first entry's error, plus `err` relative
-    in the increments it adds, and 2 ulps a step past the peak.
+    """An increasing column c[k - start], k = start, start+1, ...: the
+    anchor c[0] plus positive increments drawn on demand from `more`, at
+    argument `x`.  An entry is off by at most `abs0` (the anchor's error),
+    `err` relative in the increments it adds, and `ulps` eps a step.
     """
 
-    __slots__ = ("start", "s", "x", "c", "e", "err", "abs0")
+    __slots__ = ("c", "start", "x", "err", "abs0", "ulps", "more")
 
-    def __init__(self, u: float, b: float, start: int, limit: int) -> None:
-        s = u + start
-        # by the global name, so that wrappers of specfun.marcum_q see it
-        c0 = marcum_q(s, 0.0, b)
-        x = 0.5 * b * b
-        self.start, self.s, self.x = start, s, x
-        if x == 0.0:  # the zero threshold: every entry is 1
-            self.c, self.e, self.err, self.abs0 = [c0], 0.0, 0.0, 0.0
-            return
-        self.abs0 = _upper_gamma_error(s, x, c0)
-        down, self.err = poisson_increments(s, x, limit - start)
-        self.c = list(itertools.accumulate(down, initial=c0))
-        peak = len(down) - 1
-        self.e = down[-1] * (x / (s + peak + 1.0))
+    def __init__(self, c: List[float], start: int, x: float, err: float,
+                 abs0: float, ulps: float, more: Iterator[float]) -> None:
+        self.c, self.start, self.x, self.more = c, start, x, more
+        self.err, self.abs0, self.ulps = err, abs0, ulps
 
     def extend(self, n: int) -> None:
-        # the first n entries; self.e is the increment past the last
-        c, s, x = self.c, self.s, self.x
-        k = len(c) - 1
-        # e_k .. e_(n-1), by e_(j) = e_(j-1) x/(s+j)
-        es = list(itertools.accumulate([x / (s + j) for j in range(k + 1, n)],
-                                       mul, initial=self.e))
-        self.e = es.pop()
-        more = itertools.accumulate(es, initial=c[-1])
-        next(more)
-        c.extend(more)
+        # the first n entries; c's last comes back as accumulate's start
+        c = self.c
+        if n > len(c):
+            more = itertools.islice(self.more, n - len(c))
+            c.extend(itertools.accumulate(more, initial=c.pop()))
+
+
+def _q_column(u: float, b: float, start: int, limit: int) -> _Column:
+    """Q(u+k, x), x = b^2/2, for k = start, start+1, ..., within its bound
+    up to k = limit: the anchor Q_(u+start)(0, b) from `marcum_q`, then
+    Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) / Gamma(s+1), s = u + k.
+
+    The increments fall away from their peak at s ~ x (sought up to
+    `limit`): by s/x below it, by x/(s+1) above it at 2 ulps a step, so one
+    that underflows loses only what is below the normal range.
+    """
+    s = u + start
+    # by the global name, so that wrappers of specfun.marcum_q see it
+    c0 = marcum_q(s, 0.0, b)
+    x = 0.5 * b * b
+    if x == 0.0:  # the zero threshold: every entry is 1
+        return _Column([c0], start, x, 0.0, 0.0, 2.0, itertools.repeat(0.0))
+    down, err = poisson_increments(s, x, limit - start)
+    peak = len(down) - 1
+    # past the peak e_j = e_(j-1) x/(s+j), with s + j formed afresh
+    up = itertools.accumulate(
+        map(truediv, itertools.repeat(x),
+            map(add, itertools.repeat(s), itertools.count(peak + 2))),
+        mul, initial=down[-1] * (x / (s + peak + 1.0)))
+    return _Column(list(itertools.accumulate(down, initial=c0)), start, x,
+                   err, _upper_gamma_error(s, x, c0), 2.0, up)
 
 
 def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
-    """Q_u(a, b) = sum_k w_k Q(u+k, b^2/2) and a bound on its error.
+    """sum_k w_k c_k for any increasing column c <= 1 (Q(u+k, b^2/2) for
+    Marcum Q, I_{1/2}(u, u+k) for the AUC) and a bound on its error.
 
     The sum runs over the window's core as one dot product; while the
-    weight mass above it, times Q <= 1, exceeds _SUM_TOL of the total, it
+    weight mass above it, times c <= 1, exceeds _SUM_TOL of the total, it
     grows by chunks that double the window.  The bound adds that upper
-    tail, the mass under the window times the smallest Q it holds (Q rises
+    tail, the mass under the window times the smallest c it holds (c rises
     with k), the core's missing mass that the division by `mass` spreads
     over the weights, the column's own error, and the rounding of the
-    weight recurrence over the window and of the column's from its start
-    (an ulp a step) and of the sums.
+    weight recurrence over the window (an ulp a step), of the column from
+    its start (`ulps` a step) and of the sums.
     """
     lo, hi, w = win.lo, win.hi, win.w
     c, start = col.c, col.start
-    if len(c) < hi - start:
-        col.extend(hi - start)
+    col.extend(hi - start)
     # w may hold weights past hi: map stops at the column slice's end
     total = sum(map(mul, w, c[lo - start:hi - start]))
     above = win.top
@@ -358,8 +362,8 @@ def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
     mass = win.mass
     total /= mass
     rounding = win.below + win.top + (
-        4.0 * (hi - lo) + 2.0 * (hi - start) + 1.0) * _EPS
-    # the increments are at most total - Q(u+start, x) of the total; a
+        4.0 * (hi - lo) + col.ulps * (hi - start) + 1.0) * _EPS
+    # the increments are at most total - c_start of the total; a
     # subnormal product or sum rounds by up to 2^-1074 whatever its size
     return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
                    + (above + c[lo - start] * win.below) / mass
@@ -439,10 +443,11 @@ def _ln_gamma_ratio(u: float) -> Tuple[float, float]:
     # u = 30 the two lnGamma agree but for rounding of ~u ln u (1e-13 at
     # u = 150), so Stirling's series for both is combined: the large parts
     # give u log1p(-1/(2u+2)) - ln(u+1)/2 + 1/2; the asymptotic sums, odd in
-    # x (hence taken at u+1/2 and -(u+1)), are cut after x^-7, below 1e-17
+    # x (hence taken at u+1/2 and -(u+1)), are cut after x^-7, below 1e-17.
+    # Below, lgamma also rounds absolutely: up to 7.3 eps more (u = 1.98)
     if u < 30.0:
         a, b = ln_gamma(u + 0.5), ln_gamma(u + 1.0)
-        return a - b, 4e-16 * (abs(a) + abs(b))
+        return a - b, 4e-16 * (abs(a) + abs(b)) + 10.0 * _EPS
     ln_x = math.log(u + 1.0)
     value = u * math.log1p(-0.5 / (u + 1.0)) - 0.5 * ln_x + 0.5
     for x in (u + 0.5, -1.0 - u):
@@ -513,6 +518,14 @@ def beta_increments(u: float) -> Tuple[Iterator[float], float]:
     """
     ln_start, err = _ln_gamma_ratio(u)
     return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
+
+
+def _beta_column(u: float) -> _Column:
+    """I_{1/2}(u, u+k) = 1/2 + inc_0 + ... + inc_(k-1): past the start's
+    `err`, entry k is off by at most (3k - 1) eps (5 roundings a step in the
+    increments, 3 in the start, 1 a step in the sum)."""
+    increments, err = beta_increments(u)
+    return _Column([0.5], 0, 0.5, err, 0.0, 3.0, increments)
 
 
 def _increments(inc: float, u: float) -> Iterator[float]:

@@ -1,12 +1,19 @@
-"""A 30-digit Marcum Q for the tests, summed with mpmath.
+"""A 30-digit Marcum Q and a 40-digit fixed-SNR CAUC for the tests, summed
+with mpmath.
 
 Q_m(a, b) = sum_k Pois(k; h) Q(m+k, x), h = a^2/2, x = b^2/2, from k = h -
 15 sqrt(h) - 30, below which the weights add to under 1e-40, up to where
 the terms fall below 1e-40 of the sum (Q rises with k, so the terms of a
 tiny Q peak far above h).  One regularized gamma at the low end starts the
 column Q(m+k, x), the rest follow by Q(s+1, x) = Q(s, x) + x^s e^(-x) /
-Gamma(s+1).  It shares no code with hoytsense; importing it skips a test
-when mpmath is missing.
+Gamma(s+1).
+
+The CAUC is sum_k Pois(k; snr) d_k with d_k = I_{1/2}(u+k, u): d_K from
+mpmath's incomplete beta past the Poisson bulk, then d_k = d_(k+1) + inc_k
+downwards by the increment recurrence.
+
+It shares no code with hoytsense; importing it skips a test when mpmath is
+missing.
 """
 
 import math
@@ -33,4 +40,22 @@ def marcum_q(m: float, a: float, b: float) -> "mp.mpf":
             e *= x / (m + k + 1)
             w *= h / (k + 1)
             k += 1
+        return +total
+
+
+def cauc(u: float, snr: float) -> "mp.mpf":
+    """1 - AUC at a fixed SNR, at 40 digits, for the doubles u, snr > 0."""
+    with mp.workdps(40):
+        u, snr = mp.mpf(u), mp.mpf(snr)
+        count = int(snr + 40 * mp.sqrt(snr) + 200)
+        inc = mp.gamma(u + 0.5) / (2 * mp.sqrt(mp.pi) * mp.gamma(u + 1))
+        incs = []
+        for l in range(count):
+            incs.append(inc)
+            inc *= (2 * u + l) / (2 * (u + l + 1))
+        d = mp.betainc(u + count, u, 0, 0.5, regularized=True)
+        total = mp.mpf(0)
+        for k in range(count - 1, -1, -1):
+            d += incs[k]
+            total += mp.exp(k * mp.log(snr) - snr - mp.loggamma(k + 1)) * d
         return +total

@@ -184,6 +184,26 @@ def test_quadrature_reference_agrees():
         assert abs(closed - quad) < 1e-9
 
 
+def test_real_u_quadrature_shares_one_beta_column(monkeypatch):
+    # every node's fixed-SNR series dots its window with one column per call
+    calls = []
+    increments = specfun.beta_increments
+
+    def counting(u):
+        calls.append(u)
+        return increments(u)
+
+    monkeypatch.setattr(specfun, "beta_increments", counting)
+    for u in (2.5, 7.3):
+        calls.clear()
+        mv = avg_auc_quadrature(DetectorConfig(u), _f(0.4, 10.0))
+        assert calls == [u] and mv.terms_used > 1
+    # integer u takes the Laguerre form, with no beta column
+    calls.clear()
+    avg_auc_quadrature(DetectorConfig(5.0), _f(0.4, 10.0))
+    assert calls == []
+
+
 def test_u1_mgf_identity():
     # 1 - M(-1/2)/2 with the elementary square-root MGF
     for q in (0.1, 0.3, 0.5, 0.75, 1.0):

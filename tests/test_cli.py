@@ -455,26 +455,27 @@ def test_roc_pd_rows_within_est_error_of_reference(capsys, u):
 
 
 def test_point_out_of_range_rows_fail(capsys):
-    # the real-u series stops at its Chernoff bound before exp(-snr)
-    # underflows, and the folded Laguerre sum stays finite up to u = 500:
-    # both rows now answer within est_error of the reference
+    # the real-u series stops at its Chernoff bound near snr 708, and the
+    # folded Laguerre sum stays finite up to u = 500; a tolerance below
+    # every bound sums the window past exp(-snr) underflow: all three rows
+    # answer within est_error of the reference
     import nb_reference as ref  # skips this test when scipy is missing
-    for u, db in (("200.5", "29.03"), ("400", "27")):
-        code, out, _ = run_cli(capsys, "point", "--metric", "auc",
-                               "--u", u, "--snr-db", db)
-        assert code == 0, (u, db)
+    for argv in (("--u", "200.5", "--snr-db", "29.03"),
+                 ("--u", "200.5", "--snr-db", "29.03", "--rel-tol", "1e-300"),
+                 ("--u", "400", "--snr-db", "27")):
+        code, out, _ = run_cli(capsys, "point", "--metric", "auc", *argv)
+        assert code == 0, argv
         (row,) = parse_rows(out)
-        want = ref.cauc(float(u), 10.0 ** (float(db) / 10.0))
-        assert abs((1.0 - float(row[5])) - want) <= float(row[6]), (u, db)
-    # the underflow at a tolerance below every bound, and the Laguerre
-    # overflow outside the box: a failed row and exit 3, not 0 or nan
-    for argv in (("--u", "200.5", "--snr-db", "29.03", "--rel-tol", "1e-300"),
-                 ("--u", "1000", "--snr-db", "10")):
-        code, out, err = run_cli(capsys, "point", "--metric", "auc", *argv)
-        assert code == 3, argv
-        (row,) = parse_rows(out)
-        assert row[4:] == ["n/a", "nan", "inf"]
-        assert "failed" in err
+        want = ref.cauc(float(argv[1]), 10.0 ** (float(argv[3]) / 10.0))
+        assert abs((1.0 - float(row[5])) - want) <= float(row[6]), argv
+    # the Laguerre overflow outside the box: a failed row and exit 3, not
+    # 0 or nan
+    code, out, err = run_cli(capsys, "point", "--metric", "auc",
+                             "--u", "1000", "--snr-db", "10")
+    assert code == 3
+    (row,) = parse_rows(out)
+    assert row[4:] == ["n/a", "nan", "inf"]
+    assert "failed" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -631,9 +632,9 @@ def test_invalid_subcommand_exits_2(capsys):
 # fixed 1e-15, which their old values missed the truth by 7x)
 POINT_FORMS = [
     ("point --metric auc --u 2.5 --snr-db 10",
-     "297a16071a2d58965d40ca13ed04fa6e4cf7455ef039fcfb77791edf89e5f8d8"),
+     "5c24103f2986e1319a18bf9a36f737373712cc29f3875d5edc23bcbd9e079a60"),
     ("point --metric cauc --u 2.5 --snr-db 10",
-     "30106f86492b85fee9d40ecda852b9c7998fc4cb8a652625078621fd4a169e4a"),
+     "969e8df970877fc1069dccffd688e45c5ce29e4ece94db9e0182180088df87cf"),
     ("point --metric pd --u 2.5 --snr-db 10 --lambda 12",
      "3f75490e78f85088da20a417020535af489f7f8310efdcd676d5cc3eaed02a51"),
     ("point --metric auc --u 5 --snr-db 10",
@@ -643,11 +644,11 @@ POINT_FORMS = [
     ("point --metric pd --u 5 --snr-db 10 --lambda 12",
      "6ebe7b4e6cfe7a89b709c1940c940c053494e018a14442210cc783ede324bd0c"),
     ("point --metric auc --u 2.5 --snr-db -inf",
-     "be03661597a1f49f321e16003cf4d5601c09ff357f531ad0bc592b2e11a3e75f"),
+     "cb0ea4cc116d2adecff38a06a228d6a0cfd2a18a8c8eb12d14883f72cd4b3765"),
     ("point --metric auc --u 2.5 --q 0.4 --snr-db -inf",
      "3ecb01bc14a26b8bc466f8f508a66c5403d7724139314b713e3766f0ab2ff50a"),
     ("point --metric cauc --u 2.5 --snr-db -inf",
-     "197aafadfafa448a6fdd5185dc0720f9fb23d7f31f78bf4f9728e43c567cf03a"),
+     "02db5389e4aaee8a6fbde852d097ae306de7224d1716f83f6eecde7b706d8574"),
     ("point --metric cauc --u 2.5 --q 0.4 --snr-db -inf",
      "e06a2927fe48485e0ab800de6fc86e32e1fbcc01a0fab9aa1b10e663bf72c6f5"),
     ("point --metric pd --u 2.5 --snr-db -inf --lambda 12",

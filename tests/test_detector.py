@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hoytsense import detector
+from hoytsense import detector, specfun
 from hoytsense.detector import (DetectorConfig, MetricValue, _cauc_chernoff,
                                 auc_awgn, auc_awgn_1f1_variant,
                                 auc_awgn_series, auc_quadrature, cauc_awgn,
@@ -203,17 +203,17 @@ def test_auc_monotone_and_saturates():
 
 
 def test_out_of_range_inputs_raise():
-    # the Chernoff bound stops the real-u series with AUC 1 long before its
-    # first Poisson weight exp(-snr) underflows near snr 708, and the folded
-    # Laguerre sum stays finite for u <= 500; both answer within est_error
+    # the Chernoff bound stops the real-u series with AUC 1 near snr 708,
+    # and the folded Laguerre sum stays finite for u <= 500; both answer
+    # within est_error, and so does the window sum that a tolerance below
+    # every bound reaches, past exp(-snr) underflow
     import nb_reference as ref  # skips this test when scipy is missing
-    for u, snr in ((200.5, 730.0), (200.5, 744.0), (200.5, 760.0),
-                   (400.0, 500.0)):
-        mv = auc_awgn(DetectorConfig(u), snr)
+    cli, tiny = EvalPolicy(), EvalPolicy(rel_tol=1e-300)
+    for u, snr, policy in ((200.5, 730.0, cli), (200.5, 744.0, cli),
+                           (200.5, 760.0, cli), (400.0, 500.0, cli),
+                           (200.5, 760.0, tiny)):
+        mv = auc_awgn(DetectorConfig(u), snr, policy)
         assert abs((1.0 - mv.value) - ref.cauc(u, snr)) <= mv.est_error, u
-    # only a tolerance below every bound reaches the underflow
-    with pytest.raises(ConvergenceError):
-        auc_awgn(DetectorConfig(200.5), 760.0, EvalPolicy(rel_tol=1e-300))
     # outside the box the Laguerre terms, up to C(2u-2, u-1), overflow
     for route in (auc_awgn, cauc_awgn):
         with pytest.raises(OverflowError):
@@ -235,33 +235,14 @@ def test_chernoff_bound_covers_the_cauc(u):
     assert mv.est_error <= 0.5 * EvalPolicy().rel_tol
 
 
-def _mp_cauc(u, snr):
-    # 40 digits of sum_k Pois(k; snr) d_k, d_k = I_{1/2}(u+k, u): d_K from
-    # mpmath's incomplete beta, then d_k = d_(k+1) + inc_k downwards
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        u, snr = mp.mpf(u), mp.mpf(snr)
-        count = int(snr + 40 * mp.sqrt(snr) + 200)
-        inc = mp.gamma(u + 0.5) / (2 * mp.sqrt(mp.pi) * mp.gamma(u + 1))
-        incs = []
-        for l in range(count):
-            incs.append(inc)
-            inc *= (2 * u + l) / (2 * (u + l + 1))
-        d = mp.betainc(u + count, u, 0, 0.5, regularized=True)
-        total = mp.mpf(0)
-        for k in range(count - 1, -1, -1):
-            d += incs[k]
-            total += mp.exp(k * mp.log(snr) - snr - mp.loggamma(k + 1)) * d
-        return total
-
-
 @pytest.mark.parametrize("u", [100.0, 150.0, 300.0, 400.0, 500.0])
 def test_large_u_within_est_error(u):
     # integer u: the CAUC to its relative est_error, and the AUC; before
     # the Laguerre start was folded, u >= 300 overflowed from snr ~30 on
+    import mp_reference  # skips this test when mpmath is missing
     cfg = DetectorConfig(u)
     for snr in (1.0, 10.0, 50.0, 150.0, 400.0, 1000.0):
-        want = _mp_cauc(u, snr)
+        want = mp_reference.cauc(u, snr)
         c = cauc_awgn(cfg, snr)
         assert abs(c.value - want) <= c.est_error, snr
         assert c.est_error <= 8.0 * u * 2.0 ** -52 * c.value
@@ -289,33 +270,37 @@ def test_auc_answers_over_the_box(u):
 
 def test_series_error_counts_the_lgamma_start():
     # at large u lgamma's error in the first beta increment, which every
-    # weight carries, outweighs the per-term rounding; against a 30-digit
-    # Poisson x beta sum (weights by the exact increment recurrence from
-    # c_0 = 1/2) it ran past est_error by up to 7x at u = 150.5
-    mp = pytest.importorskip("mpmath")
-
-    @mp.workdps(30)
-    def reference(u, snr):
-        u, snr = mp.mpf(u), mp.mpf(snr)
-        inc = mp.gamma(u + 0.5) / (2 * mp.sqrt(mp.pi) * mp.gamma(u + 1))
-        c, pois, total, l = mp.mpf(0.5), mp.exp(-snr), mp.mpf(0), 0
-        while l <= snr or pois >= mp.mpf(10) ** -35:
-            total += pois * c
-            c += inc
-            inc *= (2 * u + l) / (2 * (u + l + 1))
-            pois *= snr / (l + 1)
-            l += 1
-        return float(total)
-
-    policy = EvalPolicy(rel_tol=1e-13)
+    # weight carries, outweighs the per-term rounding (it ran past
+    # est_error by up to 7x at u = 150.5); at rel_tol 1e-300 no Chernoff
+    # exit comes before snr 760, past exp(-snr) underflow
+    import mp_reference  # skips this test when mpmath is missing
+    mp = mp_reference.mp
+    cases = [(u, snr, 1e-13) for u in (150.5, 200.5, 300.5, 499.5)
+             for snr in (2.0, 10.0, 50.0, 100.0)]
+    cases += [(u, snr, 1e-300) for u in (0.05, 0.5, 2.5, 7.3, 50.5, 200.5)
+              for snr in (0.5, 10.0, 100.0, 300.0, 760.0)]
     misses = []
-    for u in (150.5, 200.5, 300.5, 499.5):
-        for snr in (2.0, 10.0, 50.0, 100.0):
-            mv = auc_awgn_series(DetectorConfig(u), snr, policy)
-            want = reference(u, snr)
-            if not abs(mv.value - want) <= mv.est_error:
-                misses.append((u, snr, mv.value - want, mv.est_error))
+    for u, snr, rel_tol in cases:
+        mv = auc_awgn_series(DetectorConfig(u), snr, EvalPolicy(rel_tol))
+        with mp.workdps(40):
+            miss = abs(mv.value - (1 - mp_reference.cauc(u, snr)))
+        if not miss <= mv.est_error:
+            misses.append((u, snr, float(miss), mv.est_error))
     assert misses == []
+
+
+def test_series_is_the_beta_mixture(monkeypatch):
+    # the series is specfun's Poisson mixture on a half-domain beta column
+    seen = []
+    mixture = specfun._mixture
+
+    def spy(win, col):
+        seen.append((win.h, col.c[0]))
+        return mixture(win, col)
+
+    monkeypatch.setattr(specfun, "_mixture", spy)
+    mv = auc_awgn_series(DetectorConfig(2.5), 10.0)
+    assert seen == [(10.0, 0.5)] and mv.terms_used > 0
 
 
 def test_cauc_is_exact_complement():

@@ -30,12 +30,12 @@ GOLDEN = [
      "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
     # the real-u series, a seeded Monte Carlo sweep and a quadrature row
     ("sweep --u 2.5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
-     "28e5135b455ee9edac24aa81b633ae413b947816e7aa624ddba4030c49c591d6"),
+     "871b758b89140a0343186f4d4ff2d8c6234309d20a9465fd8250483f7d0d8e90"),
     ("sweep --metric auc --method mc --u 5 --q 0.5 --snr-db 0:10:5 "
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
     ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
-     "4b626ad43ff9b80a82895e13859a3f7c1a6b4c030b0c64ab2fe6275b01377db6"),
+     "6d69d837c103fea7dba56db207079445d9eef2aa02aa1a74db5e4446e1263851"),
 ]
 
 

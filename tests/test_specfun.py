@@ -316,3 +316,21 @@ def test_kummer_overflow_raises():
     assert math.isfinite(kummer_1f1(0.5, 1.5, 600.0))
     with pytest.raises(OverflowError):
         kummer_1f1(0.5, 1.5, 2000.0)
+
+
+def test_ln_gamma_ratio_error_bound_below_30():
+    # math.lgamma's rounding does not shrink near its zeros, so the relative
+    # claim alone fell short by up to 18x (u = 1.017); the bound also holds
+    # the worst point of a 23,000-point search (u = 1.983, 7.3 eps past the
+    # relative part)
+    mp = pytest.importorskip("mpmath")
+    us = [0.05 + 29.95 * i / 640 for i in range(640)]
+    us += [0.549, 1.017, 1.9830061436799609]
+    misses = []
+    with mp.workdps(40):
+        for u in us:
+            value, err = specfun._ln_gamma_ratio(u)
+            want = mp.loggamma(u + 0.5) - mp.loggamma(u + 1)
+            if not abs(value - want) <= err:
+                misses.append((u, float(abs(value - want)), err))
+    assert misses == []
