@@ -28,8 +28,8 @@ tails come from one pass over the Bin(2u-1, 1/2) pmf.
 The averaged detection probability has a closed route too: the series'
 terms are the law of the Poisson count that the Hoyt-averaged statistic
 carries, so 1 - Pd is a positive sum over that law (`avg_pd_closed`).  Its
-quadrature (`avg_pd_quadrature`) is the independent check; each node sums
-`specfun`'s Marcum Q mixture against one column per threshold.
+quadrature (`avg_pd_quadrature`) is the independent check; each node is
+`specfun.marcum_q`'s own Poisson mixture.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import detector, specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
-from .specfun import _SURE, ConvergenceError, _q_column, _Window, _mixture
+from .specfun import ConvergenceError, _q_column
 
 __all__ = [
     "avg_auc_closed",
@@ -258,10 +258,6 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
 
 
 _REL_FLOOR = 1e-300
-# a node past h = 2^16 fails the integral that needs it (its column starts
-# at k = 0; marcum_q alone reaches h ~ 1e6), and a window reaches at most
-# _MAX_TERMS past its mode: no column needs an entry past their sum
-_MAX_H = float(2 ** 16)
 
 
 def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
@@ -269,12 +265,12 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     """Average detection probability at a fixed threshold.
 
     The quadrature over the SNR nodes g of Q_u(sqrt(2g), b) times the
-    density, b = sqrt(threshold).  Each node's Marcum Q is the Poisson
-    mixture sum_k Pois(k; g) Q(u+k, b^2/2): the node's window of Poisson
-    weights meets the threshold's column Q(u+k, b^2/2), built once per
-    call from k = 0, in one dot product (`specfun._mixture`).  It is the
-    independent check of `avg_pd_closed`, the closed positive series over
-    the negative-binomial law of the same Poisson count.
+    density, b = sqrt(threshold).  Each node's Marcum Q is
+    `specfun.marcum_q`'s own Poisson mixture sum_k Pois(k; g) Q(u+k, b^2/2)
+    with its error bound, so the route reaches as far in g as Marcum Q
+    does (~1e6).  It is the independent check of `avg_pd_closed`, the
+    closed positive series over the negative-binomial law of the same
+    Poisson count.
 
     est_error adds the node errors to the last change between levels.  The
     weights and the density are positive, so if no node is off by more
@@ -291,30 +287,18 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
         return MetricValue(1.0, "quadrature", 0, 0.0)
     u = cfg.time_bandwidth
     b = math.sqrt(threshold)
-    reach = b + _SURE
-    col: Optional[specfun._Column] = None
     # the largest node error relative to its node's value, and the largest
     # at a node whose value is below _REL_FLOOR, where the absolute floors
-    # of _mixture's bound dominate
+    # of Marcum Q's bound dominate
     node_rel = 0.0
     node_abs = 0.0
 
     def integrand(g: float) -> float:
-        nonlocal col, node_rel, node_abs
+        nonlocal node_rel, node_abs
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
-        a = math.sqrt(2.0 * g)
-        if a > reach:
-            return density
-        h = 0.5 * a * a
-        if h > _MAX_H:
-            raise ConvergenceError(
-                f"Marcum Q at a^2/2 = {h} past {_MAX_H} (u={u}, b={b})")
-        win = _Window(h)
-        if col is None:
-            col = _q_column(u, b, 0, int(_MAX_H) + specfun._MAX_TERMS)
-        value, err = _mixture(win, col)
+        value, err = specfun._marcum_q(u, math.sqrt(2.0 * g), b)
         if err > node_rel * value:
             if value > _REL_FLOOR:
                 node_rel = err / value
@@ -462,8 +446,7 @@ def _closed_hit(law: _Law, u: float, threshold: float, x: float,
     rho = law.rho
     if not rho < 1.0:  # mean SNR past 2^53: no tail bound in double
         return None, 0, math.inf
-    col = _q_column(u, math.sqrt(threshold), 0,
-                    int(_MAX_H) + specfun._MAX_TERMS)
+    col = _q_column(u, math.sqrt(threshold), 0, specfun._MAX_TERMS)
     pi, c = law.pi, col.c
     total, lo, hi = 0.0, 0, len(c) + 16
     while True:

@@ -455,11 +455,8 @@ def _cmd_roc(args) -> int:
         except _ROW_FAILURES as exc:
             points.append(exc)
     lams = [p[0] for p in points if not isinstance(p, ArithmeticError)]
-    try:
-        pds = average.avg_pd_closed_curve(cfg, f, lams, args.policy)
-    except _ROW_FAILURES as exc:
-        pds = [exc] * len(lams)
-    pds = iter(pds)
+    # each threshold's failure comes back as its entry
+    pds = iter(average.avg_pd_closed_curve(cfg, f, lams, args.policy))
 
     rows: List[CurveRow] = []
     failed = False

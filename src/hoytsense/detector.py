@@ -186,9 +186,9 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     """AUC at fixed SNR by the real-u series (works for integer u too).
 
     sum_k Pois(k; snr) c_k, c_k = I_{1/2}(u, u+k) = 1/2 + inc_0 + ... +
-    inc_(k-1) with positive increments (`specfun.beta_increments`): a
-    Poisson window dotted with that column in `specfun._mixture`, whose
-    bound is est_error.  It reaches snr ~1e6, where the window stops
+    inc_(k-1) with positive increments (`specfun.beta_increments`): the
+    Poisson(snr) weights dotted with that column in `specfun._mixture`,
+    whose bound is est_error.  It reaches snr ~1e6, where the weights stop
     closing (ConvergenceError).  rel_tol only sets the exit: where the
     Chernoff CAUC bound is below rel_tol/2, AUC 1 with that bound.
     """
@@ -205,9 +205,8 @@ def _auc_series(u: float, snr: float, rel_tol: float,
         return MetricValue(1.0, "closed_series", 0, bound)
     if col is None:
         col = specfun._beta_column(u)
-    win = specfun._Window(snr)
-    value, err = specfun._mixture(win, col)
-    return MetricValue(value, "closed_series", win.hi - win.lo, err)
+    value, err, terms = specfun._mixture(snr, col)
+    return MetricValue(value, "closed_series", terms, err)
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,

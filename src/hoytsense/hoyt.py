@@ -9,8 +9,9 @@ Marcum Q calls.  Several argument conventions for that difference circulate
 in the literature and they do not agree; the pair used here was selected by
 integrating the density numerically and keeping the only candidate that
 matches (the validation suite re-runs that comparison).  As q approaches 1
-the two Marcum arguments collide and the difference loses every significant
-digit, so near-Rayleigh inputs dispatch to the exponential form instead.
+the arguments part, a -> 2r and b -> 0, and F -> 1 - e^(-snr/mean_snr); the
+difference keeps only absolute precision, which is no relative precision
+where F is small, so near-Rayleigh inputs dispatch to the exponential form.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from . import specfun
 __all__ = ["HoytFading", "db_to_linear", "snr_pdf", "snr_cdf", "snr_mgf",
            "sample_snr"]
 
-# below this distance from q=1 the Marcum-difference form has lost all
-# precision while the exponential limit is already exact to ~1e-13
+# below this distance from q=1 the exponential limit is already exact to
+# ~1e-13, where the Marcum difference keeps only absolute precision
 _RAYLEIGH_EPS = 1e-6
 
 

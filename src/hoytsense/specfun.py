@@ -165,6 +165,7 @@ def bessel_i(nu: float, x: float) -> float:
 # ratio above 1/2 rounds back to the smallest subnormal and stops falling
 _SURE = 12.0  # a > b + 12: the miss probability is below exp(-72), Q = 1
 _WINDOW_MASS = 1e-20
+_LN_MASS = -math.log(_WINDOW_MASS)
 _SUM_TOL = 1e-16
 _TAIL_FLOOR = 1e-320
 
@@ -173,11 +174,13 @@ def marcum_q(m: float, a: float, b: float) -> float:
     """Generalized Marcum Q_m(a, b) for real order m > 0.
 
     The Poisson mixture sum_k Pois(k; a^2/2) Q(m+k, b^2/2) summed from the
-    mode (Shnidman 1989): a `_Window` of weights dotted with a `_Column` of
-    incomplete gammas, anchored once by the a = 0 case, in `_mixture`, which
-    also bounds the error; the value may pass [0, 1] by up to that bound.
-    It is 1 past a > b + _SURE, and raises ConvergenceError where a^2/2 is
-    too large (~1e6) for the window to close within _MAX_TERMS terms.
+    mode (Shnidman 1989) by `_mixture`, which also bounds the error; the
+    value may pass [0, 1] by up to that bound.  The column of incomplete
+    gammas (`_q_column`) is anchored once by the a = 0 case, at the
+    Chernoff point below which the Poisson weights, or the gammas, hold
+    less than _WINDOW_MASS.  It is 1 past a > b + _SURE, and raises
+    ConvergenceError where a^2/2 is too large (~1e6) for the weights to
+    close within _MAX_TERMS terms.
     """
     return _marcum_q(m, a, b)[0]
 
@@ -197,12 +200,17 @@ def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
         return q, _upper_gamma_error(m, x, q)
     if a > b + _SURE:
         return 1.0, math.exp(-0.5 * _SURE * _SURE)
-    win = _Window(0.5 * a * a)
+    h = 0.5 * a * a
+    _check_reach(h)
     # the anchor's error, ~(m+k) ln x ulps relative, reaches every entry:
-    # start at lo, or where Q(m+k, x) < _WINDOW_MASS (Chernoff) if lower
-    t = math.sqrt(2.0 * x * -math.log(_WINDOW_MASS))
-    start = int(max(0.0, min(win.lo, x - m - t)))
-    return _mixture(win, _q_column(m, b, start, win.limit))
+    # start where the Poisson(h) mass below k, or Q(m+k, x), is under
+    # _WINDOW_MASS (Chernoff), whichever is lower; the weights' core starts
+    # above the first, where its own tail test has already passed
+    start = int(max(0.0, min(h - math.sqrt(2.0 * h * _LN_MASS),
+                             x - m - math.sqrt(2.0 * x * _LN_MASS))))
+    value, err, _ = _mixture(h, _q_column(m, b, start,
+                                          int(h) + _MAX_TERMS + 1))
+    return value, err
 
 
 def _upper_gamma_error(s: float, x: float, q: float) -> float:
@@ -212,70 +220,13 @@ def _upper_gamma_error(s: float, x: float, q: float) -> float:
         s * abs(math.log(x)) + x + abs(math.lgamma(s))))
 
 
-class _Window:
-    """Poisson(h) weights w_k, k = lo, lo+1, ..., of one Marcum Q.
-
-    Built outward from the mode k0 = int(h).  The core [lo, hi) stops on
-    each side at the first weight that bounds the mass beyond it, `below`
-    or `top`, by _WINDOW_MASS.  `grow` appends weights past the core, below
-    `limit` (_MAX_TERMS past the mode), for a sum that needs them.  The
-    weights are used divided by `mass`, the core's sum: they all share the
-    rounding of the mode's exponent, k0 ln h - h - lnGamma(k0+1) (~1e-12
-    relative at h = 1000), and the true mass is 1, so that error drops out.
-    """
-
-    __slots__ = ("h", "lo", "hi", "limit", "w", "below", "top", "mass")
-
-    def __init__(self, h: float) -> None:
-        self.h = h
-        # the mass past h + T is at most exp(-T^2 / (2 (h + T))) (Chernoff);
-        # fail before the ~10 sqrt(h) steps down if that passes _WINDOW_MASS
-        cap = _MAX_TERMS
-        if cap * cap < 2.0 * (h + cap) * -math.log(_WINDOW_MASS):
-            raise ConvergenceError(f"Poisson window of h={h} cannot close "
-                                   f"within {cap} terms past its mode")
-        k0 = int(h)
-        self.limit = k0 + cap + 1
-        w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
-                  if k0 else math.exp(-h))
-        # downward, w_(k-1) = w_k k/h, to the first k where the mass under
-        # it, at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is
-        # below _WINDOW_MASS
-        w, last, k = [w_mode], w_mode, k0
-        append = w.append
-        while k > 0:
-            rho = k / h
-            if last * rho <= _WINDOW_MASS * (1.0 - rho):
-                break
-            last *= rho
-            k -= 1
-            append(last)
-        self.below = last * rho / (1.0 - rho) if k > 0 else 0.0
-        w.reverse()
-        self.lo, self.w = k, w
-        # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
-        last, k = w_mode, k0
-        while True:
-            r = h / (k + 1)
-            if last * r <= _WINDOW_MASS * (1.0 - r):
-                break
-            if k + 1 == self.limit:
-                raise ConvergenceError(f"Poisson window of h={h} passed "
-                                       f"{cap} terms past its mode")
-            last *= r
-            k += 1
-            append(last)
-        self.hi, self.top = k + 1, last * r / (1.0 - r)
-        self.mass = sum(w)
-
-    def grow(self, hi: int) -> None:
-        # weights up to k = hi - 1, by w_k = w_(k-1) h/k
-        w, h = self.w, self.h
-        k = self.lo + len(w)
-        more = itertools.accumulate([h / j for j in range(k, hi)], mul,
-                                    initial=w[-1])
-        next(more)
-        w.extend(more)
+def _check_reach(h: float) -> None:
+    # the Poisson(h) mass past h + T is at most exp(-T^2 / (2 (h + T)))
+    # (Chernoff); fail before the ~10 sqrt(h) steps down if that passes
+    # _WINDOW_MASS at T = _MAX_TERMS
+    if _MAX_TERMS * _MAX_TERMS < 2.0 * (h + _MAX_TERMS) * _LN_MASS:
+        raise ConvergenceError(f"Poisson window of h={h} cannot close "
+                               f"within {_MAX_TERMS} terms past its mode")
 
 
 class _Column:
@@ -326,48 +277,90 @@ def _q_column(u: float, b: float, start: int, limit: int) -> _Column:
                    err, _upper_gamma_error(s, x, c0), 2.0, up)
 
 
-def _mixture(win: _Window, col: _Column) -> Tuple[float, float]:
-    """sum_k w_k c_k for any increasing column c <= 1 (Q(u+k, b^2/2) for
-    Marcum Q, I_{1/2}(u, u+k) for the AUC) and a bound on its error.
+def _mixture(h: float, col: _Column) -> Tuple[float, float, int]:
+    """sum_k Pois(k; h) c_k for any increasing column c <= 1 (Q(u+k, b^2/2)
+    for Marcum Q, I_{1/2}(u, u+k) for the AUC) that starts at or below the
+    weights' core, a bound on its error, and the number of terms summed.
 
-    The sum runs over the window's core as one dot product; while the
-    weight mass above it, times c <= 1, exceeds _SUM_TOL of the total, it
-    grows by chunks that double the window.  The bound adds that upper
-    tail, the mass under the window times the smallest c it holds (c rises
-    with k), the core's missing mass that the division by `mass` spreads
-    over the weights, the column's own error, and the rounding of the
-    weight recurrence over the window (an ulp a step), of the column from
-    its start (`ulps` a step) and of the sums.
+    The weights are built outward from the mode k0 = int(h).  The core
+    [lo, hi) stops on each side at the first weight that bounds the mass
+    beyond it, `below` or `top`, by _WINDOW_MASS.  The sum runs over the
+    core as one dot product; while the weight mass above it, times c <= 1,
+    exceeds _SUM_TOL of the total, it grows by chunks that double the
+    window, below _MAX_TERMS past the mode.  The sum is divided by `mass`,
+    the core's sum: every weight shares the rounding of the mode's
+    exponent, k0 ln h - h - lnGamma(k0+1) (~1e-12 relative at h = 1000),
+    and the true mass is 1, so that error drops out.
+
+    The bound adds that upper tail, the mass under the core times the
+    smallest c it holds (c rises with k), the core's missing mass that the
+    division spreads over the weights, the column's own error, and the
+    rounding of the weight recurrence over the window (an ulp a step), of
+    the column from its start (`ulps` a step) and of the sums.
     """
-    lo, hi, w = win.lo, win.hi, win.w
+    _check_reach(h)
+    k0 = int(h)
+    limit = k0 + _MAX_TERMS + 1
+    w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
+              if k0 else math.exp(-h))
+    # downward, w_(k-1) = w_k k/h, to the first k where the mass under it,
+    # at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is below
+    # _WINDOW_MASS
+    w, last, k = [w_mode], w_mode, k0
+    append = w.append
+    while k > 0:
+        rho = k / h
+        if last * rho <= _WINDOW_MASS * (1.0 - rho):
+            break
+        last *= rho
+        k -= 1
+        append(last)
+    below = last * rho / (1.0 - rho) if k > 0 else 0.0
+    w.reverse()
+    lo = k
+    # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
+    last, k = w_mode, k0
+    while True:
+        r = h / (k + 1)
+        if last * r <= _WINDOW_MASS * (1.0 - r):
+            break
+        if k + 1 == limit:
+            raise ConvergenceError(f"Poisson window of h={h} passed "
+                                   f"{_MAX_TERMS} terms past its mode")
+        last *= r
+        k += 1
+        append(last)
+    hi, top = k + 1, last * r / (1.0 - r)
+    mass = sum(w)
     c, start = col.c, col.start
     col.extend(hi - start)
-    # w may hold weights past hi: map stops at the column slice's end
     total = sum(map(mul, w, c[lo - start:hi - start]))
-    above = win.top
+    above = top
     while above > _SUM_TOL * total and above > _TAIL_FLOOR:
-        grown = min(2 * hi - lo, win.limit)
+        grown = min(2 * hi - lo, limit)
         if grown == hi:
             raise ConvergenceError(
-                f"Poisson mixture at h={win.h}, x={col.x} passed "
+                f"Poisson mixture at h={h}, x={col.x} passed "
                 f"{_MAX_TERMS} terms past the mode")
-        win.grow(grown)
+        # weights up to k = grown - 1, by w_k = w_(k-1) h/k
+        more = itertools.accumulate([h / j for j in range(hi, grown)], mul,
+                                    initial=w[-1])
+        next(more)
+        w.extend(more)
         col.extend(grown - start)
-        total += sum(map(mul, w[hi - lo:grown - lo],
-                         c[hi - start:grown - start]))
+        total += sum(map(mul, w[hi - lo:], c[hi - start:grown - start]))
         hi = grown
         # the mass from hi > h up is at most w_(hi-1) r/(1 - r), r = h/hi
-        r = win.h / hi
-        above = w[hi - 1 - lo] * r / (1.0 - r)
-    mass = win.mass
+        r = h / hi
+        above = w[-1] * r / (1.0 - r)
     total /= mass
-    rounding = win.below + win.top + (
+    rounding = below + top + (
         4.0 * (hi - lo) + col.ulps * (hi - start) + 1.0) * _EPS
     # the increments are at most total - c_start of the total; a
     # subnormal product or sum rounds by up to 2^-1074 whatever its size
     return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
-                   + (above + c[lo - start] * win.below) / mass
-                   + (hi - lo) * 5e-324)
+                   + (above + c[lo - start] * below) / mass
+                   + (hi - lo) * 5e-324), hi - lo
 
 
 # ---------------------------------------------------------------------------

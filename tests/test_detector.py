@@ -294,9 +294,9 @@ def test_series_is_the_beta_mixture(monkeypatch):
     seen = []
     mixture = specfun._mixture
 
-    def spy(win, col):
-        seen.append((win.h, col.c[0]))
-        return mixture(win, col)
+    def spy(h, col):
+        seen.append((h, col.c[0]))
+        return mixture(h, col)
 
     monkeypatch.setattr(specfun, "_mixture", spy)
     mv = auc_awgn_series(DetectorConfig(2.5), 10.0)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from hoytsense import specfun
+from hoytsense import average, specfun
 from hoytsense.specfun import (ConvergenceError, _marcum_q, bessel_i,
                                binomial, kummer_1f1, laguerre, ln_gamma,
                                marcum_q, pochhammer, reg_upper_gamma)
@@ -259,6 +259,14 @@ def test_marcum_leaves_the_unit_interval_by_less_than_its_bound():
 def test_specfun_has_no_unit_interval_clamp():
     source = inspect.getsource(specfun)
     assert "min(1.0, max(0.0" not in source
+
+
+def test_one_poisson_mixture_entry_point():
+    # _mixture(h, col) builds its own Poisson weights, and average's
+    # quadrature Pd calls Marcum Q instead of summing a mixture of its own
+    assert not hasattr(specfun, "_Window")
+    for name in ("_MAX_H", "_Window", "_SURE", "_mixture"):
+        assert not hasattr(average, name), name
 
 
 @pytest.mark.parametrize("b", [43.0, 43.565, 45.0])
