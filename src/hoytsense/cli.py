@@ -407,6 +407,7 @@ def _cmd_point(args) -> int:
         raise UsageError(f"--snr-db is required for metric {metric}")
 
     row_q = math.nan if q is None else q
+    route = _ROUTES[metric][0]
     failed = False
     try:
         if q is not None and mean == 0.0 and metric in ("auc", "cauc"):
@@ -416,13 +417,12 @@ def _cmd_point(args) -> int:
             # at zero SNR pd is pf exactly, any q: the unfaded route
             channel = HoytFading(q, mean) if q is not None and mean else mean
             val, label, err = _eval_row(
-                metric, _ROUTES[metric][0], cfg, channel, args.threshold,
-                args.policy, None)
+                metric, route, cfg, channel, args.threshold, args.policy, None)
         row = CurveRow(db, row_q, args.u, metric, label,
                        _clamp01(val, err), err)
     except _ROW_FAILURES as exc:
         failed = True
-        row = _failure_row(db, row_q, args.u, metric, "n/a", exc)
+        row = _failure_row(db, row_q, args.u, metric, route, exc)
     _write_rows([row], args.out)
     return 3 if failed else 0
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import specfun
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HoytFading", "db_to_linear", "snr_pdf", "snr_cdf", "snr_mgf",
            "sample_snr"]

@@ -12,6 +12,9 @@ index) through SeedSequence spawn keys, and batch results are combined in
 index order with exact summation.  (trials, master_seed) alone therefore
 decide every estimate bit for bit, however the batches would be scheduled,
 which the acceptance suite checks by re-running sweeps.
+
+numpy is imported by the first draw, not with the package: the closed and
+quadrature routes run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .detector import DetectorConfig
 from .hoyt import HoytFading, sample_snr
@@ -36,6 +37,11 @@ __all__ = [
 
 
 _BATCH_SIZE = 65_536  # the unit of seeding and of the pairwise rank count
+
+# the numpy module, bound once by batch_rng, which every batch calls before
+# it sorts or ranks; the sorts and ranks read this global, so a stand-in
+# assigned here (a tracing proxy) is used by all of them
+np = None
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,10 @@ class McEstimate:
 
 def batch_rng(mc: McConfig, index: int) -> np.random.Generator:
     """Deterministic per-batch generator: (master_seed, batch index) -> PCG64."""
+    global np
+    if np is None:
+        import numpy
+        np = numpy
     seq = np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(seq))
 

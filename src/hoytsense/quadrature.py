@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 __all__ = [
     "EvalPolicy",
     "QuadratureError",
@@ -55,13 +53,48 @@ class EvalPolicy:
 _MAX_LEVELS = 20
 
 
-# 32-point rule: degree-63 exactness per panel, plenty for smooth kernels.
-# Pre-shifted from [-1, 1] to [0, 1] and held as Python floats: numpy
-# scalars would carry every integrand's arithmetic through numpy's slower
-# scalar path and leak np.float64 into the results.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
-_T01 = tuple(float(t) for t in 0.5 * (_NODES + 1.0))
-_W01 = tuple(float(w) for w in 0.5 * _WEIGHTS)
+# 32-point Gauss-Legendre rule: degree-63 exactness per panel, plenty for
+# smooth kernels.  The nodes and weights of numpy's leggauss(32), shifted
+# from [-1, 1] to [0, 1] (t = (x + 1)/2, w/2) and written out as the repr of
+# each double, so the closed and quadrature routes run without importing
+# numpy; tests/test_quadrature.py checks them against leggauss bit for bit.
+# Python floats also keep every integrand off numpy's slower scalar path.
+_T01 = (
+    0.001368069075259215, 0.007194244227365809,
+    0.017618872206246805, 0.03254696203113017,
+    0.051839422116973954, 0.07531619313371501,
+    0.10275810201602881, 0.13390894062985514,
+    0.16847786653489238, 0.20614212137961885,
+    0.24655004553388532, 0.28932436193468236,
+    0.33406569885893617, 0.38035631887393145,
+    0.42776401920860174, 0.4758461671561308,
+    0.5241538328438692, 0.5722359807913983,
+    0.6196436811260685, 0.6659343011410639,
+    0.7106756380653176, 0.7534499544661146,
+    0.7938578786203812, 0.8315221334651076,
+    0.8660910593701449, 0.8972418979839711,
+    0.924683806866285, 0.948160577883026,
+    0.9674530379688698, 0.9823811277937532,
+    0.9928057557726342, 0.9986319309247408,
+)
+_W01 = (
+    0.003509305004735253, 0.008137197365452872,
+    0.012696032654631012, 0.017136931456510882,
+    0.021417949011113418, 0.025499029631188046,
+    0.029342046739267783, 0.03291111138818084,
+    0.03617289705442417, 0.039096947893535114,
+    0.041655962113473353, 0.04382604650220189,
+    0.04558693934788189, 0.046922199540402255,
+    0.047819360039637354, 0.04827004425736383,
+    0.04827004425736383, 0.047819360039637354,
+    0.046922199540402255, 0.04558693934788189,
+    0.04382604650220189, 0.041655962113473353,
+    0.039096947893535114, 0.03617289705442417,
+    0.03291111138818084, 0.029342046739267783,
+    0.025499029631188046, 0.021417949011113418,
+    0.017136931456510882, 0.012696032654631012,
+    0.008137197365452872, 0.003509305004735253,
+)
 
 
 def _integrate(f: Callable[[float], float], policy: EvalPolicy,

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import average, detector, hoyt, montecarlo, specfun
 from .quadrature import EvalPolicy, integrate_half_line, integrate_unit_interval
 from .specfun import ConvergenceError
@@ -361,14 +359,14 @@ def mc_suite(trials: int = 1_000_000, master_seed: int = 20260815) -> List[Line]
     n = max(10_000, trials // 4)
     y0 = montecarlo.sample_statistic(cfg25, 0.0, "H0", rng, size=n)
     y1 = montecarlo.sample_statistic(cfg25, 3.0, "H1", rng, size=n)
-    dev0 = abs(float(np.mean(y0)) - 5.0) / (float(np.std(y0)) / math.sqrt(n))
-    dev1 = abs(float(np.mean(y1)) - 11.0) / (float(np.std(y1)) / math.sqrt(n))
+    dev0 = abs(float(y0.mean()) - 5.0) / (float(y0.std()) / math.sqrt(n))
+    dev1 = abs(float(y1.mean()) - 11.0) / (float(y1.std()) / math.sqrt(n))
     lines.append(("statistic_means", dev0 < 4.0 and dev1 < 4.0,
                   f"H0 dev {dev0:.2f} s.e., H1 dev {dev1:.2f} s.e. at n={n}"))
 
     lam = detector.threshold_for_pf(cfg5, 0.1)
     y = montecarlo.sample_statistic(cfg5, 0.0, "H0", rng, size=n)
-    emp = float(np.mean(y > lam))
+    emp = float((y > lam).mean())
     dev = abs(emp - 0.1) / math.sqrt(0.1 * 0.9 / n)
     lines.append(("empirical_false_alarm", dev < 4.0,
                   f"emp {emp:.5f} vs 0.1, {dev:.2f} binomial s.e."))

@@ -477,7 +477,7 @@ def test_point_out_of_range_rows_fail(capsys):
                              "--u", "1000", "--snr-db", "10")
     assert code == 3
     (row,) = parse_rows(out)
-    assert row[4:] == ["n/a", "nan", "inf"]
+    assert row[4:] == ["closed", "nan", "inf"]
     assert "failed" in err
 
 

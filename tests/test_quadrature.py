@@ -82,6 +82,15 @@ def test_half_line_scale_validation():
         integrate_half_line(math.exp, TIGHT, scale=math.inf)
 
 
+def test_literal_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    t01 = tuple(float(t) for t in 0.5 * (nodes + 1.0))
+    w01 = tuple(float(w) for w in 0.5 * weights)
+    assert all(type(x) is float for x in quadrature._T01 + quadrature._W01)
+    assert [x.hex() for x in quadrature._T01] == [x.hex() for x in t01]
+    assert [x.hex() for x in quadrature._W01] == [x.hex() for x in w01]
+
+
 def test_non_convergence_raises(monkeypatch):
     # five doublings on a violently oscillatory integrand
     monkeypatch.setattr(quadrature, "_MAX_LEVELS", 5)
