@@ -83,13 +83,17 @@ def batch_rng(mc: McConfig, index: int) -> np.random.Generator:
 def _draw_h1(u: float, channel: Union[HoytFading, float],
              rng: np.random.Generator, n: int) -> np.ndarray:
     # n H1 statistics, drawn in contract order: the SNR (HoytFading) or a
-    # fixed SNR, then K ~ Poisson(snr), then 2 Gamma(u + K)
+    # fixed SNR, then K ~ Poisson(snr), then 2 Gamma(u + K).  At snr = 0 every
+    # K is 0 and Poisson(0) draws no bits, so the generator is left as it
+    # would be: the scalar-shape gamma gives the same draws, bit for bit
     if isinstance(channel, HoytFading):
         snr = sample_snr(channel, rng, n)
     else:
         snr = float(channel)
         if not 0.0 <= snr < math.inf:
             raise ValueError(f"snr must be finite and >= 0, got {channel}")
+        if snr == 0.0:
+            return 2.0 * rng.standard_gamma(u, n)
     extra = rng.poisson(snr, n)
     return 2.0 * rng.standard_gamma(u + extra)
 
@@ -129,6 +133,20 @@ def _batch_sizes(mc: McConfig):
         yield n
 
 
+def _wins(y0_sorted: np.ndarray, y1_sorted: np.ndarray) -> float:
+    # pairs whose H1 draw ranks above the H0 draw, ties counting half.  One
+    # search counts the H0 draws at or below each H1 draw; a second, run only
+    # on the H1 draws that tie (the last H0 draw at or below them equals
+    # them; index -1, where there is none, wraps round and is masked off),
+    # counts those strictly below
+    below_or_tied = np.searchsorted(y0_sorted, y1_sorted, side="right")
+    tied = (y0_sorted[below_or_tied - 1] == y1_sorted) & (below_or_tied > 0)
+    ties = (below_or_tied[tied]
+            - np.searchsorted(y0_sorted, y1_sorted[tied], side="left"))
+    # integer sums, halved once: the count is exact
+    return 0.5 * (2 * below_or_tied.sum() - ties.sum())
+
+
 def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
                  mc: McConfig) -> McEstimate:
     """Rank-statistic AUC estimate.
@@ -137,13 +155,15 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
     so the estimate targets the fading-averaged AUC) or a plain float (both
     statistics at that fixed SNR, targeting the instantaneous AUC).
 
-    Each batch draws n H0 and n H1 statistics and counts, via two binary
-    searches of the sorted H1 sample against the sorted H0 sample, how many of the n^2 cross pairs
-    rank the H1 draw higher (ties count half).  Batch values are pooled with
-    n^2 weights — the pair counts — in fixed batch order.  The standard
-    error is the Hanley-McNeil estimate at the total trial count; batching
-    leaves the leading variance term intact because the per-draw projections
-    pool across batches even though cross-batch pairs are never compared.
+    Each batch draws n H0 and n H1 statistics and counts how many of the
+    n^2 cross pairs rank the H1 draw higher (ties count half): one binary
+    search of the sorted H1 sample against the sorted H0 sample, and a
+    second only for the H1 draws that tie with an H0 draw.  Batch values
+    are pooled with n^2 weights — the pair counts — in fixed batch order.
+    The standard error is the Hanley-McNeil estimate at the total trial
+    count; batching leaves the leading variance term intact because the
+    per-draw projections pool across batches even though cross-batch pairs
+    are never compared.
     At an estimate of exactly 0 or 1, where that formula gives 0, it is the
     one-sided 95% bound 3/trials (rule of three).
 
@@ -161,10 +181,7 @@ def estimate_auc(cfg: DetectorConfig, channel: Union[HoytFading, float],
         y0_sorted = np.sort(y0)
         # sorted queries walk y0_sorted in order (cache friendly); the
         # counts are integer sums over a permutation, so the value is unchanged
-        y1_sorted = np.sort(y1)
-        below = np.searchsorted(y0_sorted, y1_sorted, side="left")
-        below_or_tied = np.searchsorted(y0_sorted, y1_sorted, side="right")
-        wins = 0.5 * (below + below_or_tied).sum()
+        wins = _wins(y0_sorted, np.sort(y1))
         pairs = float(n) * float(n)
         weighted.append(wins)          # = pairs * batch AUC
         weights.append(pairs)

@@ -12,6 +12,8 @@ The CAUC is sum_k Pois(k; snr) d_k with d_k = I_{1/2}(u+k, u): d_K from
 mpmath's incomplete beta past the Poisson bulk, then d_k = d_(k+1) + inc_k
 downwards by the increment recurrence.
 
+The scaled Bessel function is mpmath's besseli times e^(-x), at 40 digits.
+
 It shares no code with hoytsense; importing it skips a test when mpmath is
 missing.
 """
@@ -59,3 +61,10 @@ def cauc(u: float, snr: float) -> "mp.mpf":
             d += incs[k]
             total += mp.exp(k * mp.log(snr) - snr - mp.loggamma(k + 1)) * d
         return +total
+
+
+def bessel_i(nu: float, x: float) -> "mp.mpf":
+    """e^(-x) I_nu(x) at 40 digits, for the doubles nu, x."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        return +(mp.besseli(nu, x) * mp.exp(-x))

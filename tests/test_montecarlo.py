@@ -9,8 +9,9 @@ from hoytsense.average import avg_auc_closed, avg_pd_quadrature
 from hoytsense.detector import DetectorConfig, auc_awgn, pd as pd_closed, \
     threshold_for_pf
 from hoytsense.hoyt import HoytFading
-from hoytsense.montecarlo import (McConfig, McEstimate, batch_rng,
-                                  estimate_auc, estimate_pd, sample_statistic)
+from hoytsense.montecarlo import (McConfig, McEstimate, _draw_h1, _wins,
+                                  batch_rng, estimate_auc, estimate_pd,
+                                  sample_statistic)
 from hoytsense.quadrature import EvalPolicy
 
 TIGHT = EvalPolicy(rel_tol=1e-13)
@@ -176,3 +177,46 @@ def test_fixed_snr_estimators_reject_a_non_finite_snr():
             estimate_auc(cfg, bad, mc)
         with pytest.raises(ValueError, match="snr must be finite"):
             estimate_pd(cfg, bad, 3.0, mc)
+
+
+@pytest.mark.parametrize("u", [0.05, 0.7, 4.0, 200.0])
+def test_zero_snr_draw_skips_the_poisson_counts(u):
+    # Poisson(0) draws no bits: the scalar-shape gamma at snr = 0 gives
+    # the H1 draws of 2 Gamma(u + Poisson(0)) bit for bit, and leaves the
+    # generator where they leave it
+    n = 5000
+    fast, full = batch_rng(McConfig(), 3), batch_rng(McConfig(), 3)
+    got = _draw_h1(u, 0.0, fast, n)
+    want = 2.0 * full.standard_gamma(u + full.poisson(0.0, n))
+    assert np.array_equal(got, want)
+    assert fast.bit_generator.state == full.bit_generator.state
+
+
+def _two_search_wins(y0_sorted, y1_sorted):
+    below = np.searchsorted(y0_sorted, y1_sorted, side="left")
+    below_or_tied = np.searchsorted(y0_sorted, y1_sorted, side="right")
+    return 0.5 * (below + below_or_tied).sum()
+
+
+def test_rank_count_matches_two_searches_on_ties():
+    # integer-valued draws (ties everywhere), runs of exact zeros in both
+    # samples, H1 draws below every H0 draw, and batches shorter than
+    # _BATCH_SIZE: one search plus a second over the tied draws alone
+    # gives the two-search count exactly
+    rng = np.random.default_rng(5)
+    zeros = np.zeros(300)
+    cases = [
+        (rng.integers(0, 20, 65_536).astype(float),
+         rng.integers(0, 25, 65_536).astype(float)),
+        (np.concatenate([zeros, rng.gamma(2.0, size=700)]),
+         np.concatenate([zeros[:123], rng.gamma(2.0, size=877)])),
+        (rng.integers(5, 9, 1001).astype(float),
+         rng.integers(0, 6, 999).astype(float)),
+        (np.arange(10.0), np.arange(10.0)),
+        (np.ones(7), np.zeros(7)),
+    ]
+    for y0, y1 in cases:
+        y0_sorted, y1_sorted = np.sort(y0), np.sort(y1)
+        got = _wins(y0_sorted, y1_sorted)
+        want = _two_search_wins(y0_sorted, y1_sorted)
+        assert got == want and type(got) is type(want)

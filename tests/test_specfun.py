@@ -96,7 +96,8 @@ def test_bessel_frozen_values():
 
 
 def test_bessel_scaled_frozen_values():
-    # the asymptotic branch (large x) carries the exp(-x) factor internally
+    # all three are past the crossover x = 25 + nu^2, in the asymptotic
+    # branch, which carries the exp(-x) factor internally
     assert bessel_i(0.0, 800.0) == pytest.approx(I0S_800, rel=1e-13)
     assert bessel_i(0.0, 150.0) == pytest.approx(I0S_150, rel=1e-13)
     assert bessel_i(1.0, 150.0) == pytest.approx(I1S_150, rel=1e-13)
@@ -107,6 +108,38 @@ def test_bessel_half_order_closed_form():
     for x in (0.3, 2.0, 10.0):
         want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
         assert bessel_i(0.5, x) * math.exp(x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 2.5, 5.0])
+def test_bessel_holds_5e_14_against_mpmath(nu):
+    # a log grid of x from 1e-3 to 1.5e3, and the points on either side of
+    # the switch from the ascending series to the asymptotic expansion at
+    # x = 25 + nu^2.  The series' e^(-x) scaling rounds by ~x ulps, so one
+    # run out to a few hundred misses 5e-14
+    import mp_reference
+    cross = 25.0 + nu * nu
+    grid = [1e-3 * 1.5e6 ** (i / 96.0) for i in range(97)]
+    for x in grid + [cross - 0.5, math.nextafter(cross, 0.0), cross,
+                     math.nextafter(cross, math.inf), cross + 0.5]:
+        want = mp_reference.bessel_i(nu, x)
+        assert abs(bessel_i(nu, x) - want) <= 5e-14 * want, x
+
+
+def test_bessel_cost_is_flat_past_the_crossover():
+    # past x = 25 the asymptotic expansion, whose term count falls as x
+    # grows, takes over from the series, whose count grows as x/2 (at
+    # x = 600 it would take ~10 times as long as at x = 25).  Best of
+    # interleaved rounds
+    xs = (25.0, 100.0, 600.0, 1500.0)
+    best = dict.fromkeys(xs, math.inf)
+    for _ in range(50):
+        for x in xs:
+            start = time.perf_counter()
+            for _ in range(20):
+                bessel_i(0.0, x)
+            best[x] = min(best[x], time.perf_counter() - start)
+    for x in xs[1:]:
+        assert best[x] < best[25.0], (x, best)
 
 
 def test_bessel_at_zero_argument():
