@@ -25,6 +25,13 @@ term cap `specfun._MAX_TERMS`.  The finite sum takes u terms whatever the
 SNR: its inner sum over the binomial weights is a binomial tail, and all u
 tails come from one pass over the Bin(2u-1, 1/2) pmf.
 
+What depends on u alone is built once per `DetectorConfig` and shared by
+every evaluation at it (`DetectorConfig._table`; the CLI builds one per
+request): the series' beta increments and cut bounds
+(`specfun._BetaTable`), the finite sum's tail weights and the column of
+betas at the quadrature's real-u nodes.  So a row pays only for what its
+q and SNR set: the Legendre terms and the sums over them.
+
 The averaged detection probability has a closed route too: the series'
 terms are the law of the Poisson count that the Hoyt-averaged statistic
 carries, so 1 - Pd is a positive sum over that law (`avg_pd_closed`).  Its
@@ -73,11 +80,13 @@ def _legendre_terms(x: float, s: float) -> Iterator[float]:
         n += 1
 
 
-def _binomial_tails(u: int) -> List[float]:
-    # P(Bin(2u-1, 1/2) >= u + i), i = 0..u-1: the pmf from the centre
-    # outwards by the ratio (n-k+1)/k, normalised by the symmetric total (the
-    # upper half is exactly 1/2 of it, n being odd), then added from the far
-    # end inwards so every addition is positive
+def _binomial_tails(u: float) -> List[float]:
+    # P(Bin(2u-1, 1/2) >= u + i), i = 0..u-1 for u within rounding of an
+    # integer: the pmf from the centre outwards by the ratio (n-k+1)/k,
+    # normalised by the symmetric total (the upper half is exactly 1/2 of
+    # it, n being odd), then added from the far end inwards so every
+    # addition is positive
+    u = int(round(u))
     n = 2 * u - 1
     pmf = [1.0]
     for k in range(u + 1, n + 1):
@@ -85,6 +94,12 @@ def _binomial_tails(u: int) -> List[float]:
     tails = list(itertools.accumulate(reversed(pmf)))[::-1]
     total = 2.0 * tails[0]
     return [t / total for t in tails]
+
+
+def _finite_sum_weights(u: float) -> List[float]:
+    # 2^(i+1) P(Bin(2u-1, 1/2) >= u + i), the finite sum's weights
+    return [math.ldexp(tail, i + 1)
+            for i, tail in enumerate(_binomial_tails(u))]
 
 
 def _finite_sum_setup(q: float, mean_snr: float) -> Tuple[float, float]:
@@ -101,7 +116,7 @@ def _finite_sum_setup(q: float, mean_snr: float) -> Tuple[float, float]:
     return den, 1.0 / math.sqrt(one_minus_w2)
 
 
-def _finite_sum_cauc(u: int, q: float, mean_snr: float) -> float:
+def _finite_sum_cauc(cfg: DetectorConfig, q: float, mean_snr: float) -> float:
     """Integer-u average CAUC by the finite double sum, in u terms.
 
     The published double sum runs over 0 <= i <= l < u with the weight
@@ -112,20 +127,21 @@ def _finite_sum_cauc(u: int, q: float, mean_snr: float) -> float:
         sum_{l=i}^{u-1} C(l+u-1, l-i) 2^(i+1-l-u)
             = 2^(i+1) P(Bin(2u-1, 1/2) >= u+i),
 
-    so the whole sum takes u terms, one tail each (`_binomial_tails`).  The
-    published version drops the (1+q^2) factor restored here.  Raises
-    OverflowError where mean_snr^i or den^(i+1) leaves double range; the
-    series form covers those points.
+    so the whole sum takes u terms, one tail each (`_binomial_tails`; cfg
+    keeps the weights for all its rows).  The published version drops the
+    (1+q^2) factor restored here.  Raises OverflowError where mean_snr^i or
+    den^(i+1) leaves double range; the series form covers those points.
     """
+    u = int(round(cfg.time_bandwidth))
     q2 = q * q
     den, s = _finite_sum_setup(q, mean_snr)
+    weights = cfg._table(_finite_sum_weights)
     # q^(2i) rides in the Legendre terms: q^(1+2i) alone underflows at
     # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN
     try:
-        terms = [math.ldexp(tail, i + 1) * leg
-                 * (mean_snr ** i / den ** (i + 1))
-                 for i, (tail, leg) in enumerate(zip(_binomial_tails(u),
-                                                     _legendre_terms(q2, s)))]
+        terms = [w * leg * (mean_snr ** i / den ** (i + 1))
+                 for i, (w, leg) in enumerate(zip(weights,
+                                                  _legendre_terms(q2, s)))]
     except OverflowError:
         raise OverflowError(
             f"finite-sum CAUC: mean_snr**i or den**(i+1) left double range "
@@ -149,7 +165,8 @@ def _series_setup(q: float, mean_snr: float):
     return x, s, 2.0 * q * (1.0 + q2) / den, x / one_minus_w
 
 
-def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
+def _series_value(cfg: DetectorConfig, q: float, mean_snr: float,
+                  policy: EvalPolicy):
     """Real-u average CAUC series; returns (cauc, terms, est_error).
 
     The AUC is pref * sum_l c_l M_l with c_l = I_{1/2}(u, u+l) the
@@ -169,29 +186,38 @@ def _series_value(u: float, q: float, mean_snr: float, policy: EvalPolicy):
     which bounds every later ratio of the increments and of the d_l,
     d_{J+1} <= D = inc_{J+1}/(1-r), the term ratio of (a) is at most r*rho,
     so (a) + (b) <= D (S_J + rho M_J/(1-r*rho)); by the identity above the
-    whole cut is also at most pref * D * sum_l M_l = D.
+    whole cut is also at most pref * D * sum_l M_l = D.  The increments, r
+    and D depend on u alone: cfg's `specfun._BetaTable` holds them, grown
+    as far as the longest sum at this u has needed.
     """
     x, s, pref, rho = _series_setup(q, mean_snr)
-    # rounding: lgamma's absolute error in inc_0, then a few ulps a term
-    increments, lgamma_err = specfun.beta_increments(u)
+    beta = cfg._table(specfun._BetaTable)
+    inc, ratio, tail = beta.inc, beta.ratio, beta.tail
+    terms = _legendre_terms(x, s)
+    tol = policy.rel_tol * pref
     partial = 0.0
     total = 0.0
-    for j, inc, m_j in zip(range(specfun._MAX_TERMS),
-                           increments, _legendre_terms(x, s)):
-        partial += m_j
-        total += inc * partial
-        t_next = (2.0 * u + j + 1.0) / (2.0 * (u + j + 2.0))
-        r = max(0.5, t_next)
-        bound = inc * (2.0 * u + j) / (2.0 * (u + j + 1.0)) / (1.0 - r)
-        cut = min(pref * bound * (partial + rho * m_j / (1.0 - r * rho)),
-                  bound)
-        if cut <= policy.rel_tol * pref * total:
-            cauc = pref * total
-            rounding = (lgamma_err + 4e-16 * (j + 1)) * cauc + _EPS
-            return cauc, j + 1, cut + rounding
+    lo = 0
+    while lo < specfun._MAX_TERMS:
+        # the whole table first, then doubling it
+        hi = min(max(2 * lo, len(tail), 64), specfun._MAX_TERMS)
+        beta.extend(hi)
+        for j, a, r, bound, m_j in zip(range(lo, hi), inc[lo:hi],
+                                       ratio[lo:hi], tail[lo:hi], terms):
+            partial += m_j
+            total += a * partial
+            cut = min(pref * bound * (partial + rho * m_j / (1.0 - r * rho)),
+                      bound)
+            if cut <= tol * total:
+                cauc = pref * total
+                # lgamma's absolute error in inc_0, then a few ulps a term
+                rounding = (beta.err + 4e-16 * (j + 1)) * cauc + _EPS
+                return cauc, j + 1, cut + rounding
+        lo = hi
     raise ConvergenceError(
         f"average-AUC series did not meet rel_tol={policy.rel_tol} within "
-        f"{specfun._MAX_TERMS} terms (u={u}, q={q}, mean_snr={mean_snr})")
+        f"{specfun._MAX_TERMS} terms (u={cfg.time_bandwidth}, q={q}, "
+        f"mean_snr={mean_snr})")
 
 
 def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
@@ -211,9 +237,9 @@ def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
         if not cfg.is_integer:
             raise ValueError("finite_sum form requires integer time_bandwidth")
         u = int(round(cfg.time_bandwidth))
-        value = _finite_sum_cauc(u, f.q, f.mean_snr)
+        value = _finite_sum_cauc(cfg, f.q, f.mean_snr)
         return MetricValue(value, "closed_integer", u, 1e-15 * u)
-    value, terms, err = _series_value(cfg.time_bandwidth, f.q, f.mean_snr, policy)
+    value, terms, err = _series_value(cfg, f.q, f.mean_snr, policy)
     return MetricValue(value, "closed_series", terms, err)
 
 
@@ -233,14 +259,14 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     of its way to share nothing with them: the integrand composes the
     detector's AUC (Laguerre or fixed-SNR series) with the Bessel-form
     density, on the substituted half line scaled by the mean SNR; at real
-    u all nodes share one column of betas (`specfun._beta_column`).
+    u all nodes share cfg's column of betas (`specfun._BetaTable`).
 
     est_error adds the largest fixed-SNR est_error at any node to the last
     change between levels: with positive weights and a density that
     integrates to 1, the nodes' own errors move the result by no more.
     """
     u = cfg.time_bandwidth
-    col = None if cfg.is_integer else specfun._beta_column(u)
+    col = None if cfg.is_integer else cfg._table(specfun._BetaTable).column
     node_err = 0.0
 
     def integrand(g: float) -> float:

@@ -359,6 +359,18 @@ def _eval_row(metric: str, method: str, cfg: DetectorConfig,
     return (1.0 - val if metric == "cauc" else val), label, err
 
 
+def _row_outcome(metric: str, method: str, cfg: DetectorConfig,
+                 f: HoytFading, threshold: Optional[float], policy: EvalPolicy,
+                 mc: McConfig) -> Union[Tuple[str, float, float], Exception]:
+    # (method label, value, est_error) of one sweep row, or why it failed
+    try:
+        val, label, err = _eval_row(metric, method, cfg, f, threshold,
+                                    policy, mc)
+        return label, _clamp01(val, err), err
+    except _ROW_FAILURES as exc:
+        return exc
+
+
 def _cmd_sweep(args) -> int:
     metric = args.metric
     snr_grid = _parse_snr_axis(args.snr_db, allow_range=True)
@@ -376,20 +388,26 @@ def _cmd_sweep(args) -> int:
 
     rows: List[CurveRow] = []
     failed = False
+    # each method's last outcome: pf has no channel, so its first outcome
+    # serves every (q, snr) row of the grid, failures included
+    outcomes: dict = {}
     for q in args.q:
         for db in snr_grid:
             f = HoytFading(q, _linear_snr(db))
             for method in methods:
-                try:
-                    val, label, err = _eval_row(
+                if metric != "pf" or method not in outcomes:
+                    outcomes[method] = _row_outcome(
                         metric, method, cfg, f, args.threshold, args.policy,
                         mc)
-                    rows.append(CurveRow(db, q, args.u, metric, label,
-                                         _clamp01(val, err), err))
-                except _ROW_FAILURES as exc:
+                outcome = outcomes[method]
+                if isinstance(outcome, Exception):
                     failed = True
                     rows.append(_failure_row(db, q, args.u, metric,
-                                             method, exc))
+                                             method, outcome))
+                else:
+                    label, val, err = outcome
+                    rows.append(CurveRow(db, q, args.u, metric, label, val,
+                                         err))
     _write_rows(rows, args.out)
     return 3 if failed else 0
 

@@ -22,10 +22,11 @@ underflows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from . import specfun
 from .specfun import ConvergenceError
@@ -56,7 +57,12 @@ _METHODS = ("closed_integer", "closed_series", "quadrature", "monte_carlo")
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Receiver configuration; time_bandwidth is u = T*W of the integrator."""
+    """Receiver configuration; time_bandwidth is u = T*W of the integrator.
+
+    The tables that depend on u alone are kept on the instance (`_table`),
+    so every evaluation at one configuration shares them; the CLI builds
+    one configuration per request.
+    """
 
     time_bandwidth: float
 
@@ -71,6 +77,17 @@ class DetectorConfig:
         # within _INTEGER_EPS of a positive integer: round(u) is 0 below 1/2
         u = self.time_bandwidth
         return u > 0.5 and abs(u - round(u)) < _INTEGER_EPS
+
+    @functools.cached_property
+    def _tables(self) -> Dict[Callable[[float], Any], Any]:
+        return {}
+
+    def _table(self, build: Callable[[float], Any]) -> Any:
+        # build(u), called on the first use and kept for the next ones
+        tables = self._tables
+        if build not in tables:
+            tables[build] = build(self.time_bandwidth)
+        return tables[build]
 
 
 @dataclass(frozen=True)
@@ -194,17 +211,16 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    return _auc_series(cfg.time_bandwidth, snr, policy.rel_tol)
+    return _auc_series(cfg.time_bandwidth, snr, policy.rel_tol,
+                       cfg._table(specfun._BetaTable).column)
 
 
 def _auc_series(u: float, snr: float, rel_tol: float,
-                col: Optional[specfun._Column] = None) -> MetricValue:
-    # auc_awgn_series on a shared specfun._beta_column(u), or a new one
+                col: specfun._Column) -> MetricValue:
+    # auc_awgn_series past its argument check, on u's column of betas
     bound = _cauc_chernoff(u, snr)
     if bound <= 0.5 * rel_tol:
         return MetricValue(1.0, "closed_series", 0, bound)
-    if col is None:
-        col = specfun._beta_column(u)
     value, err, terms = specfun._mixture(snr, col)
     return MetricValue(value, "closed_series", terms, err)
 

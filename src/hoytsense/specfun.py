@@ -9,7 +9,7 @@ formulas actually hit. Extended precision lives only in the test oracles,
 never here.  Every series stops at one fixed relative tolerance and raises
 ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum Q
 and the fixed-SNR AUC are one Poisson-mixture dot product (`_mixture`) with
-incomplete gammas (`_q_column`) or half-domain betas (`_beta_column`).
+incomplete gammas (`_q_column`) or half-domain betas (`_BetaTable`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ _EPS = 2.0 ** -52
 
 # ln of the largest double, past which e^x overflows (see bessel_i)
 _LN_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
 
 
 class ConvergenceError(ArithmeticError):
@@ -121,7 +122,10 @@ def bessel_i(nu: float, x: float) -> float:
     ratios (4 nu^2 - (2k-1)^2)/(8xk) start below 1/2 past the crossover
     and only fall as x grows.  So the cost stays flat in x (at nu = 0 the
     series takes 34 terms at x = 25, the expansion 12 just past it), and
-    against mpmath both hold 5e-14 relative for nu <= 12.  With its first
+    against mpmath both hold 5e-14 relative for nu <= 12.  At orders of 20
+    and above the series runs out to x ~ 425-700 and errs by 1.4e-13 to
+    2.2e-13 relative (nu = 20 to 35); the package calls it at orders 0 to
+    5 only.  With its first
     term (x/2)^nu / Gamma(nu+1) taken out, the series is at most
     I_0(x) <= e^x, so it stops short of _LN_MAX, where that sum could
     overflow; only orders past 26 reach that cap.
@@ -134,8 +138,11 @@ def bessel_i(nu: float, x: float) -> float:
         return 1.0 if nu == 0.0 else 0.0
 
     if x <= 25.0 + nu * nu and x < _LN_MAX:
-        # ascending series around the first term (x/2)^nu / Gamma(nu+1)
-        lt = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
+        # ascending series around the first term (x/2)^nu / Gamma(nu+1);
+        # x/2 underflows to 0 at the smallest subnormal x
+        half = 0.5 * x
+        ln_half = math.log(half) if half > 0.0 else math.log(x) - _LN2
+        lt = nu * ln_half - math.lgamma(nu + 1.0)
         q = 0.25 * x * x
         term = 1.0
         total = 1.0
@@ -525,12 +532,47 @@ def beta_increments(u: float) -> Tuple[Iterator[float], float]:
     return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
 
 
-def _beta_column(u: float) -> _Column:
-    """I_{1/2}(u, u+k) = 1/2 + inc_0 + ... + inc_(k-1): past the start's
-    `err`, entry k is off by at most (3k - 1) eps (5 roundings a step in the
-    increments, 3 in the start, 1 a step in the sum)."""
-    increments, err = beta_increments(u)
-    return _Column([0.5], 0, 0.5, err, 0.0, 3.0, increments)
+class _BetaTable:
+    """u's half-domain beta increments, drawn once from `beta_increments`
+    and grown on demand; a `DetectorConfig` keeps one for all its
+    evaluations.
+
+    `inc[l]` = inc_l, each off by the start's relative `err`.  The ratios
+    inc_(l+1)/inc_l = (2u+l)/(2(u+l+1)) tend to 1/2 monotonically, so
+    `ratio[l]` = max(1/2, inc_(l+2)/inc_(l+1)) bounds every ratio past l+1
+    and `tail[l]` = inc_(l+1)/(1 - ratio[l]) bounds I_{1/2}(u+l+1, u) =
+    inc_(l+1) + inc_(l+2) + ... (`extend`; the average CAUC series cuts by
+    them).  `column` is I_{1/2}(u, u+k) = 1/2 + inc_0 + ... + inc_(k-1):
+    past `err`, entry k is off by at most (3k - 1) eps (5 roundings a step
+    in the increments, 3 in the start, 1 a step in the sum).
+    """
+
+    __slots__ = ("u", "err", "inc", "ratio", "tail", "column", "_more")
+
+    def __init__(self, u: float) -> None:
+        self._more, self.err = beta_increments(u)
+        self.u, self.inc, self.ratio, self.tail = u, [], [], []
+        self.column = _Column([0.5], 0, 0.5, self.err, 0.0, 3.0,
+                              _drawn(self.inc, self._more))
+
+    def extend(self, n: int) -> None:
+        # ratio and tail up to l = n - 1, and inc with them
+        inc, ratio, tail, u = self.inc, self.ratio, self.tail, self.u
+        if n > len(inc):
+            inc.extend(itertools.islice(self._more, n - len(inc)))
+        for j in range(len(tail), n):
+            r = max(0.5, (2.0 * u + j + 1.0) / (2.0 * (u + j + 2.0)))
+            ratio.append(r)
+            tail.append(inc[j] * (2.0 * u + j) / (2.0 * (u + j + 1.0))
+                        / (1.0 - r))
+
+
+def _drawn(inc: List[float], more: Iterator[float]) -> Iterator[float]:
+    # inc[0], inc[1], ..., drawing from `more` into inc past its end
+    for k in itertools.count():
+        if k == len(inc):
+            inc.append(next(more))
+        yield inc[k]
 
 
 def _increments(inc: float, u: float) -> Iterator[float]:

@@ -440,7 +440,8 @@ def _binomial_shift_auc(u: int, q: float, mean_snr: float) -> float:
 def _printed_finite_sum_auc(u: int, q: float, mean_snr: float) -> float:
     # average._finite_sum_cauc without the (1+q^2) factor the published
     # finite sum drops; kept for the report
-    return 1.0 - average._finite_sum_cauc(u, q, mean_snr) / (1.0 + q * q)
+    cfg = detector.DetectorConfig(float(u))
+    return 1.0 - average._finite_sum_cauc(cfg, q, mean_snr) / (1.0 + q * q)
 
 
 def _printed_series_auc(u: float, q: float, mean_snr: float,

@@ -272,6 +272,42 @@ def test_sweep_pd_pf_with_threshold(capsys):
     assert len({r[5] for r in rows}) == 1
 
 
+def test_pf_sweep_evaluates_once_per_method(capsys, monkeypatch):
+    # pf reads no channel: each method runs once for the whole grid, and
+    # every (q, snr) row repeats its outcome, a failure with its own
+    # stderr line
+    counts = {"closed": 0, "mc": 0}
+    pf, estimate_pd = detector.pf, montecarlo.estimate_pd
+
+    def counting_pf(*args):
+        counts["closed"] += 1
+        return pf(*args)
+
+    def counting_mc(*args):
+        counts["mc"] += 1
+        return estimate_pd(*args)
+
+    monkeypatch.setattr(detector, "pf", counting_pf)
+    monkeypatch.setattr(montecarlo, "estimate_pd", counting_mc)
+    argv = ("sweep", "--metric", "pf", "--method", "all", "--q", "0.5,1",
+            "--snr-db", "0:10:5", "--trials", "1000", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv, "--u", "2.5", "--lambda", "12")
+    rows = parse_rows(out)
+    assert code == 0 and counts == {"closed": 1, "mc": 1} and len(rows) == 12
+    assert [(r[0], r[1]) for r in rows[::2]] == [
+        (db, q) for q in ("0.5", "1") for db in ("0", "5", "10")]
+    for method in ("closed_series", "monte_carlo"):
+        assert len({tuple(r[4:]) for r in rows if r[4] == method}) == 1
+    # lower-gamma series past its term cap: six failure rows, one run
+    counts.update(closed=0, mc=0)
+    code, out, err = run_cli(capsys, *argv, "--u", "1e8", "--lambda", "2e8")
+    rows = parse_rows(out)
+    assert code == 3 and counts == {"closed": 1, "mc": 1}
+    failed = [r for r in rows if r[4] == "closed"]
+    assert len(failed) == 6 and all(r[5] == "nan" for r in failed)
+    assert err.count("stalled") == 6 and "snr_db=10.0, q=1.0" in err
+
+
 def test_non_finite_threshold_is_a_usage_error(capsys):
     point = ("point", "--u", "5", "--metric")
     sweep = ("sweep", "--metric", "pd", "--u", "5", "--q", "0.5",

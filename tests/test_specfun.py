@@ -375,3 +375,14 @@ def test_ln_gamma_ratio_error_bound_below_30():
             if not abs(value - want) <= err:
                 misses.append((u, float(abs(value - want)), err))
     assert misses == []
+
+
+def test_bessel_at_the_smallest_subnormal_argument():
+    # x/2 underflows to 0 there; the series' first term is taken from ln x
+    x = 5e-324
+    assert bessel_i(0.0, x) == 1.0
+    # I_(1/2)(x) ~ sqrt(2x/pi) as x -> 0
+    want = math.sqrt(2.0 / math.pi) * math.sqrt(x)
+    assert bessel_i(0.5, x) == pytest.approx(want, rel=1e-13)
+    assert want == pytest.approx(1.7735e-162, rel=1e-4)
+    assert 0.0 <= bessel_i(1.0, x) <= 5e-324

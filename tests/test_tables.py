@@ -1,0 +1,109 @@
+"""The tables that depend on u alone: built once per configuration, so once
+per CLI request, and every row read from them is bit-for-bit the row a
+fresh configuration gives."""
+
+import contextlib
+import io
+import random
+
+import pytest
+
+from hoytsense import average, cli, detector, specfun
+from hoytsense.average import avg_auc_quadrature, avg_cauc_closed
+from hoytsense.detector import DetectorConfig
+from hoytsense.hoyt import HoytFading, db_to_linear
+from hoytsense.quadrature import EvalPolicy
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(u):
+        calls.append(u)
+        return real(u)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("u, module, builder",
+                         [("2.5", specfun, "beta_increments"),
+                          ("5", average, "_binomial_tails")],
+                         ids=["series", "finite_sum"])
+def test_sweep_builds_each_table_once_per_request(monkeypatch, u, module,
+                                                  builder):
+    calls = _spy(monkeypatch, module, builder)
+    argv = ("sweep", "--metric", "cauc", "--u", u, "--q", "0.1,0.5,1",
+            "--snr-db", "-10:60:10")
+    code, out = _main(*argv)
+    assert code == 0 and out.count("\n") == 1 + 3 * 8
+    assert calls == [float(u)]
+    # a second request builds its own: nothing outlives cli.main
+    assert _main(*argv) == (code, out)
+    assert calls == [float(u)] * 2
+
+
+def test_series_quadrature_and_mc_rows_share_one_beta_table(monkeypatch):
+    calls = _spy(monkeypatch, specfun, "beta_increments")
+    code, out = _main("sweep", "--metric", "auc", "--method", "all",
+                      "--u", "2.5", "--q", "0.5", "--snr-db", "0:10:10",
+                      "--trials", "2000")
+    assert code == 0 and out.count("closed_series") == 2
+    assert out.count("quadrature") == 2 and calls == [2.5]
+
+
+def _outcome(evaluate):
+    # every field by repr, so NaN rows compare too; a failure by its type
+    # and message
+    try:
+        mv = evaluate()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(mv.value), mv.method, mv.terms_used, repr(mv.est_error)
+
+
+@pytest.mark.parametrize("u", [0.05, 2.5, 150.5, 499.5, 1.0, 5.0, 100.0,
+                               150.0])
+def test_table_rows_equal_fresh_rows_in_any_order(u):
+    forms = ("auto", "series") if DetectorConfig(u).is_integer else ("auto",)
+    points = [(q, db, form, policy)
+              for q in (1e-6, 0.1, 0.5, 1.0) for db in range(-10, 61, 10)
+              for form in forms
+              for policy in (EvalPolicy(), EvalPolicy(rel_tol=5e-14))]
+    random.Random(u).shuffle(points)
+    shared = DetectorConfig(u)
+    outcomes = set()
+    for q, db, form, policy in points:
+        f = HoytFading(q, db_to_linear(db))
+        got = _outcome(lambda: avg_cauc_closed(shared, f, policy, form))
+        want = _outcome(lambda: avg_cauc_closed(DetectorConfig(u), f,
+                                                policy, form))
+        assert got == want, (u, q, db, form, policy)
+        outcomes.add(got[0])
+    if u == 150.0:  # the finite sum overflows from 30 dB on
+        assert "OverflowError" in outcomes
+    # the fixed-SNR series on the shared column of betas
+    snrs = [0.0, 0.3, 3.0, 30.0, 300.0, 3000.0]
+    random.Random(-u).shuffle(snrs)
+    for snr in snrs:
+        got = _outcome(lambda: detector.auc_awgn_series(shared, snr))
+        want = _outcome(lambda: detector.auc_awgn_series(DetectorConfig(u),
+                                                         snr))
+        assert got == want, (u, snr)
+
+
+def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
+    shared = DetectorConfig(2.5)
+    for q, db in ((0.5, 10.0), (0.3, 0.0), (1.0, 20.0)):
+        f = HoytFading(q, db_to_linear(db))
+        assert (_outcome(lambda: avg_auc_quadrature(shared, f))
+                == _outcome(lambda: avg_auc_quadrature(DetectorConfig(2.5),
+                                                       f)))
