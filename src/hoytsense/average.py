@@ -17,26 +17,25 @@ the corrected pieces to quantify the damage.
 
 Both sum the complementary AUC (CAUC) from positive terms, returned by
 `avg_cauc_closed` to full relative precision; one absolute est_error also
-covers 1 - CAUC.  The series' CAUC weights fall like 2^-l, so its cost is
-flat in the SNR.
-Over u <= 500, q in [1e-6, 1] and -10..60 dB it stops after 27-280 terms
-(under a millisecond) for rel_tol down to 5e-14, well inside the package
-term cap `specfun._MAX_TERMS`.  The finite sum takes u terms whatever the
-SNR: its inner sum over the binomial weights is a binomial tail, and all u
-tails come from one pass over the Bin(2u-1, 1/2) pmf.
+covers 1 - CAUC.  The finite sum takes u terms whatever the SNR: its inner
+sum over the binomial weights is a binomial tail, and all u tails come from
+one pass over the Bin(2u-1, 1/2) pmf.
 
-What depends on u alone is built once per `DetectorConfig` and shared by
-every evaluation at it (`DetectorConfig._table`; the CLI builds one per
-request): the series' beta increments and cut bounds
-(`specfun._BetaTable`), the finite sum's tail weights and the column of
-betas at the quadrature's real-u nodes.  So a row pays only for what its
-q and SNR set: the Legendre terms and the sums over them.
+The Legendre terms are the law of the Poisson count that the Hoyt-averaged
+statistic carries (`_Law`), and every other closed number here is one
+`specfun._mixture` call on it: the series is u's beta increments dotted
+with the law's CDF; the averaged detection probability (`avg_pd_closed`)
+is the law dotted with a threshold's incomplete gammas, or 1 minus its
+miss, the threshold's gamma increments dotted with the law's CDF.  The
+series' weights fall like 2^-l, so its cost is flat in the SNR: 27-300
+terms over u <= 500, q in [1e-6, 1] and -10..60 dB.  The quadrature Pd
+(`avg_pd_quadrature`) is the independent check.
 
-The averaged detection probability has a closed route too: the series'
-terms are the law of the Poisson count that the Hoyt-averaged statistic
-carries, so 1 - Pd is a positive sum over that law (`avg_pd_closed`).  Its
-quadrature (`avg_pd_quadrature`) is the independent check; each node is
-`specfun.marcum_q`'s own Poisson mixture.
+What depends on u alone, or on u and a threshold, is built once per
+`DetectorConfig` (`_table`; the CLI builds one per request): the beta
+increments (`specfun._BetaTable`), the finite sum's tail weights, and a
+threshold's gamma increments and column.  So a row pays only for what its
+q and SNR set: the law and the sums over it.
 """
 
 from __future__ import annotations
@@ -44,13 +43,12 @@ from __future__ import annotations
 import itertools
 import math
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from . import detector, specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
-from .specfun import ConvergenceError, _q_column
 
 __all__ = [
     "avg_auc_closed",
@@ -72,12 +70,12 @@ def _legendre_terms(x: float, s: float) -> Iterator[float]:
     m_prev, m_cur = s, x * s * s * s
     yield m_prev
     yield m_cur
-    n = 1
+    n = 1.0  # a float counter: mixed int/float arithmetic is slower
     while True:
         m_prev, m_cur = m_cur, xs2 * ((2.0 * n + 1.0) * m_cur
                                       - n * x * m_prev) / (n + 1.0)
         yield m_cur
-        n += 1
+        n += 1.0
 
 
 def _binomial_tails(u: float) -> List[float]:
@@ -165,61 +163,6 @@ def _series_setup(q: float, mean_snr: float):
     return x, s, 2.0 * q * (1.0 + q2) / den, x / one_minus_w
 
 
-def _series_value(cfg: DetectorConfig, q: float, mean_snr: float,
-                  policy: EvalPolicy):
-    """Real-u average CAUC series; returns (cauc, terms, est_error).
-
-    The AUC is pref * sum_l c_l M_l with c_l = I_{1/2}(u, u+l) the
-    half-domain beta weights of the fixed-SNR series and M_l = x^l P_l(s)
-    s^(l+1) Legendre terms.  pref * sum_l M_l = 1 (with every c_l = 1 the
-    detector would be perfect, AUC = 1), so the CAUC is pref * sum_l d_l M_l
-    with d_l = 1 - c_l = I_{1/2}(u+l, u) = sum_{j>=l} inc_j.  The M_l alone
-    decay only like rho^l, rho = 2m/(2m+1+q^2), which is what made summing
-    c_l M_l cost O(mean SNR) terms; the d_l fall like 2^-l and make the cost
-    flat in the SNR.
-
-    The weights are never formed by subtraction: exchanging the order of
-    summation gives CAUC = pref * sum_j inc_j S_j with the partial sums
-    S_j = M_0 + ... + M_j, all terms positive.  Stopping after term J drops
-    (a) the remaining terms sum_{l>J} d_l M_l and (b) the part d_{J+1} of
-    every kept weight, d_{J+1} S_J.  With r = max(1/2, inc_{J+2}/inc_{J+1}),
-    which bounds every later ratio of the increments and of the d_l,
-    d_{J+1} <= D = inc_{J+1}/(1-r), the term ratio of (a) is at most r*rho,
-    so (a) + (b) <= D (S_J + rho M_J/(1-r*rho)); by the identity above the
-    whole cut is also at most pref * D * sum_l M_l = D.  The increments, r
-    and D depend on u alone: cfg's `specfun._BetaTable` holds them, grown
-    as far as the longest sum at this u has needed.
-    """
-    x, s, pref, rho = _series_setup(q, mean_snr)
-    beta = cfg._table(specfun._BetaTable)
-    inc, ratio, tail = beta.inc, beta.ratio, beta.tail
-    terms = _legendre_terms(x, s)
-    tol = policy.rel_tol * pref
-    partial = 0.0
-    total = 0.0
-    lo = 0
-    while lo < specfun._MAX_TERMS:
-        # the whole table first, then doubling it
-        hi = min(max(2 * lo, len(tail), 64), specfun._MAX_TERMS)
-        beta.extend(hi)
-        for j, a, r, bound, m_j in zip(range(lo, hi), inc[lo:hi],
-                                       ratio[lo:hi], tail[lo:hi], terms):
-            partial += m_j
-            total += a * partial
-            cut = min(pref * bound * (partial + rho * m_j / (1.0 - r * rho)),
-                      bound)
-            if cut <= tol * total:
-                cauc = pref * total
-                # lgamma's absolute error in inc_0, then a few ulps a term
-                rounding = (beta.err + 4e-16 * (j + 1)) * cauc + _EPS
-                return cauc, j + 1, cut + rounding
-        lo = hi
-    raise ConvergenceError(
-        f"average-AUC series did not meet rel_tol={policy.rel_tol} within "
-        f"{specfun._MAX_TERMS} terms (u={cfg.time_bandwidth}, q={q}, "
-        f"mean_snr={mean_snr})")
-
-
 def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
                     policy: EvalPolicy = _DEFAULT_POLICY,
                     form: str = "auto") -> MetricValue:
@@ -228,6 +171,12 @@ def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
     form: "auto" picks the finite sum for integer u and the series otherwise;
     "finite_sum" and "series" force a route (finite_sum requires integer u —
     the series accepts any u, which is how the two routes cross-check).
+
+    The series: with pi_l the law (`_Law`), the CAUC is sum_l d_l pi_l,
+    d_l = I_{1/2}(u+l, u) = sum_{j>=l} inc_j, falling like 2^-l where pi_l
+    falls like rho^l, rho = 2m/(2m+1+q^2).  Exchanging the order of
+    summation gives sum_j inc_j C_j, C_j the law's CDF: cfg's beta
+    increments (`specfun._BetaTable`) dotted with it by `specfun._mixture`.
     """
     if form not in ("auto", "finite_sum", "series"):
         raise ValueError(f"unknown form {form!r}")
@@ -239,7 +188,8 @@ def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
         u = int(round(cfg.time_bandwidth))
         value = _finite_sum_cauc(cfg, f.q, f.mean_snr)
         return MetricValue(value, "closed_integer", u, 1e-15 * u)
-    value, terms, err = _series_value(cfg, f.q, f.mean_snr, policy)
+    value, err, terms = specfun._mixture(cfg._table(specfun._BetaTable),
+                                         _Law(f.q, f.mean_snr), policy.rel_tol)
     return MetricValue(value, "closed_series", terms, err)
 
 
@@ -343,181 +293,138 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
 # ---------------------------------------------------------------------------
 
 _ULP = 0.5 * _EPS  # the unit roundoff
-# relative rounding of _series_setup's x, s and pref
+# `_Law.rel`: the rounding of x, s and pref, of the first and later steps
 _SETUP_X, _SETUP_S, _SETUP_PREF = 9.0 * _ULP, 14.0 * _ULP, 10.0 * _ULP
-# below this a law term or an increment is subnormal and rounds absolutely
-_TINY = 2.0 ** -1022
-# x = threshold/2 rounds to 0 only below the smallest subnormal
-_LN_SUBNORMAL = math.log(5e-324)
+_D1 = _SETUP_X + 2.0 * _SETUP_S + 3.0 * _ULP
+_STEP = 9.0 * _ULP + 2.0 * _SETUP_X + 2.0 * _SETUP_S
 
 
-class _Law:
-    """pi_l = P(K = l), l = 0, 1, ..., with partial sums S_l = pi_0 + ... +
-    pi_l, built on demand and shared by every threshold of a call.
+class _Law(specfun._Column, specfun._Weights):
+    """pi_l = P(K = l), l = 0, 1, ..., built on demand: under H1 the
+    statistic is 2 Gamma(u + K), K Poisson given the SNR, and over the Hoyt
+    SNR K follows pi_l = pref M_l, the Legendre terms (`_series_setup`,
+    `_legendre_terms`, pref sum M_l = 1), with pi_(l+1) <= rho pi_l.  As a
+    `specfun._Column` its entries are the CDF c_l = pi_0 + ... + pi_l; as
+    `_mixture` weights, `pi` from the anchor 0 with the tail pi_L rho/(1 -
+    rho).
 
-    Under H1 the statistic is 2 Gamma(u + K), with K Poisson given the SNR;
-    over the Hoyt SNR, K follows pi_l = pref M_l, the terms of the CAUC
-    series (`_series_setup`, `_legendre_terms`, pref sum M_l = 1), and
-    pi_(l+1) <= rho pi_l.  `rel[l]` bounds the relative error of pi_0 ..
-    pi_l.  The recurrence M_(n+1) = x s^2 (a - b)/(n+1), a = (2n+1) M_n,
-    b = n x M_(n-1), carries relative errors by r_(n+1) = (a r_n -
-    b r_(n-1))/(a - b).  The response of later terms to an error made at
-    one step is a difference P_n Q_k - Q_n P_k of Legendre functions, which
-    is positive for s >= 1, so adding each step's rounding (and the
-    setup's) at its full size bounds the error of every term.  Against
-    40-digit NB(1/2) * NB(1/2) sums up to l = 600 the bound is at least 9
-    times the actual error; it grows like l^2 eps where s is near 1.
+    `rel(n)` bounds the relative error of pi_0 .. pi_(n-1).  The recurrence
+    M_(n+1) = x s^2 (a - b)/(n+1), a = (2n+1) M_n, b = n x M_(n-1), carries
+    relative errors by r_(n+1) = (a r_n - b r_(n-1))/(a - b), plus its own
+    rounding and the setup's.  The response of later terms to one step's
+    error is a difference P_n Q_k - Q_n P_k of Legendre functions, positive
+    for s >= 1, so adding each rounding at full size bounds every term.  As
+    P_(n+1) >= s P_n, g_n = b/(a - b) = n P_(n-1)/((n+1) P_(n+1)) <=
+    n/((n+1) s^2), and the steps d_n = r_n - r_(n-1) obey d_(n+1) <= g_n
+    d_n + _STEP, so d_n <= d_1/n + _STEP min((n+1)/2, L), L = 1/(1 -
+    s^-2): n^2 eps near s = 1, linear past n ~ 2L (a carried g_n: bound up
+    to 18 times lower, 3 times the cost); subnormals round absolutely.
     """
 
-    __slots__ = ("q", "mean_snr", "rho", "pi", "partial", "rel", "_x",
-                 "_pref", "_terms", "_m", "_r")
+    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_lim")
+    params = ("q", "mean_snr")
 
     def __init__(self, q: float, mean_snr: float) -> None:
         x, s, pref, self.rho = _series_setup(q, mean_snr)
-        self.q, self.mean_snr, self._x, self._pref = q, mean_snr, x, pref
-        self._terms = _legendre_terms(x, s)
-        m0 = next(self._terms)
-        self._m = (0.0, m0)
-        self._r = (0.0, _SETUP_S)
-        self.pi, self.partial = [pref * m0], [pref * m0]
-        self.rel = [_SETUP_S + _SETUP_PREF + _ULP]
+        self.q, self.mean_snr = q, mean_snr
+        more = map(mul, itertools.repeat(pref), _legendre_terms(x, s))
+        self.pi = self.w = [next(more)]
+        self._lim = 1.0 / (1.0 - 1.0 / (s * s)) if s > 1.0 else 1e300
+        super().__init__(self.pi[:], 0, x, 0.0, 0.0, 1.0, more)
 
     def extend(self, n: int) -> None:
-        # terms up to l = n - 1
-        pi, partial, rel = self.pi, self.partial, self.rel
-        x, pref = self._x, self._pref
-        m_prev, m_cur = self._m
-        r_prev, r_cur = self._r
-        for k in range(len(pi) - 1, n - 1):
-            m_next = next(self._terms)
-            if k == 0:  # M_1 = x s^3
-                r_next = _SETUP_X + 3.0 * _SETUP_S + 3.0 * _ULP
-            elif m_next >= _TINY:
-                a, b = (2.0 * k + 1.0) * m_cur, k * x * m_prev
-                d = a - b
-                r_next = ((a * r_cur - b * r_prev + (a + 2.0 * b) * _ULP
-                           + b * _SETUP_X) / d
-                          + 5.0 * _ULP + _SETUP_X + 2.0 * _SETUP_S)
-            else:  # subnormal: its error is absolute (see _closed_miss)
-                r_next = r_cur
-            m_prev, m_cur, r_prev, r_cur = m_cur, m_next, r_cur, r_next
-            p = pref * m_next
-            pi.append(p)
-            partial.append(partial[-1] + p)
-            rel.append(max(rel[-1], r_next + _SETUP_PREF + _ULP))
-        self._m, self._r = (m_prev, m_cur), (r_prev, r_cur)
+        # pi and c up to l = n - 1
+        if n > len(self.pi):
+            new = list(itertools.islice(self.more, n - len(self.pi)))
+            self.pi.extend(new)
+            self.c.extend(itertools.accumulate(new, initial=self.c.pop()))
+
+    def rel(self, n: int) -> float:
+        # sum over k <= n of min((k+1)/2, L): (k+1)/2 up to k = 2L - 1
+        k = min(n, int(2.0 * self._lim - 1.0))
+        return (_SETUP_S + _SETUP_PREF + _ULP + _D1 * (1.0 + math.log(n))
+                + _STEP * (k * (k + 3) / 4.0 + (n - k) * self._lim))
+
+    def error(self, total: float, rounding: float, n: int) -> float:
+        return total * (rounding + self.rel(n))  # entries are off by rel(n)
+
+    def cap(self, n: int, r: float) -> float:
+        # c_(n-1) plus sum_i pi_(n-1) rho^(i+1) r^i: pi falls by rho a term,
+        # and the weight at n + i is at most r^i of the one at n
+        rho = self.rho
+        return (min(1.0, self.c[n - 1] + self.pi[n - 1] * rho / (1.0 - r * rho))
+                if r * rho < 1.0 else 1.0)
+
+    def above(self, hi: int, col: specfun._Column) -> float:
+        return self.pi[hi - 1] * self.rho / (1.0 - self.rho)
+
+    def reach(self, lo: int, hi: int, target: float, limit: int,
+              col: specfun._Column) -> int:
+        # pi falls by rho a term: `more` terms reach the target at most
+        more = (math.log(self.above(hi, col) / target) / -math.log(self.rho)
+                if target > 0.0 else hi)
+        return min(2 * hi - lo, hi + 1 + int(more), limit)
 
 
-def _closed_miss(law: _Law, u: float, x: float,
-                 rel_tol: float) -> Tuple[float, int, float]:
-    """(miss, terms, error) of sum_l pi_l P(u+l, x), P = 1 - Q.
-
-    P runs downward, P(s, x) = P(s+1, x) + e_s with the increments e_s =
-    x^s e^(-x)/Gamma(s+1); exchanging the order of summation gives
-    sum_j e_(u+j) S_j, every term positive.  The increments come from their
-    peak (`specfun.poisson_increments`) and fall past it; after term J the
-    rest is at most P(u+J+1, x) <= e_(u+J+1)/(1 - x/(u+J+2)) (S_j <= 1),
-    and the sum stops once that is below rel_tol of the total.
-    """
-    if x - u > specfun._MAX_TERMS:
-        raise ConvergenceError(
-            f"closed average Pd needs more than {specfun._MAX_TERMS} terms "
-            f"(u={u}, q={law.q}, mean_snr={law.mean_snr}, threshold={2 * x})")
-    down, e_err = specfun.poisson_increments(u, x, specfun._MAX_TERMS)
-    peak = len(down) - 1
-    law.extend(peak + 1)
-    partial = law.partial
-    terms = list(map(mul, down, partial))
-    total = sum(terms)
-    e, j = down[-1], peak
-    while True:
-        e *= x / (u + j + 1.0)
-        cut = e / (1.0 - x / (u + j + 2.0))
-        if cut <= rel_tol * total:
-            break
-        j += 1
-        if j == specfun._MAX_TERMS:
-            raise ConvergenceError(
-                f"closed average Pd miss sum passed {specfun._MAX_TERMS} "
-                f"terms (u={u}, q={law.q}, mean_snr={law.mean_snr}, "
-                f"threshold={2 * x})")
-        if j == len(partial):
-            law.extend(2 * j)
-        t = e * partial[j]
-        terms.append(t)
-        total += t
-    miss = math.fsum(terms)
-    # law terms, increments (2 roundings a step past the peak), partial
-    # sums and products; each subnormal step rounds by up to 2^-1074
-    rel = law.rel[j] + e_err + (2.0 * (j - peak) + 1.0) * _EPS + (j + 2) * _ULP
-    return miss, j + 1, cut + miss * rel + (j + 1) * (j + 1) * 5e-324
-
-
-def _closed_hit(law: _Law, u: float, threshold: float, x: float,
-                rel_tol: float) -> Tuple[Optional[float], int, float]:
-    """(Pd, terms, error) by the detection sum sum_l pi_l Q(u+l, x), or
-    (None, terms, inf) where it would pass `specfun._MAX_TERMS`.
-
-    Q comes from the threshold's column (`specfun._q_column`, anchored at
-    `specfun.marcum_q(u, 0, sqrt(threshold))`).  Q <= 1 and pi_(l+1) <=
-    rho pi_l, so after term L the rest is at most pi_L rho/(1 - rho); the
-    sum grows by chunks, each at most doubling it, until that is below
-    rel_tol of it.  The same ratio bounds the terms still needed, and the
-    sum gives up as soon as that bound passes the cap: with rho near 1 (1 -
-    rho ~ 1/(2 mean_snr)) the tail takes ~2 mean_snr ln(1/(rel_tol Pd))
-    terms.  The column's x = b^2/2 differs from threshold/2 by rounding,
-    and |dQ(s, x)/dx| / Q(s, x) <= 1 + 1/x, so that moves Pd relatively by
-    at most |dx| (1 + 1/x).
-    """
-    rho = law.rho
-    if not rho < 1.0:  # mean SNR past 2^53: no tail bound in double
-        return None, 0, math.inf
-    col = _q_column(u, math.sqrt(threshold), 0, specfun._MAX_TERMS)
-    pi, c = law.pi, col.c
-    total, lo, hi = 0.0, 0, len(c) + 16
-    while True:
-        law.extend(hi)
-        col.extend(hi)
-        total += sum(map(mul, pi[lo:hi], c[lo:hi]))
-        cut = pi[hi - 1] * (1.0 + law.rel[hi - 1]) * rho / (1.0 - rho)
-        if cut <= rel_tol * total:
-            break
-        # pi falls by rho a term at least: no more than `more` terms reach
-        # the stop, and doubling bounds the overshoot where it falls faster
-        more = (math.log(cut / (rel_tol * total)) / -math.log(rho)
-                if total > 0.0 else hi)
-        if hi == specfun._MAX_TERMS or (total > 0.0 and
-                                        hi + more >= specfun._MAX_TERMS):
-            return None, hi, math.inf
-        lo, hi = hi, min(2 * hi, hi + 1 + int(more), specfun._MAX_TERMS)
+def _hit_column(u: float, threshold: float) -> specfun._Column:
+    # Q(u+l, x) from where it is below e^-800 (Chernoff); its x = b^2/2 is
+    # threshold/2 but for rounding, and |dQ/dx| / Q <= 1 + 1/x
+    x = 0.5 * threshold
+    col = specfun._q_column(
+        u, math.sqrt(threshold),
+        int(max(0.0, x - u - math.sqrt(1600.0 * x))), int(x) + 1)
     dx = abs(col.x - x) * (1.0 + 1.0 / min(x, col.x))
-    rel = law.rel[hi - 1] + col.err + dx + (3 * hi + 3) * _EPS
-    return total, hi, cut + total * rel + col.abs0 + hi * hi * 5e-324
+    col.err += dx
+    col.abs0 += col.c[0] * dx
+    return col
 
 
-def _closed_pd(law: _Law, u: float, threshold: float,
+def _closed_pd(law: _Law, cfg: DetectorConfig, threshold: float,
                rel_tol: float) -> MetricValue:
-    """The averaged Pd at one threshold from the shared law."""
+    """The averaged Pd at one threshold from the shared law.
+
+    At x = threshold/2 the miss is sum_l pi_l P(u+l, x), P = 1 - Q.  As
+    P(s, x) = P(s+1, x) + e_s, e_s = x^s e^(-x)/Gamma(s+1), exchanging the
+    order of summation gives sum_j e_(u+j) c_j with c_j the law's CDF: the
+    threshold's increments (`specfun._Poisson` at s = u) dotted with the
+    law.  The detection sum is the law dotted with Q(u+l, x)
+    (`_hit_column`).  cfg keeps both tables, one per threshold.
+
+    The route is chosen before summing.  The increments peak at j0 = x -
+    u: where P(K <= j0) <= 1/2, Pd >= Q(u+j0+1, x)/2 is at least ~1/6 and
+    1 - miss keeps its precision.  Otherwise the detection sum keeps a
+    small Pd relative, unless its count of terms, known as pi falls by rho
+    a term, passes `specfun._MAX_TERMS` (as at q = 1e-6 from ~24 dB), or
+    rho is 1: then Pd is 1 - miss, summed to eps, its error absolute.
+    """
+    u = cfg.time_bandwidth
     x = 0.5 * threshold
     if x == 0.0:
         # the zero threshold, or one whose half underflows: the miss is
         # at most P(u, x) <= x^u/Gamma(u+1) with x below 5e-324
-        err = (0.0 if threshold == 0.0
-               else math.exp(u * _LN_SUBNORMAL - math.lgamma(u + 1.0)))
+        err = (0.0 if threshold == 0.0 else
+               math.exp(u * math.log(5e-324) - math.lgamma(u + 1.0)))
         return MetricValue(1.0, "closed_series", 0, err)
-    miss, terms, err = _closed_miss(law, u, x, rel_tol)
-    if miss <= 0.5:
-        return MetricValue(1.0 - miss, "closed_series", terms, err + _ULP)
-    # Pd is below 1/2: its own sum keeps a tiny Pd's relative accuracy
-    hit, more, hit_err = _closed_hit(law, u, threshold, x, rel_tol)
-    if hit is not None:
-        return MetricValue(hit, "closed_series", terms + more, hit_err)
-    # the law's tail falls too slowly for the detection sum: Pd is 1 - miss
-    # (exact for miss >= 1/2), the miss summed again to rel_tol of Pd, and
-    # its error is the miss's, absolute (1e-16 and up)
-    tol = max(rel_tol * (1.0 - miss) / miss, _EPS)
-    miss, again, err = _closed_miss(law, u, x, tol)
-    return MetricValue(1.0 - miss, "closed_series", terms + more + again, err)
+    # e_(u+j) = P(u+j, x) - P(u+j+1, x); raises past its reach, x ~ 1e6
+    weights = cfg._table(specfun._Poisson, x)
+    j0 = max(0, int(x - u))
+    law.extend(j0 + 2)
+    tol = rel_tol
+    if law.c[j0] > 0.5:
+        tol = _EPS
+        if law.rho < 1.0:
+            col = cfg._table(_hit_column, threshold)
+            jm = j0 + 1  # Q(u+jm, x) is past its middle
+            col.extend(jm + 1 - col.start)
+            # past L = jm + more, pi_L rho/(1 - rho) <= pi_jm rho^(L-jm+1)/
+            # (1 - rho) is below rel_tol pi_jm Q(u+jm, x) <= rel_tol Pd
+            more = (math.log(rel_tol * col.c[jm - col.start] * (1.0 - law.rho))
+                    / math.log(law.rho) if law.rho > 0.0 else 0.0)
+            if jm + 1 - col.start + more <= specfun._MAX_TERMS:
+                hit, err, terms = specfun._mixture(law, col, rel_tol, jm + 1)
+                return MetricValue(hit, "closed_series", terms, err)
+    miss, err, terms = specfun._mixture(weights, law, tol)
+    return MetricValue(1.0 - miss, "closed_series", terms, err + _ULP)
 
 
 def avg_pd_closed_curve(cfg: DetectorConfig, f: HoytFading,
@@ -532,31 +439,23 @@ def avg_pd_closed_curve(cfg: DetectorConfig, f: HoytFading,
 
         1 - Pd = sum_l pi_l P(u+l, x),
 
-    a sum of positive terms whose cost does not depend on the SNR (Digham,
-    Alouini and Simon, IEEE Trans. Commun. 55(1), 2007, write average Pd
-    over fading as a series of this kind).  Where that miss exceeds 1/2, Pd
-    is the detection sum sum_l pi_l Q(u+l, x) instead, unless that sum
-    would pass the term cap (the law's tail falls too slowly, as at q =
-    1e-6 from ~24 dB); then Pd is 1 - miss, its error absolute.  The law
-    is built once and shared by every threshold, and each threshold stops
-    and fails on its own, so entry i is exactly avg_pd_closed(cfg, f,
-    thresholds[i], policy), or the ArithmeticError that call would raise.
-    A threshold that is negative, nan or inf raises ValueError first.
-
-    est_error adds the truncation bound, the law's carried recurrence error
-    (`_Law`), the error of the increments or of the column, and the
-    rounding of the sums.
+    a sum of positive terms (Digham, Alouini and Simon, IEEE Trans. Commun.
+    55(1), 2007, write average Pd over fading as a series of this kind), or
+    Pd is the detection sum instead (`_closed_pd`).  The law is built once
+    and shared, and each threshold stops and fails on its own: entry i is
+    exactly avg_pd_closed(cfg, f, thresholds[i], policy), or the
+    ArithmeticError that call would raise.  A threshold that is negative,
+    nan or inf raises ValueError first.
     """
     for threshold in thresholds:
         if not 0.0 <= threshold < math.inf:
             raise ValueError(
                 f"threshold must be finite and >= 0, got {threshold}")
     law = _Law(f.q, f.mean_snr)
-    u = cfg.time_bandwidth
     out: List[Union[MetricValue, ArithmeticError]] = []
     for threshold in thresholds:
         try:
-            out.append(_closed_pd(law, u, threshold, policy.rel_tol))
+            out.append(_closed_pd(law, cfg, threshold, policy.rel_tol))
         except ArithmeticError as exc:
             out.append(exc)
     return out

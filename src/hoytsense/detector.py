@@ -59,9 +59,9 @@ _METHODS = ("closed_integer", "closed_series", "quadrature", "monte_carlo")
 class DetectorConfig:
     """Receiver configuration; time_bandwidth is u = T*W of the integrator.
 
-    The tables that depend on u alone are kept on the instance (`_table`),
-    so every evaluation at one configuration shares them; the CLI builds
-    one configuration per request.
+    The tables that depend on u alone, or on u and a threshold, are kept
+    on the instance (`_table`), so every evaluation at one configuration
+    shares them; the CLI builds one configuration per request.
     """
 
     time_bandwidth: float
@@ -79,15 +79,15 @@ class DetectorConfig:
         return u > 0.5 and abs(u - round(u)) < _INTEGER_EPS
 
     @functools.cached_property
-    def _tables(self) -> Dict[Callable[[float], Any], Any]:
+    def _tables(self) -> Dict[Any, Any]:
         return {}
 
-    def _table(self, build: Callable[[float], Any]) -> Any:
-        # build(u), called on the first use and kept for the next ones
-        tables = self._tables
-        if build not in tables:
-            tables[build] = build(self.time_bandwidth)
-        return tables[build]
+    def _table(self, build: Callable[..., Any], *args: Any) -> Any:
+        # build(u, *args), called on the first use and kept for the next ones
+        tables, key = self._tables, (build, *args) if args else build
+        if key not in tables:
+            tables[key] = build(self.time_bandwidth, *args)
+        return tables[key]
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def _auc_series(u: float, snr: float, rel_tol: float,
     bound = _cauc_chernoff(u, snr)
     if bound <= 0.5 * rel_tol:
         return MetricValue(1.0, "closed_series", 0, bound)
-    value, err, terms = specfun._mixture(snr, col)
+    value, err, terms = specfun._mixture(specfun._Poisson(0.0, snr), col)
     return MetricValue(value, "closed_series", terms, err)
 
 

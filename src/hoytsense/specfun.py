@@ -7,17 +7,19 @@ follow the usual series/continued-fraction splits (Numerical Recipes style for
 the incomplete gamma) and are tuned for the argument ranges the detector
 formulas actually hit. Extended precision lives only in the test oracles,
 never here.  Every series stops at one fixed relative tolerance and raises
-ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum Q
-and the fixed-SNR AUC are one Poisson-mixture dot product (`_mixture`) with
-incomplete gammas (`_q_column`) or half-domain betas (`_BetaTable`).
+ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Every
+positive sum is one `_mixture` call: weights (`_Poisson`, `_BetaTable`, the
+averaged law in `average`) dotted with an increasing column <= 1 of
+incomplete gammas (`_q_column`), half-domain betas or the law's CDF.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
-from operator import add, mul, truediv
+from operator import add, mul, neg, truediv
 from typing import Iterator, List, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
@@ -175,7 +177,7 @@ def bessel_i(nu: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q: a Poisson mixture of regularized upper gammas
+# Marcum Q and the mixture sum: positive weights dotted with a column <= 1
 # ---------------------------------------------------------------------------
 
 # a window leaves out at most _WINDOW_MASS of Poisson mass on each side, and
@@ -199,8 +201,11 @@ def marcum_q(m: float, a: float, b: float) -> float:
     Chernoff point below which the Poisson weights, or the gammas, hold
     less than _WINDOW_MASS.  It is 1 past a > b + _SURE, and raises
     ConvergenceError where a^2/2 is too large (~1e6) for the weights to
-    close within _MAX_TERMS terms.
+    close within _MAX_TERMS terms of their mode.
     """
+    if a == 0.0 and m > 0.0 and b >= 0.0:
+        # a column's anchor Q(m, b^2/2), which needs no bound here
+        return reg_upper_gamma(m, 0.5 * b * b)
     return _marcum_q(m, a, b)[0]
 
 
@@ -220,15 +225,14 @@ def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
     if a > b + _SURE:
         return 1.0, math.exp(-0.5 * _SURE * _SURE)
     h = 0.5 * a * a
-    _check_reach(h)
+    weights = _Poisson(0.0, h)
     # the anchor's error, ~(m+k) ln x ulps relative, reaches every entry:
     # start where the Poisson(h) mass below k, or Q(m+k, x), is under
-    # _WINDOW_MASS (Chernoff), whichever is lower; the weights' core starts
-    # above the first, where its own tail test has already passed
+    # _WINDOW_MASS (Chernoff), whichever is lower: at or below the core
     start = int(max(0.0, min(h - math.sqrt(2.0 * h * _LN_MASS),
                              x - m - math.sqrt(2.0 * x * _LN_MASS))))
-    value, err, _ = _mixture(h, _q_column(m, b, start,
-                                          int(h) + _MAX_TERMS + 1))
+    value, err, _ = _mixture(weights, _q_column(m, b, start,
+                                                int(h) + _MAX_TERMS + 1))
     return value, err
 
 
@@ -237,15 +241,6 @@ def _upper_gamma_error(s: float, x: float, q: float) -> float:
     # of its prefactor, which its 1 - P branch at most triples
     return 3.0 * q * (_REL_TOL + 2.0 * _EPS * (
         s * abs(math.log(x)) + x + abs(math.lgamma(s))))
-
-
-def _check_reach(h: float) -> None:
-    # the Poisson(h) mass past h + T is at most exp(-T^2 / (2 (h + T)))
-    # (Chernoff); fail before the ~10 sqrt(h) steps down if that passes
-    # _WINDOW_MASS at T = _MAX_TERMS
-    if _MAX_TERMS * _MAX_TERMS < 2.0 * (h + _MAX_TERMS) * _LN_MASS:
-        raise ConvergenceError(f"Poisson window of h={h} cannot close "
-                               f"within {_MAX_TERMS} terms past its mode")
 
 
 class _Column:
@@ -268,6 +263,10 @@ class _Column:
         if n > len(c):
             more = itertools.islice(self.more, n - len(c))
             c.extend(itertools.accumulate(more, initial=c.pop()))
+
+    def error(self, total: float, rounding: float, n: int) -> float:
+        # of a sum over n entries: the increments are at most total - c[0]
+        return total * rounding + abs(total - self.c[0]) * self.err + self.abs0
 
 
 def _q_column(u: float, b: float, start: int, limit: int) -> _Column:
@@ -296,89 +295,150 @@ def _q_column(u: float, b: float, start: int, limit: int) -> _Column:
                    err, _upper_gamma_error(s, x, c0), 2.0, up)
 
 
-def _mixture(h: float, col: _Column) -> Tuple[float, float, int]:
-    """sum_k Pois(k; h) c_k for any increasing column c <= 1 (Q(u+k, b^2/2)
-    for Marcum Q, I_{1/2}(u, u+k) for the AUC) that starts at or below the
-    weights' core, a bound on its error, and the number of terms summed.
+class _Weights:
+    """What `_mixture` reads of its weights: the core [lo, hi), built at once
+    into the list `w`, the mass `below` it and a bound from hi up (`above`),
+    the sum's divisor `mass`, the relative error `rel(hi)` and `step_ulps`
+    eps a step, and how far to grow next (`reach`, built by `extend`)."""
 
-    The weights are built outward from the mode k0 = int(h).  The core
-    [lo, hi) stops on each side at the first weight that bounds the mass
-    beyond it, `below` or `top`, by _WINDOW_MASS.  The sum runs over the
-    core as one dot product; while the weight mass above it, times c <= 1,
-    exceeds _SUM_TOL of the total, it grows by chunks that double the
-    window, below _MAX_TERMS past the mode.  The sum is divided by `mass`,
-    the core's sum: every weight shares the rounding of the mode's
-    exponent, k0 ln h - h - lnGamma(k0+1) (~1e-12 relative at h = 1000),
-    and the true mass is 1, so that error drops out.
+    __slots__ = ()
+    lo, hi, below, mass = 0, 1, 0.0, 1.0
+    step_ulps = 4.0  # an ulp a step, with the product and the sum
+    params: Tuple[str, ...] = ()
 
-    The bound adds that upper tail, the mass under the core times the
-    smallest c it holds (c rises with k), the core's missing mass that the
-    division spreads over the weights, the column's own error, and the
-    rounding of the weight recurrence over the window (an ulp a step), of
-    the column from its start (`ulps` a step) and of the sums.
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)}" for name in self.params) + ")"
+
+    def rel(self, hi: int) -> float:
+        return self.err
+
+
+class _Poisson(_Weights):
+    """`_mixture` weights w_k = h^(s+k) e^(-h) / Gamma(s+k+1), k >= 0:
+    Poisson(h) at s = 0; at s > 0 the increments Q(s+k+1, h) - Q(s+k, h)
+    of a threshold's incomplete gammas, which add up to P(s, h).
+
+    The core [lo, hi) is built outward from the mode k0 = int(h - s), down
+    by the ratios (s+k)/h and up by h/(s+k+1), each to the first k where
+    the mass beyond, at most w_k rho/(1 - rho) as the ratios rho fall, is
+    below _WINDOW_MASS (`below`, `above`).  Poisson weights are divided by
+    the core's sum `mass`: every weight shares the rounding of the mode's
+    exponent k0 ln h - h - lnGamma(k0+1) (~1e-12 relative at h = 1000) and
+    the true mass is 1, so that error drops out and the missing mass is
+    theirs (`err`).  At s > 0 `poisson_increments` seeds the mode, with its
+    error.
     """
-    _check_reach(h)
-    k0 = int(h)
-    limit = k0 + _MAX_TERMS + 1
-    w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
-              if k0 else math.exp(-h))
-    # downward, w_(k-1) = w_k k/h, to the first k where the mass under it,
-    # at most w_k rho/(1 - rho) as the ratios rho = k/h fall, is below
-    # _WINDOW_MASS
-    w, last, k = [w_mode], w_mode, k0
-    append = w.append
-    while k > 0:
-        rho = k / h
-        if last * rho <= _WINDOW_MASS * (1.0 - rho):
-            break
-        last *= rho
-        k -= 1
-        append(last)
-    below = last * rho / (1.0 - rho) if k > 0 else 0.0
-    w.reverse()
-    lo = k
-    # upward, w_(k+1) = w_k h/(k+1), likewise with r = h/(k+1) < 1
-    last, k = w_mode, k0
-    while True:
-        r = h / (k + 1)
-        if last * r <= _WINDOW_MASS * (1.0 - r):
-            break
-        if k + 1 == limit:
-            raise ConvergenceError(f"Poisson window of h={h} passed "
-                                   f"{_MAX_TERMS} terms past its mode")
-        last *= r
-        k += 1
-        append(last)
-    hi, top = k + 1, last * r / (1.0 - r)
-    mass = sum(w)
-    c, start = col.c, col.start
+
+    __slots__ = ("h", "s", "w", "lo", "hi", "below", "mass", "err")
+    params = ("s", "h")
+
+    def __init__(self, s: float, h: float) -> None:
+        # the mass past h + T is at most exp(-T^2 / (2 (h + T))) (Chernoff):
+        # fail at once if that passes _WINDOW_MASS at T = _MAX_TERMS
+        if _MAX_TERMS * _MAX_TERMS < 2.0 * (h + _MAX_TERMS) * _LN_MASS:
+            raise ConvergenceError(f"Poisson window of h={h} cannot close "
+                                   f"within {_MAX_TERMS} terms past its mode")
+        k0 = max(0, int(h - s))
+        if s:
+            (w_mode,), err = poisson_increments(s + k0, h, 0)
+        else:
+            w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
+                      if k0 else math.exp(-h))
+        # sk = s + k, a float counter (exact at s = 0)
+        w, last, sk, floor, below = [w_mode], w_mode, s + k0, s + 0.5, 0.0
+        append, mass_cut = w.append, _WINDOW_MASS
+        while sk > floor:
+            rho = sk / h
+            if last * rho <= mass_cut * (1.0 - rho):
+                below = last * rho / (1.0 - rho)
+                break
+            last *= rho
+            sk -= 1.0
+            append(last)
+        w.reverse()
+        self.lo = lo = k0 + 1 - len(w)
+        last, sk = w_mode, s + k0 + 1.0
+        while True:  # closes near T = _MAX_TERMS at worst (Chernoff)
+            r = h / sk
+            if last * r <= mass_cut * (1.0 - r):
+                break
+            last *= r
+            sk += 1.0
+            append(last)
+        self.h, self.s, self.w, self.hi, self.below = h, s, w, lo + len(w), below
+        self.mass, self.err = ((1.0, err) if s else
+                               (sum(w), below + last * r / (1.0 - r)))
+
+    def extend(self, n: int) -> None:
+        # weights up to k = n - 1, by w_k = w_(k-1) h/(s+k)
+        w, h, s = self.w, self.h, self.s
+        have = self.lo + len(w)
+        if n > have:
+            w.extend(itertools.islice(itertools.accumulate(
+                [h / (s + j) for j in range(have, n)], mul, initial=w[-1]),
+                1, None))
+
+    def above(self, hi: int, col: _Column) -> float:
+        # the mass from hi > h - s up is at most w_(hi-1) r/(1 - r)
+        r = self.h / (self.s + hi)
+        return self.w[hi - 1 - self.lo] * r / (1.0 - r)
+
+    def reach(self, lo: int, hi: int, target: float, limit: int,
+              col: _Column) -> int:
+        # doubling; stopping first at _MAX_TERMS past the mode keeps the
+        # chunks, and so the bits, of every sum that ends there or before
+        mark = max(0, int(self.h - self.s)) + _MAX_TERMS + 1
+        return min(2 * hi - lo, mark if hi < mark else limit)
+
+
+def _mixture(weights, col: _Column, tol: float = _SUM_TOL,
+             hi: int = 0) -> Tuple[float, float, int]:
+    """sum_k w_k c_k for positive weights and an increasing column c <= 1,
+    a bound on its error, and the number of terms summed (Shnidman 1989).
+
+    The sum is one dot product over the weights' core (`_Weights`), or from
+    the column's start where that is higher (the column's band), to at
+    least `hi`, where a caller knows the band to reach further.  While the
+    mass above it, times what c can still reach (<= 1), exceeds `tol` of
+    the total, it grows by chunks the weights choose; only those count
+    against _MAX_TERMS.  It is divided by the weights' `mass`.
+
+    The bound adds that upper tail, the mass below the start times the
+    smallest c it holds (c rises with k), the weights' error (`rel`, and
+    `step_ulps` eps a step), the column's (`error`, and `ulps` eps a step
+    from its start), and 2^-1074 a term for subnormal products and sums.
+    """
+    start, w, base, c = col.start, weights.w, weights.lo, col.c
+    lo = start if start > base else base
+    hi = max(hi, weights.hi)  # > lo: a column past the core brings its hi
+    limit = hi + _MAX_TERMS
+    if hi > weights.hi:
+        weights.extend(hi)
     col.extend(hi - start)
-    total = sum(map(mul, w, c[lo - start:hi - start]))
-    above = top
-    while above > _SUM_TOL * total and above > _TAIL_FLOOR:
-        grown = min(2 * hi - lo, limit)
-        if grown == hi:
-            raise ConvergenceError(
-                f"Poisson mixture at h={h}, x={col.x} passed "
-                f"{_MAX_TERMS} terms past the mode")
-        # weights up to k = grown - 1, by w_k = w_(k-1) h/k
-        more = itertools.accumulate([h / j for j in range(hi, grown)], mul,
-                                    initial=w[-1])
-        next(more)
-        w.extend(more)
+    below = weights.below
+    if lo > base:  # the weights skipped below the sum's start
+        below += sum(w[:lo - base])
+    # (map stops at the column's slice: w needs no copy from its start)
+    total = sum(map(mul, w[lo - base:] if lo > base else w,
+                    c[lo - start:hi - start]))
+    above = weights.above(hi, col)
+    while above > tol * total and above > _TAIL_FLOOR:
+        grown = weights.reach(lo, hi, tol * total, limit, col)
+        if grown <= hi:
+            raise ConvergenceError(f"mixture of {weights!r} at x={col.x} "
+                                   f"passed {_MAX_TERMS} terms past its core")
+        weights.extend(grown)
         col.extend(grown - start)
-        total += sum(map(mul, w[hi - lo:], c[hi - start:grown - start]))
+        total += sum(map(mul, w[hi - base:grown - base],
+                         c[hi - start:grown - start]))
         hi = grown
-        # the mass from hi > h up is at most w_(hi-1) r/(1 - r), r = h/hi
-        r = h / hi
-        above = w[-1] * r / (1.0 - r)
-    total /= mass
-    rounding = below + top + (
-        4.0 * (hi - lo) + col.ulps * (hi - start) + 1.0) * _EPS
-    # the increments are at most total - c_start of the total; a
-    # subnormal product or sum rounds by up to 2^-1074 whatever its size
-    return total, (total * rounding + abs(total - c[0]) * col.err + col.abs0
-                   + (above + c[lo - start] * below) / mass
+        above = weights.above(hi, col)
+    total /= weights.mass
+    rounding = weights.rel(hi) + (
+        weights.step_ulps * (hi - lo) + col.ulps * (hi - start) + 1.0) * _EPS
+    return total, (col.error(total, rounding, hi - start)
+                   + (above + c[lo - start] * below) / weights.mass
                    + (hi - lo) * 5e-324), hi - lo
 
 
@@ -515,6 +575,8 @@ def poisson_increments(s: float, x: float,
     peak = min(max(0, int(x - s)), limit)
     ln_e, err = ln_poisson_term(s + peak, x)
     e = math.exp(ln_e) if ln_e > MINLOG else 0.0
+    if not peak:
+        return [e], err + _EPS
     down = list(itertools.accumulate(
         ((s + k) / x for k in range(peak, 0, -1)), mul, initial=e))
     down.reverse()
@@ -532,7 +594,7 @@ def beta_increments(u: float) -> Tuple[Iterator[float], float]:
     return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
 
 
-class _BetaTable:
+class _BetaTable(_Weights):
     """u's half-domain beta increments, drawn once from `beta_increments`
     and grown on demand; a `DetectorConfig` keeps one for all its
     evaluations.
@@ -541,19 +603,25 @@ class _BetaTable:
     inc_(l+1)/inc_l = (2u+l)/(2(u+l+1)) tend to 1/2 monotonically, so
     `ratio[l]` = max(1/2, inc_(l+2)/inc_(l+1)) bounds every ratio past l+1
     and `tail[l]` = inc_(l+1)/(1 - ratio[l]) bounds I_{1/2}(u+l+1, u) =
-    inc_(l+1) + inc_(l+2) + ... (`extend`; the average CAUC series cuts by
-    them).  `column` is I_{1/2}(u, u+k) = 1/2 + inc_0 + ... + inc_(k-1):
-    past `err`, entry k is off by at most (3k - 1) eps (5 roundings a step
-    in the increments, 3 in the start, 1 a step in the sum).
+    inc_(l+1) + inc_(l+2) + ... (`extend`).  `column` is I_{1/2}(u, u+k) =
+    1/2 + inc_0 + ... + inc_(k-1): past `err`, entry k is off by at most
+    (3k - 1) eps (5 roundings a step in the increments, 3 in the start, 1
+    a step in the sum).  As `_mixture` weights (the average CAUC series)
+    the increments run from their mode 0, `hi` at a time, then as far as
+    `tail` falls below the target.
     """
 
-    __slots__ = ("u", "err", "inc", "ratio", "tail", "column", "_more")
+    __slots__ = ("u", "err", "inc", "w", "ratio", "tail", "column", "_more")
+    hi = 32
+    params = ("u",)
 
     def __init__(self, u: float) -> None:
         self._more, self.err = beta_increments(u)
         self.u, self.inc, self.ratio, self.tail = u, [], [], []
+        self.w = self.inc
         self.column = _Column([0.5], 0, 0.5, self.err, 0.0, 3.0,
                               _drawn(self.inc, self._more))
+        self.extend(self.hi)
 
     def extend(self, n: int) -> None:
         # ratio and tail up to l = n - 1, and inc with them
@@ -565,6 +633,20 @@ class _BetaTable:
             ratio.append(r)
             tail.append(inc[j] * (2.0 * u + j) / (2.0 * (u + j + 1.0))
                         / (1.0 - r))
+
+    def above(self, hi: int, col) -> float:
+        # the column is the law's CDF (`average._Law`), capped past hi
+        return self.tail[hi - 1] * col.cap(hi - col.start, self.ratio[hi - 1])
+
+    def reach(self, lo: int, hi: int, target: float, limit: int,
+              col: _Column) -> int:
+        # one past the first l >= hi whose tail, times the column's cap at
+        # hi (which only grows), is below target: at most doubling
+        grown = min(2 * hi - lo, limit)
+        self.extend(grown)
+        return min(grown, 1 + bisect.bisect_left(
+            self.tail, -target / col.cap(hi - col.start, self.ratio[hi - 1]),
+            hi, grown, key=neg))
 
 
 def _drawn(inc: List[float], more: Iterator[float]) -> Iterator[float]:

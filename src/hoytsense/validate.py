@@ -336,6 +336,24 @@ def average_suite() -> List[Line]:
             sample = (vals[0], vals[-1])
     lines.append(("avg_auc_increasing_in_q_mid_snr", ok,
                   f"at 10 dB: A(q=0.1)={sample[0]:.6f} < A(q=1)={sample[1]:.6f}"))
+
+    # the high-SNR law (Wang and Giannakis 2003): CAUC ~ (1+q^2)/(2 q m)
+    # (1/2 + Gamma(u+1/2)/(sqrt(pi) Gamma(u))), to 1.5 sqrt(u+1)/(q^2 m)
+    # where q^2 m >= 1e3; integer u >= 50 overflows its finite sum at 60 dB
+    worst = 0.0
+    for u in (0.05, 0.5, 2.5, 20.5, 150.5, 499.5, 1.0, 5.0):
+        cfg = detector.DetectorConfig(u)
+        shape = 0.5 + math.exp(math.lgamma(u + 0.5) - math.lgamma(u)) / (
+            math.sqrt(math.pi))
+        for q in (0.1, 0.3, 0.5, 1.0):
+            for m in map(hoyt.db_to_linear, (50, 52.5, 55, 57.5, 60)):
+                if q * q * m >= 1e3:
+                    c = average.avg_cauc_closed(cfg, hoyt.HoytFading(q, m))
+                    law = (1.0 + q * q) / (2.0 * q * m) * shape
+                    worst = max(worst, abs(c.value / law - 1.0) * q * q * m
+                                / (1.5 * math.sqrt(u + 1.0)))
+    lines.append(("high_snr_cauc_law", worst <= 1.0,
+                  f"max |CAUC/law - 1| = {worst:.2f} of its bound"))
     return lines
 
 

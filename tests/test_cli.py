@@ -389,10 +389,26 @@ def test_quadrature_pd_past_the_window_cap_is_a_failed_row(capsys):
     assert code == 3
     rows = parse_rows(out)
     assert len(rows) == 1 and rows[0][5:] == ["nan", "inf"]
-    # one node's Marcum Q lies below the subnormal range, and its mixture's
-    # walk passes the term cap, the marcum_q limit that CHANGES.md records
-    # as FOUND
+    # one node's Marcum Q lies far below the subnormal range, and
+    # specfun._mixture's growth past its Poisson core passes _MAX_TERMS
+    # before the weights' tail reaches _TAIL_FLOOR
     assert "failed" in err
+
+
+def test_closed_pd_with_lambda_far_past_the_term_cap_is_a_value(capsys):
+    # lambda/2 - u is ~15,000, past _MAX_TERMS: the miss sums only the band
+    # of the threshold's increments there (~2,300 terms), while the law's
+    # O(1)-a-step recurrence runs out to it; the quadrature gives
+    # 0.98147262927525
+    import nb_reference as ref  # skips this test when scipy is missing
+    code, out, _ = run_cli(capsys, "point", "--metric", "pd", "--u", "5",
+                           "--q", "0.5", "--snr-db", "60", "--lambda",
+                           "30000")
+    assert code == 0
+    ((_, _, _, _, method, value, err),) = parse_rows(out)
+    want = ref.avg_pd(5.0, 0.5, 1e6, 30000.0)
+    assert method == "closed_series" and abs(want - 0.98147262927525) < 1e-12
+    assert abs(float(value) - want) <= float(err) + 1e-15
 
 
 def test_roc_failure_stays_with_its_point(capsys, monkeypatch):

@@ -294,9 +294,9 @@ def test_series_is_the_beta_mixture(monkeypatch):
     seen = []
     mixture = specfun._mixture
 
-    def spy(h, col):
-        seen.append((h, col.c[0]))
-        return mixture(h, col)
+    def spy(weights, col):
+        seen.append((weights.h, col.c[0]))
+        return mixture(weights, col)
 
     monkeypatch.setattr(specfun, "_mixture", spy)
     mv = auc_awgn_series(DetectorConfig(2.5), 10.0)

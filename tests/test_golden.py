@@ -25,12 +25,12 @@ GOLDEN = [
     ("sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
      "16e1fbd5befeae3f8307c1ec312ec6181cc845de572d44aad0d8849aa0929958"),
     ("roc --u 5 --q 0.5 --snr-db 10 --points 33",
-     "2ac10dbef8cf2c023b3c008b3bb931951074c2613bcb2b20d31c712b6c72eb9e"),
+     "bab0b3cc977574ba2c2805b73f182c18cb68f26b3b1b815d9e8ff302271e8ea3"),
     ("sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
      "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
     # the real-u series, a seeded Monte Carlo sweep and a quadrature row
     ("sweep --u 2.5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
-     "871b758b89140a0343186f4d4ff2d8c6234309d20a9465fd8250483f7d0d8e90"),
+     "c583321163724d5237cd748571bce7523e21dffb4d469555a893120cdddbeb22"),
     ("sweep --metric auc --method mc --u 5 --q 0.5 --snr-db 0:10:5 "
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),

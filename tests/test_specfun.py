@@ -295,10 +295,12 @@ def test_specfun_has_no_unit_interval_clamp():
 
 
 def test_one_poisson_mixture_entry_point():
-    # _mixture(h, col) builds its own Poisson weights, and average's
-    # quadrature Pd calls Marcum Q instead of summing a mixture of its own
+    # every closed positive sum is a specfun._mixture(weights, col) call:
+    # average's quadrature Pd calls Marcum Q, and its series, miss and
+    # detection sums keep no loops of their own
     assert not hasattr(specfun, "_Window")
-    for name in ("_MAX_H", "_Window", "_SURE", "_mixture"):
+    for name in ("_MAX_H", "_Window", "_SURE", "_mixture", "_series_value",
+                 "_closed_miss", "_closed_hit"):
         assert not hasattr(average, name), name
 
 
@@ -327,6 +329,18 @@ def test_marcum_below_the_normal_range(b):
         marcum_q(60.5, 0.7746, b)
         best = min(best, time.perf_counter() - start)
     assert best < 1e-3
+
+
+def test_marcum_tiny_q_far_above_the_mode():
+    # a^2/2 = 644136.37, b^2/2 = 655759.65: Q ~ 1.1e-24, whose terms peak
+    # ~5,800 above the Poisson mode and are needed to ~10,700 past it, more
+    # than _MAX_TERMS; only the terms summed past the window count
+    import mp_reference
+    a, b = math.sqrt(2.0 * 644136.37), math.sqrt(2.0 * 655759.65)
+    value, err = _marcum_q(5.0, a, b)
+    want = mp_reference.marcum_q(5.0, a, b)
+    assert 1e-24 < want < 1.2e-24
+    assert abs(value - want) <= err < 1e-10 * want
 
 
 def test_marcum_subnormal_anchor_increment():

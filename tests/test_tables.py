@@ -1,6 +1,6 @@
-"""The tables that depend on u alone: built once per configuration, so once
-per CLI request, and every row read from them is bit-for-bit the row a
-fresh configuration gives."""
+"""The tables that depend on u alone, or on u and a threshold: built once
+per configuration, so once per CLI request, and every row read from them
+is bit-for-bit the row a fresh configuration gives."""
 
 import contextlib
 import io
@@ -9,8 +9,9 @@ import random
 import pytest
 
 from hoytsense import average, cli, detector, specfun
-from hoytsense.average import avg_auc_quadrature, avg_cauc_closed
-from hoytsense.detector import DetectorConfig
+from hoytsense.average import (avg_auc_quadrature, avg_cauc_closed,
+                               avg_pd_closed)
+from hoytsense.detector import DetectorConfig, threshold_for_pf
 from hoytsense.hoyt import HoytFading, db_to_linear
 from hoytsense.quadrature import EvalPolicy
 
@@ -107,3 +108,44 @@ def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
         assert (_outcome(lambda: avg_auc_quadrature(shared, f))
                 == _outcome(lambda: avg_auc_quadrature(DetectorConfig(2.5),
                                                        f)))
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --metric pd --u 5 --q 0.1,0.5,1 --snr-db -10:30:5 --lambda 20",
+    "roc --u 2.5 --q 0.5 --snr-db 10 --points 9"])
+def test_pd_rows_build_each_threshold_table_once(monkeypatch, argv):
+    # a threshold's gamma increments and its column of Q are built once
+    # per request (each build calls poisson_increments once), however
+    # many rows read them
+    calls = []
+    real = specfun.poisson_increments
+
+    def spy(s, x, limit):
+        calls.append((s, x, limit))
+        return real(s, x, limit)
+
+    monkeypatch.setattr(specfun, "poisson_increments", spy)
+    code, out = _main(*argv.split())
+    assert code == 0 and out.count("closed_series") >= 9
+    first = len(calls)
+    assert 2 <= first == len(set(calls))
+    # a second request builds its own: nothing outlives cli.main
+    assert _main(*argv.split()) == (code, out)
+    assert calls[first:] == calls[:first]
+
+
+@pytest.mark.parametrize("u", [0.7, 5.0, 60.5])
+def test_threshold_table_rows_equal_fresh_rows_in_any_order(u):
+    # the miss, the detection sum and 1 - miss, each on one shared config
+    # and in shuffled order, against a fresh config per row
+    lams = [threshold_for_pf(DetectorConfig(u), pf)
+            for pf in (1e-12, 1e-6, 0.01, 0.5)] + [3e4]
+    points = [(q, db, lam) for q in (1e-6, 0.1, 0.5, 1.0)
+              for db in (-10, 10, 24, 60) for lam in lams]
+    random.Random(u).shuffle(points)
+    shared = DetectorConfig(u)
+    for q, db, lam in points:
+        f = HoytFading(q, db_to_linear(db))
+        got = _outcome(lambda: avg_pd_closed(shared, f, lam))
+        assert got == _outcome(lambda: avg_pd_closed(DetectorConfig(u), f,
+                                                     lam)), (u, q, db, lam)

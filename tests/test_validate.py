@@ -41,6 +41,8 @@ def test_average_suite_full_grid():
     # the measured q-ordering check must be present: the average AUC rises
     # with q in the mid-SNR band (fading is deepest at small q)
     assert "avg_auc_increasing_in_q_mid_snr" in names
+    # and the high-SNR law of the CAUC, over 50-60 dB
+    assert "high_snr_cauc_law" in names
 
 
 def test_mc_suite_small():
