@@ -35,7 +35,8 @@ What depends on u alone, or on u and a threshold, is built once per
 `DetectorConfig` (`_table`; the CLI builds one per request): the beta
 increments (`specfun._BetaTable`), the finite sum's tail weights, and a
 threshold's gamma increments and column.  So a row pays only for what its
-q and SNR set: the law and the sums over it.
+q and SNR set: the law and the sums over it.  The quadrature keeps its node
+AUCs there too, which fadings at one mean SNR share.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from . import detector, specfun
 from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
@@ -201,6 +202,17 @@ def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
     return MetricValue(1.0 - c.value, c.method, c.terms_used, c.est_error)
 
 
+# the most node AUCs a configuration keeps for one rel_tol: a long sweep or
+# a stalled integral (ten levels are 32,736 nodes) stops adding at ~0.75 MB
+_MEMO_NODES = 1 << 13
+
+
+def _node_aucs(u: float, rel_tol: float) -> Dict[float, complex]:
+    # node -> complex(AUC, est_error): one complex holds the pair in 32
+    # bytes, where a tuple of two floats takes 104
+    return {}
+
+
 def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
                        policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Reference average AUC: fixed-SNR AUC integrated against the SNR density.
@@ -211,12 +223,19 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     density, on the substituted half line scaled by the mean SNR; at real
     u all nodes share cfg's column of betas (`specfun._BetaTable`).
 
+    The nodes depend on the mean SNR and the level alone, never on q, so
+    cfg keeps each node's AUC and its est_error for the next fading at that
+    mean SNR and rel_tol (`_node_aucs`; the first _MEMO_NODES nodes): a q
+    family computes each node's AUC once.  A row is bit for bit the one a
+    fresh configuration gives.
+
     est_error adds the largest fixed-SNR est_error at any node to the last
     change between levels: with positive weights and a density that
     integrates to 1, the nodes' own errors move the result by no more.
     """
     u = cfg.time_bandwidth
     col = None if cfg.is_integer else cfg._table(specfun._BetaTable).column
+    nodes = cfg._table(_node_aucs, policy.rel_tol)
     node_err = 0.0
 
     def integrand(g: float) -> float:
@@ -224,10 +243,16 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
-        mv = (auc_awgn(cfg, g, policy) if col is None
-              else detector._auc_series(u, g, policy.rel_tol, col))
-        node_err = max(node_err, mv.est_error)
-        return mv.value * density
+        auc = nodes.get(g)
+        if auc is None:
+            mv = (auc_awgn(cfg, g, policy) if col is None
+                  else detector._auc_series(u, g, policy.rel_tol, col))
+            auc = complex(mv.value, mv.est_error)
+            if len(nodes) < _MEMO_NODES:
+                nodes[g] = auc
+        if auc.imag > node_err:
+            node_err = auc.imag
+        return auc.real * density
 
     value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
     return MetricValue(value, "quadrature", evals, err + node_err)

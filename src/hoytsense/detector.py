@@ -59,9 +59,10 @@ _METHODS = ("closed_integer", "closed_series", "quadrature", "monte_carlo")
 class DetectorConfig:
     """Receiver configuration; time_bandwidth is u = T*W of the integrator.
 
-    The tables that depend on u alone, or on u and a threshold, are kept
-    on the instance (`_table`), so every evaluation at one configuration
-    shares them; the CLI builds one configuration per request.
+    The tables that depend on u alone, or on u and a threshold or a
+    tolerance, are kept on the instance (`_table`), so every evaluation at
+    one configuration shares them; the CLI builds one configuration per
+    request.
     """
 
     time_bandwidth: float

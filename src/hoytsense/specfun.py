@@ -201,7 +201,8 @@ def marcum_q(m: float, a: float, b: float) -> float:
     Chernoff point below which the Poisson weights, or the gammas, hold
     less than _WINDOW_MASS.  It is 1 past a > b + _SURE, and raises
     ConvergenceError where a^2/2 is too large (~1e6) for the weights to
-    close within _MAX_TERMS terms of their mode.
+    close within _MAX_TERMS terms of their mode, or where the sum passes
+    that cap, unless a Chernoff bound puts Q below 2^-1075: then it is 0.
     """
     if a == 0.0 and m > 0.0 and b >= 0.0:
         # a column's anchor Q(m, b^2/2), which needs no bound here
@@ -231,8 +232,21 @@ def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
     # _WINDOW_MASS (Chernoff), whichever is lower: at or below the core
     start = int(max(0.0, min(h - math.sqrt(2.0 * h * _LN_MASS),
                              x - m - math.sqrt(2.0 * x * _LN_MASS))))
-    value, err, _ = _mixture(weights, _q_column(m, b, start,
-                                                int(h) + _MAX_TERMS + 1))
+    col = _q_column(m, b, start, int(h) + _MAX_TERMS + 1)
+    try:
+        value, err, _ = _mixture(weights, col)
+    except ConvergenceError:
+        # where Q lies far below the subnormal range, the weights' tail
+        # may pass the cap before it is under _TAIL_FLOOR (a^2/2 = 1.15e5,
+        # b^2/2 = 1.5e5).  Q <= (1-2t)^-m exp(a^2 t/(1-2t) - t b^2) for
+        # 0 < t < 1/2 (Chernoff), least at 1 - 2t = v, b^2 v^2 - 2m v - a^2
+        # = 0: below 2^-1075 it makes 0 Q's rounding, with error 2^-1074
+        bb = b * b
+        v = (m + math.sqrt(m * m + a * a * bb)) / bb
+        if v < 1.0 and (-m * math.log(v) + 0.5 * (1.0 - v) * (a * a / v - bb)
+                        < -1075.0 * _LN2):
+            return 0.0, 5e-324
+        raise
     return value, err
 
 

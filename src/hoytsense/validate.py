@@ -528,12 +528,14 @@ def errata_suite() -> List[Line]:
 
     # 2. integer-u average AUC finite sum: the published expression drops a
     # (1+q^2) factor.  Also shown: the tempting binomial-index repair
-    # (upper index l+u instead of l+u-1), which the reference rejects.
+    # (upper index l+u instead of l+u-1), which the reference rejects.  Both
+    # blocks take their quadrature on one configuration per u, so the
+    # second reads the first's node AUCs.
+    cfgs = {u: detector.DetectorConfig(float(u)) for u in (1, 2, 3, 5)}
     rows = []
     ok = True
     worst_printed = 0.0
-    for u in (1, 2, 3, 5):
-        cfg = detector.DetectorConfig(float(u))
+    for u, cfg in cfgs.items():
         for q in (0.1, 0.5, 1.0):
             for gb in (1.0, 10.0):
                 f = hoyt.HoytFading(q, gb)
@@ -554,9 +556,8 @@ def errata_suite() -> List[Line]:
         for q in (0.1, 0.5, 1.0):
             for gb in (1.0, 10.0):
                 conj = _binomial_shift_auc(u, q, gb)
-                cfg = detector.DetectorConfig(float(u))
                 quad = average.avg_auc_quadrature(
-                    cfg, hoyt.HoytFading(q, gb), pol).value
+                    cfgs[u], hoyt.HoytFading(q, gb), pol).value
                 dev = conj - quad
                 worst = max(worst, abs(dev))
                 rows.append(f"u={u} q={q} m={gb}: {dev:+.2e}")

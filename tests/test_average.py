@@ -328,10 +328,10 @@ def test_avg_pd_quadrature_behaviour():
     lam = threshold_for_pf(cfg, 0.1)
     assert avg_pd_quadrature(cfg, f, lam, TIGHT).value < pd_fixed(
         cfg, 10.0, lam)
-    # 60 dB, lambda=3e5: one node's Marcum Q (h ~ 1.1e5, b^2/2 = 1.5e5)
-    # lies far below the subnormal range, and specfun._mixture's growth
-    # past its Poisson core passes _MAX_TERMS before the weights' tail
-    # reaches _TAIL_FLOOR
+    # 60 dB, lambda=3e5 (b^2/2 = 1.5e5): nodes whose Marcum Q is below
+    # 2^-1075 take its Chernoff bound, but at sixteen nodes, h = 1.296e5
+    # to 1.313e5, Q is 1e-324 to 7e-273, and specfun._mixture's growth past
+    # its Poisson core passes _MAX_TERMS before its tail is below 1e-16 of Q
     with pytest.raises(ConvergenceError):
         avg_pd_quadrature(cfg, _f(0.5, 1e6), 3e5)
 

@@ -389,9 +389,10 @@ def test_quadrature_pd_past_the_window_cap_is_a_failed_row(capsys):
     assert code == 3
     rows = parse_rows(out)
     assert len(rows) == 1 and rows[0][5:] == ["nan", "inf"]
-    # one node's Marcum Q lies far below the subnormal range, and
-    # specfun._mixture's growth past its Poisson core passes _MAX_TERMS
-    # before the weights' tail reaches _TAIL_FLOOR
+    # at nodes with h = a^2/2 near 1.3e5 Marcum Q is 1e-324 to 7e-273, too
+    # large for its Chernoff bound to stand in for it, and specfun._mixture's
+    # growth past its Poisson core passes _MAX_TERMS before its tail is
+    # below 1e-16 of Q
     assert "failed" in err
 
 

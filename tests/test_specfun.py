@@ -343,6 +343,19 @@ def test_marcum_tiny_q_far_above_the_mode():
     assert abs(value - want) <= err < 1e-10 * want
 
 
+@pytest.mark.parametrize("h", [1.15e5, 1.29e5])
+def test_marcum_far_below_the_subnormal_range_is_zero(h):
+    # b^2/2 = 1.5e5: Q is 6.6e-1011 and 2.7e-346, and the weights' tail
+    # passes the term cap before it is under _TAIL_FLOOR.  The Chernoff
+    # bound on Q is below 2^-1075 there, so 0 is Q's rounding
+    import mp_reference
+    a, b = math.sqrt(2.0 * h), math.sqrt(3e5)
+    half_subnormal = mp_reference.mp.mpf(2) ** -1075
+    assert mp_reference.marcum_q(5.0, a, b) < half_subnormal
+    assert _marcum_q(5.0, a, b) == (0.0, 5e-324)
+    assert marcum_q(5.0, a, b) == 0.0
+
+
 def test_marcum_subnormal_anchor_increment():
     # at h = 65, x = 1012.5 the increment at the Poisson mode is subnormal
     # while the increments still rise; upward products from it put Q 0.86%

@@ -102,12 +102,71 @@ def test_table_rows_equal_fresh_rows_in_any_order(u):
 
 
 def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
+    # one shared config keeps the beta column and the node AUCs of every
+    # (mean SNR, rel_tol) it has seen; shuffled rows read them in any order
+    points = [(q, db, policy) for q in (0.1, 0.3, 1.0)
+              for db in (0.0, 10.0, 20.0)
+              for policy in (EvalPolicy(), EvalPolicy(rel_tol=1e-11))]
+    for u in (2.5, 5.0):
+        random.Random(u).shuffle(points)
+        shared = DetectorConfig(u)
+        for q, db, policy in points:
+            f = HoytFading(q, db_to_linear(db))
+            got = _outcome(lambda: avg_auc_quadrature(shared, f, policy))
+            assert got == _outcome(lambda: avg_auc_quadrature(
+                DetectorConfig(u), f, policy)), (u, q, db, policy)
+
+
+@pytest.mark.parametrize("u, module, name",
+                         [("2.5", detector, "_auc_series"),
+                          ("5", average, "auc_awgn")],
+                         ids=["series", "laguerre"])
+def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
+                                                       module, name):
+    # three fadings at one mean SNR share their nodes: each node with a
+    # nonzero density has its AUC computed once in the request
+    dense = []
+    real_pdf = average.snr_pdf
+
+    def pdf(f, g):
+        density = real_pdf(f, g)
+        if density != 0.0:
+            dense.append(g)
+        return density
+
+    computed = []
+    real_auc = getattr(module, name)
+
+    def auc(cfg_or_u, g, *rest):
+        computed.append(g)
+        return real_auc(cfg_or_u, g, *rest)
+
+    monkeypatch.setattr(average, "snr_pdf", pdf)
+    monkeypatch.setattr(module, name, auc)
+    argv = ("sweep", "--metric", "auc", "--method", "quadrature", "--u", u,
+            "--q", "0.1,0.5,1", "--snr-db", "10")
+    code, out = _main(*argv)
+    assert code == 0 and out.count("quadrature") == 3
+    assert len(dense) > len(computed) == len(set(computed))
+    assert set(computed) == set(dense)
+    # a second request starts empty: nothing outlives cli.main
+    first = len(computed)
+    assert _main(*argv) == (code, out)
+    assert computed[first:] == computed[:first]
+
+
+def test_node_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(average, "_MEMO_NODES", 64)
     shared = DetectorConfig(2.5)
-    for q, db in ((0.5, 10.0), (0.3, 0.0), (1.0, 20.0)):
-        f = HoytFading(q, db_to_linear(db))
-        assert (_outcome(lambda: avg_auc_quadrature(shared, f))
-                == _outcome(lambda: avg_auc_quadrature(DetectorConfig(2.5),
-                                                       f)))
+    memo = shared._table(average._node_aucs, EvalPolicy().rel_tol)
+    for q in (0.1, 0.5, 1.0):
+        for db in (0.0, 10.0):
+            f = HoytFading(q, db_to_linear(db))
+            got = _outcome(lambda: avg_auc_quadrature(shared, f))
+            assert len(memo) <= 64
+            assert got == _outcome(lambda: avg_auc_quadrature(
+                DetectorConfig(2.5), f)), (q, db)
+    assert len(memo) == 64
 
 
 @pytest.mark.parametrize("argv", [
