@@ -32,12 +32,10 @@ first call and reuses that one parser after it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import average, detector, montecarlo
@@ -48,9 +46,14 @@ from .montecarlo import McConfig
 from .quadrature import EvalPolicy, QuadratureError
 from .specfun import ConvergenceError
 
-__all__ = ["main", "CurveRow", "CSV_HEADER"]
+__all__ = ["main", "CSV_HEADER"]
 
 CSV_HEADER = ("snr_db", "q", "u", "metric", "method", "value", "est_error")
+
+# one CSV row: (snr_db, q, u, metric, method, value, est_error); "%.17g"
+# writes a float as format(x, ".17g") does, nan, inf and -0.0 included
+Row = Tuple[float, float, float, str, str, float, float]
+_ROW_FORMAT = "%.17g,%.17g,%.17g,%s,%s,%.17g,%.17g\n"
 
 _SWEEP_METRICS = ("auc", "cauc", "pd", "pf", "roc")
 _METHOD_FLAGS = ("closed", "series", "quadrature", "mc", "all")
@@ -73,32 +76,6 @@ _ROW_FAILURES = (ConvergenceError, OverflowError, QuadratureError)
 
 class UsageError(ValueError):
     """Semantically invalid flag combination (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    """One CSV row; value is a probability unless the row records a failure."""
-
-    snr_db: float
-    q: float
-    u: float
-    metric: str
-    method: str
-    value: float
-    est_error: float
-
-    def __post_init__(self):
-        if math.isfinite(self.value) and not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"row value must lie in [0, 1], got {self.value}")
-
-    def fields(self) -> List[str]:
-        return [_fmt(self.snr_db), _fmt(self.q), _fmt(self.u),
-                self.metric, self.method, _fmt(self.value),
-                _fmt(self.est_error)]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _clamp01(x: float, est_error: float) -> float:
@@ -288,23 +265,26 @@ def _open_sink(path: Optional[str]):
         raise UsageError(f"cannot write --out: {exc}") from None
 
 
-def _write_rows(rows: Sequence[CurveRow], path: Optional[str]) -> None:
+def _write_rows(rows: Sequence[Row], path: Optional[str]) -> None:
+    # a row's value is a probability unless the row records a failure (nan)
+    for row in rows:
+        if math.isfinite(row[5]) and not 0.0 <= row[5] <= 1.0:
+            raise ValueError(f"row value must lie in [0, 1], got {row[5]}")
+    text = ",".join(CSV_HEADER) + "\n" + "".join(
+        [_ROW_FORMAT % row for row in rows])
     sink, owned = _open_sink(path)
     try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.fields())
+        sink.write(text)
     finally:
         if owned:
             sink.close()
 
 
 def _failure_row(snr_db: float, q: float, u: float, metric: str,
-                 method: str, err: Exception) -> CurveRow:
+                 method: str, err: Exception) -> Row:
     print(f"hoytsense: row (snr_db={snr_db}, q={q}, metric={metric}, "
           f"method={method}) failed: {err}", file=sys.stderr)
-    return CurveRow(snr_db, q, u, metric, method, math.nan, math.inf)
+    return (snr_db, q, u, metric, method, math.nan, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +366,7 @@ def _cmd_sweep(args) -> int:
     method = args.method or _ROUTES[metric][0]
     methods = _ROUTES[metric] if method == "all" else (method,)
 
-    rows: List[CurveRow] = []
+    rows: List[Row] = []
     failed = False
     # each method's last outcome: pf has no channel, so its first outcome
     # serves every (q, snr) row of the grid, failures included
@@ -406,8 +386,7 @@ def _cmd_sweep(args) -> int:
                                              method, outcome))
                 else:
                     label, val, err = outcome
-                    rows.append(CurveRow(db, q, args.u, metric, label, val,
-                                         err))
+                    rows.append((db, q, args.u, metric, label, val, err))
     _write_rows(rows, args.out)
     return 3 if failed else 0
 
@@ -436,8 +415,7 @@ def _cmd_point(args) -> int:
             channel = HoytFading(q, mean) if q is not None and mean else mean
             val, label, err = _eval_row(
                 metric, route, cfg, channel, args.threshold, args.policy, None)
-        row = CurveRow(db, row_q, args.u, metric, label,
-                       _clamp01(val, err), err)
+        row = (db, row_q, args.u, metric, label, _clamp01(val, err), err)
     except _ROW_FAILURES as exc:
         failed = True
         row = _failure_row(db, row_q, args.u, metric, route, exc)
@@ -476,7 +454,7 @@ def _cmd_roc(args) -> int:
     # each threshold's failure comes back as its entry
     pds = iter(average.avg_pd_closed_curve(cfg, f, lams, args.policy))
 
-    rows: List[CurveRow] = []
+    rows: List[Row] = []
     failed = False
     for point in points:
         mv = point if isinstance(point, ArithmeticError) else next(pds)
@@ -485,10 +463,10 @@ def _cmd_roc(args) -> int:
                 raise mv
             _, target, realized = point
             pf_err = abs(realized - target)
-            pair = [CurveRow(db, args.q, args.u, "pf", _closed_label(cfg),
-                             _clamp01(realized, pf_err), pf_err),
-                    CurveRow(db, args.q, args.u, "pd", mv.method,
-                             _clamp01(mv.value, mv.est_error), mv.est_error)]
+            pair = [(db, args.q, args.u, "pf", _closed_label(cfg),
+                     _clamp01(realized, pf_err), pf_err),
+                    (db, args.q, args.u, "pd", mv.method,
+                     _clamp01(mv.value, mv.est_error), mv.est_error)]
         except _ROW_FAILURES as exc:
             failed = True
             pair = [_failure_row(db, args.q, args.u, "pf", "closed", exc),

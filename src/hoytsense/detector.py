@@ -22,15 +22,14 @@ underflows.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from . import specfun
 from .specfun import ConvergenceError
 from .quadrature import EvalPolicy, integrate_half_line
+from .record import Record, _set
 
 __all__ = [
     "DetectorConfig",
@@ -49,39 +48,38 @@ __all__ = [
 _INTEGER_EPS = 1e-12
 _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 _DEFAULT_POLICY = EvalPolicy()
 
 _METHODS = ("closed_integer", "closed_series", "quadrature", "monte_carlo")
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Record):
     """Receiver configuration; time_bandwidth is u = T*W of the integrator.
 
+    is_integer tells whether u is within _INTEGER_EPS of a positive integer.
     The tables that depend on u alone, or on u and a threshold or a
     tolerance, are kept on the instance (`_table`), so every evaluation at
     one configuration shares them; the CLI builds one configuration per
     request.
     """
 
+    _fields = ("time_bandwidth",)
+    __slots__ = _fields + ("is_integer", "_tables")
     time_bandwidth: float
+    is_integer: bool
+    _tables: Dict[Any, Any]
 
-    def __post_init__(self) -> None:
-        u = self.time_bandwidth
+    def __init__(self, time_bandwidth: float) -> None:
+        u = time_bandwidth
         if not (math.isfinite(u) and u > 0.0):
             raise ValueError(
                 f"time-bandwidth product must be finite and positive, got {u!r}")
-
-    @property
-    def is_integer(self) -> bool:
-        # within _INTEGER_EPS of a positive integer: round(u) is 0 below 1/2
-        u = self.time_bandwidth
-        return u > 0.5 and abs(u - round(u)) < _INTEGER_EPS
-
-    @functools.cached_property
-    def _tables(self) -> Dict[Any, Any]:
-        return {}
+        _set(self, "time_bandwidth", u)
+        # round(u) is 0 below 1/2
+        _set(self, "is_integer", u > 0.5 and abs(u - round(u)) < _INTEGER_EPS)
+        _set(self, "_tables", {})
 
     def _table(self, build: Callable[..., Any], *args: Any) -> Any:
         # build(u, *args), called on the first use and kept for the next ones
@@ -91,8 +89,7 @@ class DetectorConfig:
         return tables[key]
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(Record):
     """A computed probability plus how it was obtained.
 
     `method` is one of closed_integer / closed_series / quadrature /
@@ -100,18 +97,24 @@ class MetricValue:
     numerical error of `value`; it does not include model error.
     """
 
+    __slots__ = _fields = ("value", "method", "terms_used", "est_error")
     value: float
     method: str
-    terms_used: int = 0
-    est_error: float = 0.0
+    terms_used: int
+    est_error: float
 
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {_METHODS}")
-        if self.terms_used < 0:
-            raise ValueError(f"terms_used must be >= 0, got {self.terms_used}")
-        if not (self.est_error >= 0.0):
-            raise ValueError(f"est_error must be >= 0, got {self.est_error}")
+    def __init__(self, value: float, method: str, terms_used: int = 0,
+                 est_error: float = 0.0) -> None:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
+        if terms_used < 0:
+            raise ValueError(f"terms_used must be >= 0, got {terms_used}")
+        if not (est_error >= 0.0):
+            raise ValueError(f"est_error must be >= 0, got {est_error}")
+        _set(self, "value", value)
+        _set(self, "method", method)
+        _set(self, "terms_used", terms_used)
+        _set(self, "est_error", est_error)
 
 
 def pf(cfg: DetectorConfig, threshold: float) -> float:
@@ -193,9 +196,17 @@ def _cauc_chernoff(u: float, snr: float) -> float:
     # the CAUC is P(X < Y), X ~ Gamma(u + Poisson(snr)), Y ~ Gamma(u), so
     # for 0 < s < 1 it is below E e^(s(Y-X)) = (1-s^2)^-u e^(-snr s/(1+s));
     # s is its minimiser, the root of 2u s^2 + (2u+snr) s - snr, but any s
-    # gives a valid bound, so rounding in s cannot break it
+    # in (0, 1) gives a valid bound, so rounding in s cannot break it: past
+    # b^2's range b is scaled out of the root, and where s rounds to 1 it
+    # takes the largest double below 1
     b = 2.0 * u + snr
-    s = 2.0 * snr / (b + math.sqrt(b * b + 8.0 * u * snr))
+    root = math.sqrt(b * b + 8.0 * u * snr)
+    if root < math.inf:
+        s = 2.0 * snr / (b + root)
+    else:
+        x = snr / b
+        s = 2.0 * x / (1.0 + math.sqrt(1.0 + 8.0 * u * x / b))
+    s = min(s, _BELOW_ONE)
     return math.exp(-u * math.log1p(-s * s) - snr * s / (1.0 + s))
 
 

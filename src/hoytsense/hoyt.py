@@ -17,10 +17,10 @@ where F is small, so near-Rayleigh inputs dispatch to the exponential form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import specfun
+from .record import Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,18 +33,20 @@ __all__ = ["HoytFading", "db_to_linear", "snr_pdf", "snr_cdf", "snr_mgf",
 _RAYLEIGH_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class HoytFading:
+class HoytFading(Record):
     """Channel description: q in (0, 1], mean_snr > 0 (linear power ratio)."""
 
+    __slots__ = _fields = ("q", "mean_snr")
     q: float
     mean_snr: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
-        if not (math.isfinite(self.mean_snr) and self.mean_snr > 0.0):
-            raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr!r}")
+    def __init__(self, q: float, mean_snr: float) -> None:
+        if not (0.0 < q <= 1.0):
+            raise ValueError(f"q must lie in (0, 1], got {q!r}")
+        if not (math.isfinite(mean_snr) and mean_snr > 0.0):
+            raise ValueError(f"mean_snr must be positive and finite, got {mean_snr!r}")
+        _set(self, "q", q)
+        _set(self, "mean_snr", mean_snr)
 
 
 def db_to_linear(db: float) -> float:

@@ -20,11 +20,11 @@ quadrature routes run on the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .detector import DetectorConfig
 from .hoyt import HoytFading, sample_snr
+from .record import Record, _set
 
 __all__ = [
     "McConfig",
@@ -44,8 +44,7 @@ _BATCH_SIZE = 65_536  # the unit of seeding and of the pairwise rank count
 np = None
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record):
     """Simulation budget and seeding; (trials, master_seed) decide every byte.
 
     trials below ~10_000 give standard errors too wide to validate anything;
@@ -53,21 +52,31 @@ class McConfig:
     runs should stay at the default million.
     """
 
-    trials: int = 1_000_000
-    master_seed: int = 0
+    __slots__ = _fields = ("trials", "master_seed")
+    trials: int
+    master_seed: int
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= self.master_seed < 2 ** 64):
+    def __init__(self, trials: int = 1_000_000, master_seed: int = 0) -> None:
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not (0 <= master_seed < 2 ** 64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        _set(self, "trials", trials)
+        _set(self, "master_seed", master_seed)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
+    """A Monte Carlo estimate, its standard error and the trials behind it."""
+
+    __slots__ = _fields = ("value", "std_error", "trials")
     value: float
     std_error: float
     trials: int
+
+    def __init__(self, value: float, std_error: float, trials: int) -> None:
+        _set(self, "value", value)
+        _set(self, "std_error", std_error)
+        _set(self, "trials", trials)
 
 
 def batch_rng(mc: McConfig, index: int) -> np.random.Generator:

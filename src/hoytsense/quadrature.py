@@ -17,8 +17,9 @@ exception an integrand raises ends the integral and leaves unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
+
+from .record import Record, _set
 
 __all__ = [
     "EvalPolicy",
@@ -32,20 +33,21 @@ class QuadratureError(ArithmeticError):
     """Successive refinements failed to settle within _MAX_LEVELS doublings."""
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
+class EvalPolicy(Record):
     """The relative tolerance that series tails and refinement deltas meet.
 
     Series stop at the package term cap (`specfun._MAX_TERMS`) and the
     quadrature at `_MAX_LEVELS` panel doublings, whatever the tolerance.
     """
 
-    rel_tol: float = 1e-10
+    __slots__ = _fields = ("rel_tol",)
+    rel_tol: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
+    def __init__(self, rel_tol: float = 1e-10) -> None:
+        if not 0.0 < rel_tol < math.inf:
             raise ValueError(
-                f"rel_tol must be positive and finite, got {self.rel_tol}")
+                f"rel_tol must be positive and finite, got {rel_tol}")
+        _set(self, "rel_tol", rel_tol)
 
 
 # panel doublings before QuadratureError; the slowest reference integral in

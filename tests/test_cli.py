@@ -628,6 +628,21 @@ def test_value_clamped_only_within_est_error(capsys, monkeypatch, excess,
         assert row[5:] == ["nan", "inf"] and "est_error" in err
 
 
+def test_rows_are_probabilities_written_at_17_digits(capsys):
+    # a finite value outside [0, 1] is refused before any byte is written;
+    # a failure row's nan passes, and each float prints as format(x, ".17g")
+    with pytest.raises(ValueError, match=r"row value must lie in \[0, 1\]"):
+        cli._write_rows([(0.0, 0.5, 2.0, "auc", "closed_integer", 1.5, 0.0)],
+                        None)
+    assert capsys.readouterr().out == ""
+    rows = [(-0.0, 5e-324, 1e22, "auc", "closed_integer", 0.1, 1 / 3),
+            (-math.inf, math.nan, 2.5, "pd", "quadrature", math.nan, math.inf)]
+    cli._write_rows(rows, None)
+    want = [",".join(x if isinstance(x, str) else format(x, ".17g")
+                     for x in row) for row in rows]
+    assert capsys.readouterr().out.splitlines() == [HEADER] + want
+
+
 def test_roc_pairs_schema(capsys):
     code, out, _ = run_cli(capsys, "roc", "--u", "5", "--q", "0.5",
                            "--snr-db", "10", "--points", "5")

@@ -5,6 +5,7 @@ Poisson-weighted regularized-beta series; they are independent of every
 runtime code path here.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hoytsense.detector import (DetectorConfig, MetricValue, _cauc_chernoff,
                                 auc_awgn, auc_awgn_1f1_variant,
                                 auc_awgn_series, auc_quadrature, cauc_awgn,
                                 pd, pf, roc_points_awgn, threshold_for_pf)
+from hoytsense.hoyt import HoytFading
 from hoytsense.quadrature import EvalPolicy
 from hoytsense.specfun import ConvergenceError, reg_upper_gamma
 from hoytsense.validate import _kummer_printed_auc
@@ -46,6 +48,16 @@ def test_config_validation_and_integer_detection():
 def test_metric_value_validation():
     mv = MetricValue(0.5, "quadrature", 10, 1e-12)
     assert mv.value == 0.5 and mv.terms_used == 10
+    # records are read-only, and compare, print and copy by their fields
+    for record, field in ((mv, "value"), (DetectorConfig(5.0), "time_bandwidth"),
+                          (HoytFading(0.5, 10.0), "q")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.25)
+        assert copy.copy(record) == record and hash(copy.copy(record)) == hash(record)
+    assert mv == MetricValue(0.5, "quadrature", 10, 1e-12) != (0.5, "quadrature", 10, 1e-12)
+    assert repr(mv) == ("MetricValue(value=0.5, method='quadrature', "
+                        "terms_used=10, est_error=1e-12)")
+    assert repr(DetectorConfig(5.0)) == "DetectorConfig(time_bandwidth=5.0)"
     MetricValue(0.5, "closed_integer", 0, math.inf)  # inf est_error is legal
     with pytest.raises(ValueError):
         MetricValue(0.5, "magic", 0, 0.0)
@@ -266,6 +278,12 @@ def test_auc_answers_over_the_box(u):
         if cfg.is_integer and snr > 1500.0:
             c = cauc_awgn(cfg, snr)
             assert c.value == 0.0 and c.est_error == _cauc_chernoff(u, snr)
+    # far past the box the Chernoff bound still holds: where its s rounds
+    # to 1 (snr ~1e17 to 1e20) and where b^2 overflows (1e300)
+    for snr in (1e17, 1e20, 1e300):
+        for route in (auc_awgn, cauc_awgn):
+            mv = route(cfg, snr)
+            assert 0.0 <= mv.value <= 1.0 and mv.est_error < 1.0, snr
 
 
 def test_series_error_counts_the_lgamma_start():

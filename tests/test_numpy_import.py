@@ -1,8 +1,10 @@
-"""numpy is loaded by the Monte Carlo route alone.
+"""numpy is loaded by the Monte Carlo route alone, and dataclasses never.
 
 The closed and quadrature routes run on the standard library, so a process
-that never draws never pays numpy's import.  Each check starts a fresh
-interpreter, since this test process has numpy loaded already.
+that never draws never pays numpy's import; the package's records are plain
+slots classes, so no request pays the import of dataclasses (and of the
+inspect module it loads).  Each check starts a fresh interpreter, since this
+test process has both modules loaded already.
 """
 
 import json
@@ -10,15 +12,17 @@ import subprocess
 import sys
 
 # Runs the CLI in-process after each step and prints, per step, its exit
-# code and whether numpy is in sys.modules.
+# code, whether numpy is in sys.modules and whether dataclasses is.
 PROBE = """
 import contextlib, io, json, sys
 import hoytsense.cli as cli
-steps = [("import", 0, "numpy" in sys.modules)]
+def loaded():
+    return "numpy" in sys.modules, "dataclasses" in sys.modules
+steps = [("import", 0, *loaded())]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    steps.append((" ".join(argv), rc, "numpy" in sys.modules))
+    steps.append((" ".join(argv), rc, *loaded()))
 from hoytsense import montecarlo
 steps.append(("bound", 0, montecarlo.np is sys.modules.get("numpy", False)))
 print(json.dumps(steps))
@@ -45,9 +49,10 @@ def _probe(requests):
 
 def test_closed_and_quadrature_routes_load_no_numpy():
     steps = _probe(CLOSED)
-    for name, rc, loaded in steps[:-1]:
+    for name, rc, numpy_loaded, dataclasses_loaded in steps[:-1]:
         assert rc == 0, name
-        assert not loaded, name
+        assert not numpy_loaded, name
+        assert not dataclasses_loaded, name
     # montecarlo.np is still unbound
     assert steps[-1][2] is False
 
