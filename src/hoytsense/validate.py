@@ -94,6 +94,26 @@ def specfun_suite() -> List[Line]:
     lines.append(("binomial_pochhammer_consistency", worst < 1e-13,
                   f"max rel = {worst:.2e}"))
 
+    # the order-0 polynomials against the ascending series up to x = 25 and
+    # the asymptotic expansion, summed to 1e-17, past it: at each piece's
+    # middle and on both sides of each edge, which share one series value
+    # (the last piece, from 64 up, is taken to 4096)
+    def series(x):
+        return (specfun._bessel_series(0.0, x) if x <= 25.0
+                else specfun._bessel_asymptotic(0.0, x, 1e-17))
+
+    worst, points = 0.0, 0
+    edges = specfun._I0E_EDGES + (64.0, 4096.0)
+    for a, b in zip(edges, edges[1:]):
+        mid, at_b = 0.5 * (a + b), series(b)
+        for x, want in ((mid, series(mid)), (b, at_b),
+                        (math.nextafter(b, a), at_b)):
+            worst = max(worst, abs(specfun.bessel_i(0.0, x) - want) / want)
+            points += 1
+    lines.append(("bessel_i0_pieces_match_series", worst < 1e-14,
+                  f"max rel |polynomial - series| at {points} points = "
+                  f"{worst:.2e}"))
+
     # a^2/2 = 5e9: the Poisson window would need ~7e5 terms each side of its
     # mode, far past the term cap
     try:

@@ -321,6 +321,42 @@ def test_non_finite_threshold_is_a_usage_error(capsys):
             assert "threshold must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--metric", "auc", "--method", "quadrature", "--u", "2",
+     "--snr-db", "10"),
+    ("sweep", "--metric", "auc", "--u", "2.5", "--snr-db", "10"),
+    ("sweep", "--metric", "cauc", "--method", "series", "--u", "2",
+     "--snr-db", "10"),
+    ("sweep", "--metric", "auc", "--method", "mc", "--u", "2",
+     "--snr-db", "10", "--trials", "1000"),
+    ("sweep", "--metric", "pd", "--method", "quadrature", "--u", "2",
+     "--snr-db", "10", "--lambda", "8"),
+    ("point", "--metric", "auc", "--u", "2", "--snr-db", "10"),
+    ("point", "--metric", "pd", "--u", "2", "--snr-db", "10",
+     "--lambda", "8"),
+    ("roc", "--u", "2", "--snr-db", "10", "--points", "3"),
+], ids=["auc-quadrature", "auc-series", "cauc-series", "auc-mc",
+        "pd-quadrature", "point-auc", "point-pd", "roc"])
+def test_q_whose_square_leaves_the_normal_range_is_a_usage_error(capsys,
+                                                                 argv):
+    # below q = 1e-150, q^2 is subnormal or 0: the quadrature divided by
+    # zero, the density read 0 where it is 0.242, and the closed AUC drifted
+    # from its reference far past its est_error
+    for q in ("1e-170", "1e-155", "9.99e-151"):
+        code, out, err = run_cli(capsys, *argv, "--q", q)
+        assert code == 2 and out == "", (argv, q)
+        assert "q must lie in (0, 1] and be at least 1e-150" in err
+
+
+def test_q_at_its_bound_answers_within_est_error(capsys):
+    import nb_reference
+    code, out, _ = run_cli(capsys, "point", "--metric", "auc", "--u", "2.5",
+                           "--q", "1e-150", "--snr-db", "10")
+    row = parse_rows(out)[0]
+    want = nb_reference.avg_auc(2.5, 1e-150, 10.0)  # 10 dB
+    assert code == 0 and abs(float(row[5]) - want) <= float(row[6])
+
+
 def test_sweep_usage_errors(capsys):
     base = ("sweep", "--u", "5", "--q", "0.5")
     assert run_cli(capsys, *base, "--snr-db", "0:10:-1")[0] == 2
@@ -663,7 +699,7 @@ def test_validate_subcommand(capsys):
     code, out, _ = run_cli(capsys, "validate", "--suite", "specfun")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
-    assert "7/7 checks passed" in out
+    assert "8/8 checks passed" in out
     assert run_cli(capsys, "validate", "--suite", "bogus")[0] == 2
 
 

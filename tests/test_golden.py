@@ -35,14 +35,14 @@ GOLDEN = [
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
     ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
-     "6d69d837c103fea7dba56db207079445d9eef2aa02aa1a74db5e4446e1263851"),
+     "97ba8ed2246ad972d858099d451ce9e8f18685fe9005e78c901f15f51e327d0a"),
     # quadrature q families, whose fadings at one mean SNR share node AUCs
     ("sweep --metric auc --method quadrature --u 2.5 --q 0.1,0.5,1.0 "
      "--snr-db 0:30:10",
-     "6a92d0bbe517cb3faa851c95ab082f415d28bbfda7a1821b4c22d45296afd92f"),
+     "793bfbeabf087949b39b97f82a026f70c6eda0c1eb8d8b125904b74af4a47779"),
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
-     "3a74f35bb1a711f0178d9e639e315c7b3d913436225129823130b4124729dc1b"),
+     "a9db5e71ea42339598cc9c2a7142cfe4ecceacc0d029d598e86e2f7dcb6b5838"),
 ]
 
 

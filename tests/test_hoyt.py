@@ -33,6 +33,18 @@ def test_channel_validation():
             HoytFading(0.5, mean)
 
 
+def test_q_stops_where_its_square_leaves_the_normal_range():
+    # q^2 = 1e-300 is normal; below it the density read 0 at q = 1e-155
+    # where the true value is 0.242 (the q -> 0 limit, a chi-square of one
+    # degree of freedom scaled by the mean)
+    for q in (9.99e-151, 1e-155, 1e-170, 5e-324):
+        with pytest.raises(ValueError, match="at least 1e-150"):
+            HoytFading(q, 1.0)
+    want = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+    assert snr_pdf(HoytFading(1e-150, 1.0), 1.0) == pytest.approx(want,
+                                                                  rel=1e-14)
+
+
 def test_pdf_frozen_values():
     assert snr_pdf(HoytFading(0.5, 1.0), 1.0) == pytest.approx(PDF_0P5_1_1,
                                                                rel=1e-13)

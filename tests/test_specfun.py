@@ -115,31 +115,58 @@ def test_bessel_holds_5e_14_against_mpmath(nu):
     # a log grid of x from 1e-3 to 1.5e3, and the points on either side of
     # the switch from the ascending series to the asymptotic expansion at
     # x = 25 + nu^2.  The series' e^(-x) scaling rounds by ~x ulps, so one
-    # run out to a few hundred misses 5e-14
+    # run out to a few hundred misses 5e-14.  Order 0 is the fixed
+    # polynomials, held to 2e-15
     import mp_reference
     cross = 25.0 + nu * nu
+    bound = 2e-15 if nu == 0.0 else 5e-14
     grid = [1e-3 * 1.5e6 ** (i / 96.0) for i in range(97)]
     for x in grid + [cross - 0.5, math.nextafter(cross, 0.0), cross,
                      math.nextafter(cross, math.inf), cross + 0.5]:
         want = mp_reference.bessel_i(nu, x)
-        assert abs(bessel_i(nu, x) - want) <= 5e-14 * want, x
+        assert abs(bessel_i(nu, x) - want) <= bound * want, x
 
 
-def test_bessel_cost_is_flat_past_the_crossover():
-    # past x = 25 the asymptotic expansion, whose term count falls as x
-    # grows, takes over from the series, whose count grows as x/2 (at
-    # x = 600 it would take ~10 times as long as at x = 25).  Best of
-    # interleaved rounds
-    xs = (25.0, 100.0, 600.0, 1500.0)
+def _best_times(nu, xs, rounds=50):
+    # best of interleaved rounds of 20 calls at each x
     best = dict.fromkeys(xs, math.inf)
-    for _ in range(50):
+    for _ in range(rounds):
         for x in xs:
             start = time.perf_counter()
             for _ in range(20):
-                bessel_i(0.0, x)
+                bessel_i(nu, x)
             best[x] = min(best[x], time.perf_counter() - start)
+    return best
+
+
+def test_bessel_cost_is_flat_past_the_crossover():
+    # past x = 25 + nu^2 (26 at nu = 1) the asymptotic expansion, whose
+    # term count falls as x grows, takes over from the series, whose count
+    # grows as x/2 (at x = 600 it would take ~10 times as long as at 26)
+    xs = (26.0, 100.0, 600.0, 1500.0)
+    best = _best_times(1.0, xs)
     for x in xs[1:]:
-        assert best[x] < best[25.0], (x, best)
+        assert best[x] < best[26.0], (x, best)
+
+
+def test_bessel_order_zero_cost_is_flat():
+    # one degree-11 polynomial wherever x lies
+    best = _best_times(0.0, (1e-3, 1.0, 8.0, 25.0, 100.0, 1e4))
+    assert max(best.values()) < 2.0 * min(best.values()), best
+
+
+def test_bessel_order_zero_holds_2e_15_from_1e_300_to_1e300():
+    # a point every third decade over the double range, ten a decade from
+    # 1e-3 to 1e6, and both sides of every edge between the fixed
+    # polynomials (mpmath takes ~10 ms a point at 1e200)
+    import mp_reference
+    grid = ([10.0 ** k for k in range(-300, 301, 3)]
+            + [10.0 ** (k / 10.0) for k in range(-30, 61)])
+    edges = specfun._I0E_EDGES[1:] + (64.0,)
+    sides = [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    worst = max(abs(bessel_i(0.0, x) - mp_reference.bessel_i(0.0, x))
+                / mp_reference.bessel_i(0.0, x) for x in grid + sides)
+    assert worst <= 2e-15
 
 
 def test_bessel_at_zero_argument():

@@ -119,7 +119,7 @@ def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
 
 @pytest.mark.parametrize("u, module, name",
                          [("2.5", detector, "_auc_series"),
-                          ("5", average, "auc_awgn")],
+                          ("5", detector, "_auc_laguerre")],
                          ids=["series", "laguerre"])
 def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
                                                        module, name):

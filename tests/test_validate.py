@@ -26,6 +26,19 @@ def test_incomplete_gamma_check_sees_a_branch_error(monkeypatch):
     assert line[1] is False
 
 
+def test_bessel_order_zero_check_sees_a_coefficient_error(monkeypatch):
+    # the check compares the fixed polynomials with the series and the
+    # expansion; a relative error of 1e-13 in one piece must fail it
+    names = [l[0] for l in validate.specfun_suite()]
+    assert "bessel_i0_pieces_match_series" in names
+    mid = specfun._I0E_MID
+    monkeypatch.setattr(specfun, "_I0E_MID",
+                        mid[:-1] + (mid[-1] * (1.0 + 1e-13),))
+    (line,) = [l for l in validate.specfun_suite()
+               if l[0] == "bessel_i0_pieces_match_series"]
+    assert line[1] is False
+
+
 def test_detector_suite():
     _assert_all_pass(validate.detector_suite())
 
