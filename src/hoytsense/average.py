@@ -47,7 +47,8 @@ from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from . import detector, specfun
-from .detector import _DEFAULT_POLICY, DetectorConfig, MetricValue
+from .detector import (_DEFAULT_POLICY, DetectorConfig, MetricValue,
+                       _binomial_tails)
 # average's own binding of auc_awgn, which the quadrature's nodes no longer
 # call, is one of the sites perfbench's tracer wraps (perfbench/tracer.py)
 from .detector import auc_awgn  # noqa: F401
@@ -80,22 +81,6 @@ def _legendre_terms(x: float, s: float) -> Iterator[float]:
                                       - n * x * m_prev) / (n + 1.0)
         yield m_cur
         n += 1.0
-
-
-def _binomial_tails(u: float) -> List[float]:
-    # P(Bin(2u-1, 1/2) >= u + i), i = 0..u-1 for u within rounding of an
-    # integer: the pmf from the centre outwards by the ratio (n-k+1)/k,
-    # normalised by the symmetric total (the upper half is exactly 1/2 of
-    # it, n being odd), then added from the far end inwards so every
-    # addition is positive
-    u = int(round(u))
-    n = 2 * u - 1
-    pmf = [1.0]
-    for k in range(u + 1, n + 1):
-        pmf.append(pmf[-1] * (n - k + 1) / k)
-    tails = list(itertools.accumulate(reversed(pmf)))[::-1]
-    total = 2.0 * tails[0]
-    return [t / total for t in tails]
 
 
 def _finite_sum_weights(u: float) -> List[float]:
@@ -222,11 +207,13 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
 
     This is the arbiter the closed forms are judged against, so it goes out
     of its way to share nothing with them: the integrand composes the
-    detector's AUC (Laguerre or fixed-SNR series) with the Bessel-form
-    density, on the substituted half line scaled by the mean SNR; at real
-    u all nodes share cfg's column of betas (`specfun._BetaTable`).  A node
+    detector's AUC (the integer-u Poisson sum or the fixed-SNR series) with
+    the Bessel-form density, on the substituted half line scaled by the
+    mean SNR; at real u all nodes share cfg's column of betas
+    (`specfun._BetaTable`), at integer u its binomial tails, the one table
+    the finite sum also reads, which the tests pin to exact sums.  A node
     takes auc_awgn's value and est_error from the detector's float kernels
-    (`detector._auc_laguerre`, `detector._auc_series`), with no record.
+    (`detector._auc_poisson`, `detector._auc_series`), with no record.
 
     The nodes depend on the mean SNR and the level alone, never on q, so
     cfg keeps each node's AUC and its est_error for the next fading at that
@@ -239,8 +226,10 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     integrates to 1, the nodes' own errors move the result by no more.
     """
     u, rel_tol = cfg.time_bandwidth, policy.rel_tol
-    col = None if cfg.is_integer else cfg._table(specfun._BetaTable).column
-    n = round(u)
+    if cfg.is_integer:
+        tails, col = cfg._table(_binomial_tails), None
+    else:
+        tails, col = None, cfg._table(specfun._BetaTable).column
     nodes = cfg._table(_node_aucs, rel_tol)
     node_err = 0.0
 
@@ -252,7 +241,7 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         auc = nodes.get(g)
         if auc is None:
             if col is None:
-                value, err = detector._auc_laguerre(n, g)
+                value, err = detector._auc_poisson(tails, g)
             else:
                 value, err, _ = detector._auc_series(u, g, rel_tol, col)
             auc = complex(value, err)

@@ -447,8 +447,8 @@ def _cmd_roc(args) -> int:
     for k in range(n):
         target = min(max(k / (n - 1.0), 1e-9), 1.0 - 1e-9)
         try:
-            lam = detector.threshold_for_pf(cfg, target)
-            points.append((lam, target, detector.pf(cfg, lam)))
+            lam, realized = detector._threshold_and_pf(cfg, target)
+            points.append((lam, target, realized))
         except _ROW_FAILURES as exc:
             points.append(exc)
     lams = [p[0] for p in points if not isinstance(p, ArithmeticError)]

@@ -8,22 +8,25 @@ ROC curve at a fixed SNR, which is what everything else in the package
 averages over fading.
 
 Three independent AUC routes are kept side by side on purpose: a finite
-Laguerre-recurrence form for integer u, an infinite series valid for any
-real u > 0, and direct quadrature of P_d against the noise-only threshold
-density.  They must agree; the validation suite holds them to that.
+Poisson sum for integer u (the paper's Laguerre form with its two sums
+swapped), an infinite series valid for any real u > 0, and direct
+quadrature of P_d against the noise-only threshold density.  They must
+agree; the validation suite holds them to that.
 
-The Laguerre form sums the complementary AUC (CAUC), returned by
-`cauc_awgn` to full relative precision; the real-u series is the AUC's
-Poisson mixture of half-domain incomplete betas (`specfun._mixture`, as
-Marcum Q is of incomplete gammas).  One derived CAUC bound, `_cauc_chernoff`,
-ends the series with AUC 1 and covers the Laguerre form where e^(-snr/2)
-underflows.
+The integer-u form sums the complementary AUC (CAUC), returned by
+`cauc_awgn` to full relative precision, from u positive terms; the real-u
+series is the AUC's Poisson mixture of half-domain incomplete betas
+(`specfun._mixture`, as Marcum Q is of incomplete gammas).  One derived
+CAUC bound, `_cauc_chernoff`, ends the series with AUC 1 and covers the
+integer form where e^(-snr/2) underflows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from operator import mul, truediv
 from typing import Any, Callable, Dict, List, Tuple
 
 from . import specfun
@@ -48,6 +51,7 @@ __all__ = [
 _INTEGER_EPS = 1e-12
 _LN2 = math.log(2.0)
 _EPS = 2.0 ** -52
+_ULP = 0.5 * _EPS  # the unit roundoff
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 _DEFAULT_POLICY = EvalPolicy()
@@ -157,36 +161,89 @@ def _pd(cfg: DetectorConfig, snr: float,
 def threshold_for_pf(cfg: DetectorConfig, pf_target: float) -> float:
     """Invert pf: find the threshold whose false-alarm probability is pf_target.
 
-    Safeguarded Newton in t = ln(threshold), where -d pf/dt is the noise-only
-    threshold density times the threshold; the log coordinate also reaches
-    the tiny roots near pf = 1 at u < 1 (~1e-180 at u = 0.05, pf = 1 - 1e-9).
-    It starts at the lower bound on the root from P(u, x) <= x^u / Gamma(u+1)
-    and stops at |pf - target| <= 1e-13 * target, or once the bracket on t is
-    an ulp wide, where the rounding of pf itself sets the limit.
+    Newton in t = ln(threshold) on the log of the smaller tail: ln pf up to
+    pf = 1/2, ln(1 - pf) above.  Both are concave in t, as ln of a Gamma
+    variable has a log-concave density, so a step from anywhere lands at
+    or past the root, and from there the steps close in on it from that
+    side.  The log coordinate also reaches the tiny roots near pf = 1 at
+    u < 1 (~1e-180 at u = 0.05, pf = 1 - 1e-9).  It starts at the
+    Wilson-Hilferty chi-square quantile, or at the lower bound on the root
+    from P(u, x) <= x^u / Gamma(u+1) where that is higher, and takes 1 to 7
+    pf calls over u in [0.05, 500] and pf in [1e-12, 1 - 1e-12].  It stops
+    at |pf - target| <= 1e-13 * target, or once the bracket on t is an ulp
+    wide or the step rounds away, where the rounding of pf itself sets the
+    limit (a few 1e-13 at u = 500); it returns the closest threshold it
+    tried.  cfg keeps each root for the request.
     """
     if not (0.0 < pf_target < 1.0):
         raise ValueError(f"pf_target must lie in (0, 1), got {pf_target}")
+    roots = cfg._table(_roots)
+    if pf_target not in roots:
+        roots[pf_target] = _invert_pf(cfg, pf_target)
+    return roots[pf_target][0]
+
+
+def _roots(u: float) -> Dict[float, Tuple[float, float]]:
+    # pf target -> (threshold, pf at it): the inversions made at u
+    return {}
+
+
+def _threshold_and_pf(cfg: DetectorConfig,
+                      pf_target: float) -> Tuple[float, float]:
+    # threshold_for_pf's root and the pf its inversion found there, which
+    # is pf(cfg, root) bit for bit
+    lam = threshold_for_pf(cfg, pf_target)
+    return lam, cfg._table(_roots)[pf_target][1]
+
+
+def _normal_upper_quantile(p: float) -> float:
+    # z with P(N(0, 1) > z) = p, within 4.5e-4 (Abramowitz & Stegun 26.2.23)
+    r = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = r - (((0.010328 * r + 0.802853) * r + 2.515517)
+             / (((0.001308 * r + 0.189269) * r + 1.432788) * r + 1.0))
+    return z if p <= 0.5 else -z
+
+
+def _invert_pf(cfg: DetectorConfig, pf_target: float) -> Tuple[float, float]:
+    # threshold_for_pf past its argument check: (threshold, pf there)
     u = cfg.time_bandwidth
-    t = lo = _LN2 + (math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u
-    hi = math.log(2.0 * u + 4.0)
-    while (err := pf(cfg, math.exp(hi)) - pf_target) > 0.0:
-        hi += _LN2
-        if hi > 700.0:  # lam ~ 1e304
-            raise ConvergenceError(f"threshold bracket ran away at u={u}, "
-                                   f"target {pf_target}, pf error {err:.3e}")
+    lo = _LN2 + (math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u
+    # Wilson-Hilferty: (chi2_2u / 2u)^(1/3) is near normal, mean 1 - v,
+    # variance v
+    v = 1.0 / (9.0 * u)
+    base = 1.0 - v + _normal_upper_quantile(pf_target) * math.sqrt(v)
+    t = max(lo, math.log(2.0 * u) + 3.0 * math.log(base)) if base > 0.0 else lo
+    hi = 709.0  # lam ~ 8e307
+    upper = pf_target <= 0.5
+    side = pf_target if upper else 1.0 - pf_target
     ln_norm = u * _LN2 + specfun.ln_gamma(u)
-    for _ in range(200):
+    best = (math.inf, 0.0, 0.0)
+    for _ in range(100):
         lam = math.exp(t)
-        err = pf(cfg, lam) - pf_target
+        got = pf(cfg, lam)
+        err = got - pf_target
         if err > 0.0:
             lo = t  # pf too high -> threshold too low
+            if t > 700.0:  # lam ~ 1e304
+                raise ConvergenceError(
+                    f"threshold inversion ran away at u={u}, "
+                    f"target {pf_target}, pf error {err:.3e}")
         else:
             hi = t
+        best = min(best, (abs(err), lam, got))
         if abs(err) <= 1e-13 * pf_target or hi - lo <= _EPS * max(1.0, abs(t)):
-            return lam
-        # ln(-d pf/dt); bisect where the Newton step leaves the bracket
+            return best[1], best[2]
+        # Newton on the log of the tail, -d pf/dt = threshold density times
+        # the threshold; bisect where the step leaves the bracket
         ln_slope = _ln_threshold_density(u, lam, ln_norm) + t
-        nxt = t + err / math.exp(ln_slope) if ln_slope > -700.0 else lo
+        tail = got if upper else 1.0 - got
+        nxt = lo
+        if tail > 0.0 and ln_slope > -700.0:
+            step = (math.log1p((err if upper else -err) / side) * tail
+                    / math.exp(ln_slope))
+            nxt = t + step if upper else t - step
+            if nxt == t:
+                return best[1], best[2]
         t = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     raise ConvergenceError(f"threshold inversion stalled at u={u}, "
                            f"target {pf_target}, pf error {err:.3e}")
@@ -245,15 +302,15 @@ def auc_awgn(cfg: DetectorConfig, snr: float,
         return auc_awgn_series(cfg, snr, policy)
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    u = int(round(cfg.time_bandwidth))
-    value, err = _auc_laguerre(u, snr)
-    return MetricValue(value, "closed_integer", u, err)
+    tails = cfg._table(_binomial_tails)
+    value, err = _auc_poisson(tails, snr)
+    return MetricValue(value, "closed_integer", len(tails), err)
 
 
-def _auc_laguerre(u: int, snr: float) -> Tuple[float, float]:
-    # 1 - the Laguerre CAUC, whose forming rounds by at most min(c, 2^-53)
-    c, err = _cauc_laguerre(u, snr)
-    return 1.0 - c, err + min(c, 0.5 * _EPS)
+def _auc_poisson(tails: List[float], snr: float) -> Tuple[float, float]:
+    # 1 - the integer-u CAUC, whose forming rounds by at most min(c, 2^-53)
+    c, err = _cauc_poisson(tails, snr)
+    return 1.0 - c, err + min(c, _ULP)
 
 
 def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float) -> MetricValue:
@@ -286,9 +343,16 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
               policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Complementary AUC, 1 - AUC, at a fixed instantaneous SNR.
 
-    Integer u sums e^(-snr/2) sum_{l<u} 2^-(l+u) L_l^(u-1)(-snr/2), all
-    terms positive, to an error relative to the CAUC; any other u takes the
-    complement of the series AUC.
+    Integer u: the paper's e^(-x) sum_{l<u} 2^-(l+u) L_l^(u-1)(-x), x =
+    snr/2, with L_l^(u-1)(-x) = sum_j C(l+u-1, l-j) x^j/j! expanded and the
+    two sums swapped, is
+
+        sum_{j<u} T_j e^(-x) x^j / j!,  T_j = P(Bin(2u-1, 1/2) >= u+j),
+
+    the inner sum over l being the binomial tail that the finite average
+    sums too (`_binomial_tails`, kept on cfg): u positive terms, summed to
+    an error relative to the CAUC.  Any other u takes the complement of
+    the series AUC.
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
@@ -297,32 +361,49 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
                                         policy.rel_tol,
                                         cfg._table(specfun._BetaTable).column)
         return MetricValue(1.0 - value, "closed_series", terms, err)
-    u = int(round(cfg.time_bandwidth))
-    value, err = _cauc_laguerre(u, snr)
-    return MetricValue(value, "closed_integer", u, err)
+    tails = cfg._table(_binomial_tails)
+    value, err = _cauc_poisson(tails, snr)
+    return MetricValue(value, "closed_integer", len(tails), err)
 
 
-def _cauc_laguerre(u: int, snr: float) -> Tuple[float, float]:
-    # cauc_awgn at integer u past its argument check: (CAUC, error bound).
-    # e^(-snr/2) rides in the start, which keeps e^(-snr/2) L_l below
-    # C(l+u-1, l): finite for u <= 500
-    x = -0.5 * snr
-    start = math.exp(x)
-    p, p_prev, acc, weight = start, 0.0, 0.0, 0.5 ** u
-    for l in range(u):
-        acc += p * weight
-        weight *= 0.5
-        p_prev, p = p, ((2.0 * l + u - x) * p - (l + u - 1.0) * p_prev) / (l + 1.0)
-    if not math.isfinite(acc):
-        raise OverflowError(
-            f"Laguerre CAUC sum left double range at u={u}, snr={snr}")
-    if min(start, acc) < sys.float_info.min:  # left the normal range
+def _binomial_tails(u: float) -> List[float]:
+    # P(Bin(2u-1, 1/2) >= u + i), i = 0..u-1 for u within rounding of an
+    # integer: the pmf from the centre outwards by the ratio (n-k+1)/k,
+    # normalised by the symmetric total (the upper half is exactly 1/2 of
+    # it, n being odd), then added from the far end inwards so every
+    # addition is positive
+    u = int(round(u))
+    n = 2 * u - 1
+    pmf = [1.0]
+    for k in range(u + 1, n + 1):
+        pmf.append(pmf[-1] * (n - k + 1) / k)
+    tails = list(itertools.accumulate(reversed(pmf)))[::-1]
+    total = 2.0 * tails[0]
+    return [t / total for t in tails]
+
+
+def _cauc_poisson(tails: List[float], snr: float) -> Tuple[float, float]:
+    # cauc_awgn at integer u = len(tails) past its argument check: (CAUC,
+    # error bound).  The Poisson factors e^(-x) x^j/j! build up from
+    # e^(-x), and the dot product is one sum of positive products
+    u = len(tails)
+    x = 0.5 * snr
+    start = math.exp(-x)
+    acc = 0.0
+    if start >= sys.float_info.min:
+        poisson = itertools.accumulate(
+            map(truediv, itertools.repeat(x), range(1, u)), mul,
+            initial=start)
+        acc = sum(map(mul, tails, poisson))
+    if acc < sys.float_info.min:  # e^(-x) or the sum left the normal range
         return 0.0, _cauc_chernoff(u, snr)
-    # L_l >= L_(l-1) (l+u-1)/l at negative argument, so each step
-    # subtracts under half its first product and passes on under half of a
-    # step's change in relative error: below ~12 l roundings in p_l, l more
-    # in the positive sum
-    return acc, 8.0 * u * _EPS * acc
+    # relative roundings: exp's ulp (two) and two a step, 2u in all, in the
+    # Poisson factors; one in each product and u - 1 in the sum; in the
+    # tails 2(u-1) in the pmf, counted twice as numerator and total share
+    # it, u - 1 in each of the two sums and one in the quotient: 9u - 5.
+    # Past u ~ 515 the far tails go subnormal, hundreds of binades below
+    # the sum
+    return acc, 9.0 * u * _ULP * acc
 
 
 def _ln_threshold_density(u: float, lam: float, ln_norm: float) -> float:
@@ -394,6 +475,6 @@ def roc_points_awgn(cfg: DetectorConfig, snr: float,
     for k in range(n_points):
         target = k / (n_points - 1.0)
         target = min(max(target, 1e-9), 1.0 - 1e-9)
-        lam = threshold_for_pf(cfg, target)
-        out.append((pf(cfg, lam), pd(cfg, snr, lam)))
+        lam, realized = _threshold_and_pf(cfg, target)
+        out.append((realized, pd(cfg, snr, lam)))
     return out

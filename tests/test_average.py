@@ -198,7 +198,7 @@ def test_real_u_quadrature_shares_one_beta_column(monkeypatch):
         calls.clear()
         mv = avg_auc_quadrature(DetectorConfig(u), _f(0.4, 10.0))
         assert calls == [u] and mv.terms_used > 1
-    # integer u takes the Laguerre form, with no beta column
+    # integer u takes the Poisson sum of binomial tails, with no beta column
     calls.clear()
     avg_auc_quadrature(DetectorConfig(5.0), _f(0.4, 10.0))
     assert calls == []

@@ -548,8 +548,8 @@ def test_roc_pd_rows_within_est_error_of_reference(capsys, u):
 
 def test_point_out_of_range_rows_fail(capsys):
     # the real-u series stops at its Chernoff bound near snr 708, and the
-    # folded Laguerre sum stays finite up to u = 500; a tolerance below
-    # every bound sums the window past exp(-snr) underflow: all three rows
+    # integer-u Poisson sum has no term above 1; a tolerance below every
+    # bound sums the window past exp(-snr) underflow: all three rows
     # answer within est_error of the reference
     import nb_reference as ref  # skips this test when scipy is missing
     for argv in (("--u", "200.5", "--snr-db", "29.03"),
@@ -560,14 +560,15 @@ def test_point_out_of_range_rows_fail(capsys):
         (row,) = parse_rows(out)
         want = ref.cauc(float(argv[1]), 10.0 ** (float(argv[3]) / 10.0))
         assert abs((1.0 - float(row[5])) - want) <= float(row[6]), argv
-    # the Laguerre overflow outside the box: a failed row and exit 3, not
-    # 0 or nan
+    # outside the box the Poisson sum answers within est_error
+    import mp_reference  # skips this test when mpmath is missing
     code, out, err = run_cli(capsys, "point", "--metric", "auc",
                              "--u", "1000", "--snr-db", "10")
-    assert code == 3
+    assert code == 0 and err == ""
     (row,) = parse_rows(out)
-    assert row[4:] == ["closed", "nan", "inf"]
-    assert "failed" in err
+    assert row[4] == "closed_integer"
+    want = mp_reference.cauc(1000.0, 10.0)
+    assert abs((1.0 - float(row[5])) - want) <= float(row[6])
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,9 +746,9 @@ POINT_FORMS = [
     ("point --metric pd --u 2.5 --snr-db 10 --lambda 12",
      "3f75490e78f85088da20a417020535af489f7f8310efdcd676d5cc3eaed02a51"),
     ("point --metric auc --u 5 --snr-db 10",
-     "19658483ce9054103a6977ad0f4bb8b4b5f52d4c7f5a09b57b04cd2cdc6747bf"),
+     "a466176fce137aa8357b9a326046e00c8c752d3d614402a9b9102b54af0696a2"),
     ("point --metric cauc --u 5 --snr-db 10",
-     "e02d5b22e18330453db80bf6b6a4ff040d81dc48538f9816b3c768ea3a3ecb54"),
+     "dfd79afb4bbf712b27672e2a35172c1a86e92be95d3c859bf5c69ce5d92e7a7e"),
     ("point --metric pd --u 5 --snr-db 10 --lambda 12",
      "6ebe7b4e6cfe7a89b709c1940c940c053494e018a14442210cc783ede324bd0c"),
     ("point --metric auc --u 2.5 --snr-db -inf",
@@ -763,11 +764,11 @@ POINT_FORMS = [
     ("point --metric pd --u 2.5 --q 0.4 --snr-db -inf --lambda 12",
      "76e3e5f35600524acc85bb90c2d2cba3d9a93f27f0b7d3b95fc6d70c799c704c"),
     ("point --metric auc --u 5 --snr-db -inf",
-     "807aa5a08537b76c71cfd64948e3e845fc6c84ae8c5dcd33845c75f057d16dfc"),
+     "37529e6111008e7cf6e03e89664715ad5c3d66077e023b8275548888bfc8821a"),
     ("point --metric auc --u 5 --q 0.4 --snr-db -inf",
      "959d18e52333c77e091c041bf582b3edd9aa2c2028d5f1b8f2e90e537dafa59a"),
     ("point --metric cauc --u 5 --snr-db -inf",
-     "cf14740509e30b25a1c46ff93d029d7e615bb223b51e73f931c92a3011df910c"),
+     "d28d44cdbfd86e315a7d7120489398ca1ff4d2c0690eac48520da3007d259cbb"),
     ("point --metric cauc --u 5 --q 0.4 --snr-db -inf",
      "50ce5850f84df53e246cf334387a3645883f2660ccd506e193cf3ffcf22458a9"),
     ("point --metric pd --u 5 --snr-db -inf --lambda 12",

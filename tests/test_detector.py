@@ -6,7 +6,9 @@ runtime code path here.
 """
 
 import copy
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,6 +153,33 @@ def test_threshold_solver_errors_name_the_inversion(monkeypatch):
     assert "u=2.0" in msg and "target 0.1" in msg and "pf error 4.000e-01" in msg
 
 
+def test_threshold_inversion_takes_few_pf_calls(monkeypatch):
+    # Newton on the concave log tail from the Wilson-Hilferty start: at
+    # most 8 pf calls, each root within 1e-13 of its target; at u = 500 pf
+    # is a staircase of ~4.5e-13 steps (the rounding of its exponent,
+    # ~3200), so an ulp-wide bracket ends it within a step.  The
+    # inversion's last pf is pf at the root, kept on cfg
+    calls = []
+    real = detector.pf
+
+    def spy(cfg, lam):
+        calls.append(lam)
+        return real(cfg, lam)
+
+    monkeypatch.setattr(detector, "pf", spy)
+    for u in (0.05, 1.0, 5.0, 50.0, 500.0):
+        for target in (1.0 - 1e-9, 0.5, 0.1, 1e-3, 1e-6, 1e-12):
+            cfg = DetectorConfig(u)
+            calls.clear()
+            lam = threshold_for_pf(cfg, target)
+            assert 1 <= len(calls) <= 8, (u, target, len(calls))
+            got = real(cfg, lam)
+            limit = 1e-13 if u < 500.0 else 5e-13
+            assert abs(got - target) <= limit * target, (u, target)
+            assert detector._threshold_and_pf(cfg, target) == (lam, got)
+            assert len(calls) <= 8
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_non_finite_snr_is_a_value_error(bad):
     # each entry point rejects the SNR itself, before any series or kernel
@@ -216,7 +245,7 @@ def test_auc_monotone_and_saturates():
 
 def test_out_of_range_inputs_raise():
     # the Chernoff bound stops the real-u series with AUC 1 near snr 708,
-    # and the folded Laguerre sum stays finite for u <= 500; both answer
+    # and the integer-u Poisson sum has no term above 1; both answer
     # within est_error, and so does the window sum that a tolerance below
     # every bound reaches, past exp(-snr) underflow
     import nb_reference as ref  # skips this test when scipy is missing
@@ -226,10 +255,14 @@ def test_out_of_range_inputs_raise():
                            (200.5, 760.0, tiny)):
         mv = auc_awgn(DetectorConfig(u), snr, policy)
         assert abs((1.0 - mv.value) - ref.cauc(u, snr)) <= mv.est_error, u
-    # outside the box the Laguerre terms, up to C(2u-2, u-1), overflow
-    for route in (auc_awgn, cauc_awgn):
-        with pytest.raises(OverflowError):
-            route(DetectorConfig(1000.0), 10.0)
+    # outside the box the CAUC keeps its relative est_error
+    import mp_reference  # skips this test when mpmath is missing
+    for snr in (10.0, 1000.0):
+        want = mp_reference.cauc(1000.0, snr)
+        c = cauc_awgn(DetectorConfig(1000.0), snr)
+        assert abs(c.value - want) <= c.est_error, snr
+        a = auc_awgn(DetectorConfig(1000.0), snr)
+        assert abs(a.value - (1 - want)) <= a.est_error, snr
 
 
 @pytest.mark.parametrize("u", [0.05, 1.0, 2.5, 5.0, 20.0, 150.5, 500.0])
@@ -260,6 +293,35 @@ def test_large_u_within_est_error(u):
         assert c.est_error <= 8.0 * u * 2.0 ** -52 * c.value
         a = auc_awgn(cfg, snr)
         assert abs(a.value - (1 - want)) <= a.est_error, snr
+
+
+@pytest.mark.parametrize("u", [1.0, 2.0, 5.0, 20.0, 100.0, 500.0])
+def test_integer_cauc_to_full_relative_precision(u):
+    # the Poisson sum of binomial tails has only positive terms: within
+    # 5e-15 of the 40-digit CAUC, and within its own est_error
+    import mp_reference  # skips this test when mpmath is missing
+    cfg = DetectorConfig(u)
+    for snr in (1e-2, 0.1, 1.0, 10.0, 100.0, 400.0, 1000.0, 1400.0):
+        want = mp_reference.cauc(u, snr)
+        c = cauc_awgn(cfg, snr)
+        assert abs(c.value - want) <= 5e-15 * want, snr
+        assert abs(c.value - want) <= c.est_error, snr
+
+
+def test_binomial_tails_equal_exact_sums():
+    # P(Bin(2u-1, 1/2) >= u+i) against exact sums of math.comb: within
+    # 16 units of roundoff for u = 1..60 (at most 10.5 measured; the
+    # rounding count bounds it by 6u - 5), and within 1e-15 at large u
+    for u in list(range(1, 61)) + [100, 250, 500]:
+        n = 2 * u - 1
+        tails = detector._binomial_tails(float(u))
+        assert len(tails) == u
+        exact = list(itertools.accumulate(
+            math.comb(n, k) for k in range(n, u - 1, -1)))[::-1]
+        rel = 2.0 ** -49 if u <= 60 else 1e-15
+        for i, (tail, whole) in enumerate(zip(tails, exact)):
+            want = Fraction(whole, 2 ** n)
+            assert abs(Fraction(tail) - want) <= rel * want, (u, i)
 
 
 @pytest.mark.parametrize("u", [0.05, 0.5, 1.0, 2.5, 7.0, 37.5, 150.0, 150.5,

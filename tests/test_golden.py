@@ -25,7 +25,7 @@ GOLDEN = [
     ("sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
      "16e1fbd5befeae3f8307c1ec312ec6181cc845de572d44aad0d8849aa0929958"),
     ("roc --u 5 --q 0.5 --snr-db 10 --points 33",
-     "bab0b3cc977574ba2c2805b73f182c18cb68f26b3b1b815d9e8ff302271e8ea3"),
+     "173bb44ffce8d644564fd8c7fbeecfd96e494c2812b3e2bdc66a4de91422de19"),
     ("sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
      "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
     # the real-u series, a seeded Monte Carlo sweep and a quadrature row
@@ -42,7 +42,7 @@ GOLDEN = [
      "793bfbeabf087949b39b97f82a026f70c6eda0c1eb8d8b125904b74af4a47779"),
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
-     "a9db5e71ea42339598cc9c2a7142cfe4ecceacc0d029d598e86e2f7dcb6b5838"),
+     "7c0cfc36399924cea388d6600aad77886081c1a92b290e6fa098eca48c55bd64"),
 ]
 
 

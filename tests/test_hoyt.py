@@ -5,12 +5,15 @@ two-Gaussian quadratic form directly (50 digits), not from the Bessel or
 Marcum expressions used at runtime.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from hoytsense import specfun
 from hoytsense.hoyt import HoytFading, sample_snr, snr_cdf, snr_mgf, snr_pdf
 from hoytsense.quadrature import EvalPolicy, integrate_unit_interval
 
@@ -50,6 +53,30 @@ def test_pdf_frozen_values():
                                                                rel=1e-13)
     assert snr_pdf(HoytFading(0.05, 2.0), 0.3) == pytest.approx(
         PDF_0P05_2_0P3, rel=1e-13)
+
+
+def test_pdf_constants_are_kept_on_the_fading():
+    # the first snr_pdf call keeps the constants of q and the mean SNR on
+    # the fading; every value is bit for bit the density written out in
+    # full, and the kept constants stay out of ==, hash, repr and copies
+    def written_out(q, m, g):
+        q2 = q * q
+        pref = (1.0 + q2) / (2.0 * q * m)
+        decay = math.exp(-(1.0 + q2) * g / (2.0 * m))
+        if decay == 0.0:
+            return 0.0
+        arg = (1.0 - q2 * q2) * g / (4.0 * q2 * m)
+        return pref * decay * specfun.bessel_i(0.0, arg)
+
+    for q, m in ((1e-6, 1e6), (0.3, 2.0), (0.5, 10.0), (1.0, 0.1)):
+        f = HoytFading(q, m)
+        for g in (0.0, 1e-3, 0.7, 3.0, 45.0, 2e4):
+            assert snr_pdf(f, g) == written_out(q, m, g), (q, m, g)
+        assert f == HoytFading(q, m) and hash(f) == hash(HoytFading(q, m))
+        assert repr(f) == f"HoytFading(q={q!r}, mean_snr={m!r})"
+        assert copy.copy(f) == f and pickle.loads(pickle.dumps(f)) == f
+        with pytest.raises(AttributeError):
+            f._pdf = (1.0,) * 5
 
 
 def test_pdf_shape_and_domain():

@@ -117,9 +117,11 @@ def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
                 DetectorConfig(u), f, policy)), (u, q, db, policy)
 
 
+# "laguerre" names the integer-u route, the paper's Laguerre form, which
+# the detector sums as a Poisson mixture of binomial tails
 @pytest.mark.parametrize("u, module, name",
                          [("2.5", detector, "_auc_series"),
-                          ("5", detector, "_auc_laguerre")],
+                          ("5", detector, "_auc_poisson")],
                          ids=["series", "laguerre"])
 def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
                                                        module, name):
