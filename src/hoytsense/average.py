@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import detector, specfun
 from .detector import (_DEFAULT_POLICY, DetectorConfig, MetricValue,
@@ -67,26 +66,36 @@ __all__ = [
 _EPS = 2.0 ** -52
 
 
-def _legendre_terms(x: float, s: float) -> Iterator[float]:
-    # M_l = x^l P_l(s) s^(l+1), l = 0, 1, ..., via the folded recurrence
-    # M_{n+1} = x s^2 ((2n+1) M_n - n x M_{n-1}) / (n+1); for s >= 1 every
-    # M_l > 0 and M_{l+1}/M_l <= x s (s + sqrt(s^2 - 1)) = x / (1 - w)
+def _legendre_fill(m: List[float], x: float, s: float, n: int) -> List[float]:
+    # m extended to M_l = x^l P_l(s) s^(l+1), l < n (M_0 and M_1 at least;
+    # an empty m starts at M_0), by the folded recurrence M_{k+1} = x s^2
+    # ((2k+1) M_k - k x M_{k-1}) / (k+1), from m's last two entries; for
+    # s >= 1 every M_l > 0 and M_{l+1}/M_l <= x s (s + sqrt(s^2 - 1)) =
+    # x / (1 - w)
+    if not m:
+        m += (s, x * s * s * s)
     xs2 = x * s * s
-    m_prev, m_cur = s, x * s * s * s
-    yield m_prev
-    yield m_cur
-    n = 1.0  # a float counter: mixed int/float arithmetic is slower
-    while True:
-        m_prev, m_cur = m_cur, xs2 * ((2.0 * n + 1.0) * m_cur
-                                      - n * x * m_prev) / (n + 1.0)
-        yield m_cur
-        n += 1.0
+    m_prev, m_cur = m[-2], m[-1]
+    k = len(m) - 1.0  # a float counter: mixed int/float arithmetic is slower
+    for _ in range(len(m), n):
+        m_prev, m_cur = m_cur, xs2 * ((2.0 * k + 1.0) * m_cur
+                                      - k * x * m_prev) / (k + 1.0)
+        m.append(m_cur)
+        k += 1.0
+    return m
 
 
-def _finite_sum_weights(u: float) -> List[float]:
-    # 2^(i+1) P(Bin(2u-1, 1/2) >= u + i), the finite sum's weights
-    return [math.ldexp(tail, i + 1)
-            for i, tail in enumerate(_binomial_tails(u))]
+def _finite_sum_weights(cfg: DetectorConfig) -> List[float]:
+    # 2^(i+1) P(Bin(2u-1, 1/2) >= u + i), the finite sum's weights, from the
+    # tails the Poisson node kernels read (`_binomial_tails`), so that one
+    # request builds those once; kept beside them on cfg
+    tables = cfg._tables
+    weights = tables.get(_finite_sum_weights)
+    if weights is None:
+        weights = tables[_finite_sum_weights] = [
+            math.ldexp(tail, i + 1)
+            for i, tail in enumerate(cfg._table(_binomial_tails))]
+    return weights
 
 
 def _finite_sum_setup(q: float, mean_snr: float) -> Tuple[float, float]:
@@ -115,25 +124,28 @@ def _finite_sum_cauc(cfg: DetectorConfig, q: float, mean_snr: float) -> float:
             = 2^(i+1) P(Bin(2u-1, 1/2) >= u+i),
 
     so the whole sum takes u terms, one tail each (`_binomial_tails`; cfg
-    keeps the weights for all its rows).  The published version drops the
-    (1+q^2) factor restored here.  Raises OverflowError where mean_snr^i or
-    den^(i+1) leaves double range; the series form covers those points.
+    keeps the tails and the weights for all its rows).  The published
+    version drops the (1+q^2) factor restored here.  Raises OverflowError
+    where mean_snr^i or den^(i+1) leaves double range; the series form
+    covers those points.
     """
-    u = int(round(cfg.time_bandwidth))
+    w = _finite_sum_weights(cfg)
+    u = len(w)
     q2 = q * q
     den, s = _finite_sum_setup(q, mean_snr)
-    weights = cfg._table(_finite_sum_weights)
     # q^(2i) rides in the Legendre terms: q^(1+2i) alone underflows at
-    # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN
+    # small q while P_i(s) s^(i+1) overflows, and 0 * inf is NaN.  Each
+    # term takes its Legendre term's place in the list
+    terms = _legendre_fill([], q2, s, u)
     try:
-        terms = [w * leg * (mean_snr ** i / den ** (i + 1))
-                 for i, (w, leg) in enumerate(zip(weights,
-                                                  _legendre_terms(q2, s)))]
+        for i in range(u):
+            terms[i] = w[i] * terms[i] * (mean_snr ** i / den ** (i + 1))
     except OverflowError:
         raise OverflowError(
             f"finite-sum CAUC: mean_snr**i or den**(i+1) left double range "
             f"at u={u}, q={q}, mean_snr={mean_snr}; the series form "
             f"(--method series) covers this point") from None
+    del terms[u:]  # the M_1 that u = 1 does not use
     return (1.0 + q2) * q * math.fsum(terms)
 
 
@@ -167,27 +179,33 @@ def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
     summation gives sum_j inc_j C_j, C_j the law's CDF: cfg's beta
     increments (`specfun._BetaTable`) dotted with it by `specfun._mixture`.
     """
-    if form not in ("auto", "finite_sum", "series"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "auto":
-        form = "finite_sum" if cfg.is_integer else "series"
-    if form == "finite_sum":
-        if not cfg.is_integer:
-            raise ValueError("finite_sum form requires integer time_bandwidth")
-        u = int(round(cfg.time_bandwidth))
-        value = _finite_sum_cauc(cfg, f.q, f.mean_snr)
-        return MetricValue(value, "closed_integer", u, 1e-15 * u)
-    value, err, terms = specfun._mixture(cfg._table(specfun._BetaTable),
-                                         _Law(f.q, f.mean_snr), policy.rel_tol)
-    return MetricValue(value, "closed_series", terms, err)
+    return MetricValue(*_cauc_closed(cfg, f, policy, form))
 
 
 def avg_auc_closed(cfg: DetectorConfig, f: HoytFading,
                    policy: EvalPolicy = _DEFAULT_POLICY,
                    form: str = "auto") -> MetricValue:
     """Fading-averaged AUC: exactly 1 - avg_cauc_closed, same est_error."""
-    c = avg_cauc_closed(cfg, f, policy, form)
-    return MetricValue(1.0 - c.value, c.method, c.terms_used, c.est_error)
+    cauc, method, terms, err = _cauc_closed(cfg, f, policy, form)
+    return MetricValue(1.0 - cauc, method, terms, err)
+
+
+def _cauc_closed(cfg: DetectorConfig, f: HoytFading, policy: EvalPolicy,
+                 form: str) -> Tuple[float, str, int, float]:
+    # avg_cauc_closed's (value, method, terms_used, est_error), no record
+    if form == "auto":
+        form = "finite_sum" if cfg.is_integer else "series"
+    elif form not in ("finite_sum", "series"):
+        raise ValueError(f"unknown form {form!r}")
+    if form == "finite_sum":
+        if not cfg.is_integer:
+            raise ValueError("finite_sum form requires integer time_bandwidth")
+        u = int(round(cfg.time_bandwidth))
+        return (_finite_sum_cauc(cfg, f.q, f.mean_snr), "closed_integer", u,
+                1e-15 * u)
+    value, err, terms = specfun._mixture(cfg._table(specfun._BetaTable),
+                                         _Law(f.q, f.mean_snr), policy.rel_tol)
+    return value, "closed_series", terms, err
 
 
 # the most node AUCs a configuration keeps for one rel_tol: a long sweep or
@@ -325,7 +343,7 @@ class _Law(specfun._Column, specfun._Weights):
     """pi_l = P(K = l), l = 0, 1, ..., built on demand: under H1 the
     statistic is 2 Gamma(u + K), K Poisson given the SNR, and over the Hoyt
     SNR K follows pi_l = pref M_l, the Legendre terms (`_series_setup`,
-    `_legendre_terms`, pref sum M_l = 1), with pi_(l+1) <= rho pi_l.  As a
+    `_legendre_fill`, pref sum M_l = 1), with pi_(l+1) <= rho pi_l.  As a
     `specfun._Column` its entries are the CDF c_l = pi_0 + ... + pi_l; as
     `_mixture` weights, `pi` from the anchor 0 with the tail pi_L rho/(1 -
     rho).
@@ -343,22 +361,27 @@ class _Law(specfun._Column, specfun._Weights):
     to 18 times lower, 3 times the cost); subnormals round absolutely.
     """
 
-    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_lim")
+    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_lim", "_s", "_pref",
+                 "_m")
     params = ("q", "mean_snr")
 
     def __init__(self, q: float, mean_snr: float) -> None:
         x, s, pref, self.rho = _series_setup(q, mean_snr)
         self.q, self.mean_snr = q, mean_snr
-        more = map(mul, itertools.repeat(pref), _legendre_terms(x, s))
-        self.pi = self.w = [next(more)]
+        self._s, self._pref, self._m = s, pref, []  # the M_l, filled on demand
+        self.pi = self.w = [pref * s]
         self._lim = 1.0 / (1.0 - 1.0 / (s * s)) if s > 1.0 else 1e300
-        super().__init__(self.pi[:], 0, x, 0.0, 0.0, 1.0, more)
+        # `extend` grows c, so the column draws nothing from `more`
+        super().__init__(self.pi[:], 0, x, 0.0, 0.0, 1.0, iter(()))
 
     def extend(self, n: int) -> None:
-        # pi and c up to l = n - 1
-        if n > len(self.pi):
-            new = list(itertools.islice(self.more, n - len(self.pi)))
-            self.pi.extend(new)
+        # pi and c up to l = n - 1, from the Legendre terms M_l
+        pi = self.pi
+        if n > len(pi):
+            pref = self._pref
+            m = _legendre_fill(self._m, self.x, self._s, n)
+            new = [pref * m_l for m_l in m[len(pi):n]]
+            pi.extend(new)
             self.c.extend(itertools.accumulate(new, initial=self.c.pop()))
 
     def rel(self, n: int) -> float:

@@ -79,7 +79,11 @@ class UsageError(ValueError):
 
 
 def _clamp01(x: float, est_error: float) -> float:
-    # rounding may carry a value past [0, 1] by its est_error, no further
+    # rounding may carry a value past [0, 1] by its est_error, no further.
+    # Most values pass as they are; a zero takes the clamp, which writes
+    # -0.0 as 0, and a nan or negative est_error the check
+    if 0.0 < x <= 1.0 and est_error >= 0.0:
+        return x
     if not -est_error <= x <= 1.0 + est_error:  # NaN fails as well
         raise ConvergenceError(f"value {x!r} lies outside [0, 1] by more "
                                f"than its est_error {est_error!r}")
@@ -269,7 +273,7 @@ def _open_sink(path: Optional[str]):
 def _write_rows(rows: Sequence[Row], path: Optional[str]) -> None:
     # a row's value is a probability unless the row records a failure (nan)
     for row in rows:
-        if math.isfinite(row[5]) and not 0.0 <= row[5] <= 1.0:
+        if not 0.0 <= row[5] <= 1.0 and math.isfinite(row[5]):
             raise ValueError(f"row value must lie in [0, 1], got {row[5]}")
     text = ",".join(CSV_HEADER) + "\n" + "".join(
         [_ROW_FORMAT % row for row in rows])
@@ -335,21 +339,9 @@ def _eval_row(metric: str, method: str, cfg: DetectorConfig,
         closed = (average.avg_auc_closed if metric == "auc"
                   else average.avg_cauc_closed)
         mv = closed(cfg, channel, policy,
-                    form="series" if method == "series" else "auto")
+                    "series" if method == "series" else "auto")
         return mv.value, mv.method, mv.est_error
     return (1.0 - val if metric == "cauc" else val), label, err
-
-
-def _row_outcome(metric: str, method: str, cfg: DetectorConfig,
-                 f: HoytFading, threshold: Optional[float], policy: EvalPolicy,
-                 mc: McConfig) -> Union[Tuple[str, float, float], Exception]:
-    # (method label, value, est_error) of one sweep row, or why it failed
-    try:
-        val, label, err = _eval_row(metric, method, cfg, f, threshold,
-                                    policy, mc)
-        return label, _clamp01(val, err), err
-    except _ROW_FAILURES as exc:
-        return exc
 
 
 def _cmd_sweep(args) -> int:
@@ -369,17 +361,23 @@ def _cmd_sweep(args) -> int:
 
     rows: List[Row] = []
     failed = False
-    # each method's last outcome: pf has no channel, so its first outcome
-    # serves every (q, snr) row of the grid, failures included
+    # each method's last outcome, (method label, value, est_error) or why it
+    # failed: pf has no channel, so its first outcome serves every (q, snr)
+    # row of the grid, failures included
     outcomes: dict = {}
+    means = [_linear_snr(db) for db in snr_grid]
+    threshold, policy = args.threshold, args.policy
     for q in args.q:
-        for db in snr_grid:
-            f = HoytFading(q, _linear_snr(db))
+        for db, mean in zip(snr_grid, means):
+            f = HoytFading(q, mean)
             for method in methods:
                 if metric != "pf" or method not in outcomes:
-                    outcomes[method] = _row_outcome(
-                        metric, method, cfg, f, args.threshold, args.policy,
-                        mc)
+                    try:
+                        val, label, err = _eval_row(metric, method, cfg, f,
+                                                    threshold, policy, mc)
+                        outcomes[method] = label, _clamp01(val, err), err
+                    except _ROW_FAILURES as exc:
+                        outcomes[method] = exc
                 outcome = outcomes[method]
                 if isinstance(outcome, Exception):
                     failed = True

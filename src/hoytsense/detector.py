@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from operator import mul, truediv
 from typing import Any, Callable, Dict, List, Tuple
 
 from . import specfun
@@ -385,16 +384,16 @@ def _binomial_tails(u: float) -> List[float]:
 def _cauc_poisson(tails: List[float], snr: float) -> Tuple[float, float]:
     # cauc_awgn at integer u = len(tails) past its argument check: (CAUC,
     # error bound).  The Poisson factors e^(-x) x^j/j! build up from
-    # e^(-x), and the dot product is one sum of positive products
+    # e^(-x), each times x/j, and the products add up from j = 0
     u = len(tails)
     x = 0.5 * snr
-    start = math.exp(-x)
+    t = math.exp(-x)
     acc = 0.0
-    if start >= sys.float_info.min:
-        poisson = itertools.accumulate(
-            map(truediv, itertools.repeat(x), range(1, u)), mul,
-            initial=start)
-        acc = sum(map(mul, tails, poisson))
+    if t >= sys.float_info.min:
+        acc = tails[0] * t
+        for j in range(1, u):
+            t *= x / j
+            acc += tails[j] * t
     if acc < sys.float_info.min:  # e^(-x) or the sum left the normal range
         return 0.0, _cauc_chernoff(u, snr)
     # relative roundings: exp's ulp (two) and two a step, 2u in all, in the

@@ -470,7 +470,7 @@ def _binomial_shift_auc(u: int, q: float, mean_snr: float) -> float:
     den, s = average._finite_sum_setup(q, mean_snr)
     terms = [math.ldexp(math.comb(l + u, l - i), i + 1 - l - u) * leg
              * (mean_snr ** i / den ** (i + 1))
-             for i, leg in zip(range(u), average._legendre_terms(q2, s))
+             for i, leg in zip(range(u), average._legendre_fill([], q2, s, u))
              for l in range(i, u)]
     return 1.0 - (1.0 + q2) * q * math.fsum(terms)
 
@@ -498,10 +498,12 @@ def _printed_series_auc(u: float, q: float, mean_snr: float,
     x, pref, rho = x / mean_snr, pref * mean_snr, rho / mean_snr
     c = 0.5
     total = 0.0
-    for l, inc, m_l in zip(range(specfun._MAX_TERMS),
-                           specfun.beta_increments(u)[0],
-                           average._legendre_terms(x, s)):
-        term = c * m_l
+    m: List[float] = []
+    for l, inc in zip(range(specfun._MAX_TERMS),
+                      specfun.beta_increments(u)[0]):
+        if l == len(m):  # the Legendre terms, in chunks that double
+            average._legendre_fill(m, x, s, 2 * l)
+        term = c * m[l]
         total += term
         if (l > 20 and rho < 1.0
                 and term * rho / (1.0 - rho) <= policy.rel_tol * total):

@@ -665,6 +665,19 @@ def test_value_clamped_only_within_est_error(capsys, monkeypatch, excess,
         assert row[5:] == ["nan", "inf"] and "est_error" in err
 
 
+def test_clamp_passes_values_inside_and_unsigns_zero():
+    # a value in (0, 1] comes back as it is; a zero of either sign, or a
+    # value within its est_error past an end, comes back as that end, so a
+    # row never prints -0
+    for x in (5e-324, 0.25, 1.0):
+        assert repr(cli._clamp01(x, 0.0)) == repr(x)
+    for x, err, want in ((-0.0, 0.0, "0.0"), (0.0, 0.0, "0.0"),
+                         (-1e-17, 1e-16, "0.0"), (1.0 + 1e-16, 1e-15, "1.0")):
+        assert repr(cli._clamp01(x, err)) == want, x
+    with pytest.raises(ConvergenceError):
+        cli._clamp01(0.5, math.nan)
+
+
 def test_rows_are_probabilities_written_at_17_digits(capsys):
     # a finite value outside [0, 1] is refused before any byte is written;
     # a failure row's nan passes, and each float prints as format(x, ".17g")

@@ -8,6 +8,7 @@ the same bytes.  A change that moves a value by one ulp fails here: if it is
 meant to, say so in CHANGES.md and record the new hash.
 """
 
+import builtins
 import contextlib
 import hashlib
 import io
@@ -43,6 +44,16 @@ GOLDEN = [
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
      "7c0cfc36399924cea388d6600aad77886081c1a92b290e6fa098eca48c55bd64"),
+    # integer u beyond 5: the finite sum at u = 1, 20 and 100 (below the
+    # overflow) and the Poisson node kernel at u = 20
+    ("sweep --metric cauc --u 1 --q 0.15,0.85 --snr-db -10:40:5",
+     "74ba3a511bca49bc6a18e96e8332df7851bdb27674f728f793a7e5c85734fb92"),
+    ("sweep --metric cauc --u 20 --q 0.15,0.85 --snr-db -10:40:5",
+     "7b006d0944344a995478e8e35024c543c5baf4603dc60799f9d7a58d221bc39a"),
+    ("sweep --metric cauc --u 100 --q 0.3,0.75 --snr-db -10:10:5",
+     "dfc0ae0d796cad4fc1188b63d183f735949e53f2ec3dc889c320e129c35548f8"),
+    ("sweep --metric auc --method quadrature --u 20 --q 0.8 --snr-db 6",
+     "2157302cfa3325adf8b8794330379c7dde80ff303fd61a8e1dc34bea7bfdb454"),
 ]
 
 
@@ -55,3 +66,44 @@ def test_cli_output_is_byte_identical(command, digest):
         code = cli.main(command.split())
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+# builtin sum() adds floats with compensation from Python 3.12 on, so a route
+# that sums floats with it prints other bytes there.  These commands sum
+# none, and their digests hold on 3.10 through 3.13; README names the sums
+# the other digests still take
+PORTABLE = [
+    "point --metric auc --u 1 --q 0.5 --snr-db 10",
+    "point --metric pf --u 5 --lambda 10",
+    "sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
+    "sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
+    "sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
+    "--snr-db 0:20:10",
+    "sweep --metric cauc --u 20 --q 0.15,0.85 --snr-db -10:40:5",
+    "sweep --metric auc --method quadrature --u 20 --q 0.8 --snr-db 6",
+]
+
+
+def test_portable_commands_sum_no_floats(monkeypatch):
+    real_sum = builtins.sum
+    float_sums = []
+
+    def spy(iterable, /, start=0):
+        items = list(iterable)
+        if any(isinstance(x, float) for x in [start, *items]):
+            float_sums.append(items)
+        return real_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", spy)
+    golden = dict(GOLDEN)
+    for command in PORTABLE:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(command.split()) == 0
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert digest == golden[command]
+        assert float_sums == [], command
+    # the spy sees the sums a route makes: the u=2.5 series sweep makes some
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main("sweep --u 2.5 --q 0.5 --snr-db 10".split())
+    assert float_sums

@@ -61,6 +61,19 @@ def test_series_quadrature_and_mc_rows_share_one_beta_table(monkeypatch):
     assert out.count("quadrature") == 2 and calls == [2.5]
 
 
+def test_finite_sum_and_quadrature_rows_share_one_tails_build(monkeypatch):
+    # the finite sum's weights come from the binomial tails that the
+    # quadrature's Poisson nodes read, so the request builds them once
+    calls = [_spy(monkeypatch, module, "_binomial_tails")
+             for module in (average, detector)]
+    code, out = _main("sweep", "--metric", "auc", "--method", "all",
+                      "--u", "5", "--q", "0.5", "--snr-db", "10",
+                      "--trials", "2000")
+    assert code == 0 and out.count("closed_integer") == 1
+    assert out.count("quadrature") == 1
+    assert calls == [[5.0], []]
+
+
 def _outcome(evaluate):
     # every field by repr, so NaN rows compare too; a failure by its type
     # and message
