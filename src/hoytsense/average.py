@@ -22,21 +22,25 @@ sum over the binomial weights is a binomial tail, and all u tails come from
 one pass over the Bin(2u-1, 1/2) pmf.
 
 The Legendre terms are the law of the Poisson count that the Hoyt-averaged
-statistic carries (`_Law`), and every other closed number here is one
-`specfun._mixture` call on it: the series is u's beta increments dotted
-with the law's CDF; the averaged detection probability (`avg_pd_closed`)
-is the law dotted with a threshold's incomplete gammas, or 1 minus its
-miss, the threshold's gamma increments dotted with the law's CDF.  The
-series' weights fall like 2^-l, so its cost is flat in the SNR: 27-300
-terms over u <= 500, q in [1e-6, 1] and -10..60 dB.  The quadrature Pd
-(`avg_pd_quadrature`) is the independent check.
+statistic carries (`_Law`, pi_l = pref M_l).  The series is pref sum_l M_l
+d_l against u's beta tails d_l = I_{1/2}(u+l, u) (`_series_cauc`): one
+loop runs the Legendre recurrence and stops where the bound on the rest,
+pref M_L d_L rho r/(1 - rho r), is below rel_tol of the sum, as each term
+falls by the law's ratio rho times the tails' r.  So its cost is flat in
+the SNR: 7-260 terms over u <= 500, q in [1e-6, 1] and -10..60 dB at
+rel_tol 1e-10 to 1e-13.  The averaged detection probability
+(`avg_pd_closed`) is one `specfun._mixture` call on the law: the law
+dotted with a threshold's incomplete gammas, or 1 minus its miss, the
+threshold's gamma increments dotted with the law's CDF.  The quadrature
+Pd (`avg_pd_quadrature`) is the independent check.
 
 What depends on u alone, or on u and a threshold, is built once per
 `DetectorConfig` (`_table`; the CLI builds one per request): the beta
-increments (`specfun._BetaTable`), the finite sum's tail weights, and a
-threshold's gamma increments and column.  So a row pays only for what its
-q and SNR set: the law and the sums over it.  The quadrature keeps its node
-AUCs there too, which fadings at one mean SNR share.
+increments and tails (`specfun._BetaTable`), the finite sum's tail
+weights, and a threshold's gamma increments and column.  So a row pays
+only for what its q and SNR set: the Legendre terms and the sums over
+them.  The quadrature keeps its node AUCs there too, which fadings at one
+mean SNR share.
 """
 
 from __future__ import annotations
@@ -173,11 +177,17 @@ def avg_cauc_closed(cfg: DetectorConfig, f: HoytFading,
     "finite_sum" and "series" force a route (finite_sum requires integer u —
     the series accepts any u, which is how the two routes cross-check).
 
-    The series: with pi_l the law (`_Law`), the CAUC is sum_l d_l pi_l,
-    d_l = I_{1/2}(u+l, u) = sum_{j>=l} inc_j, falling like 2^-l where pi_l
-    falls like rho^l, rho = 2m/(2m+1+q^2).  Exchanging the order of
-    summation gives sum_j inc_j C_j, C_j the law's CDF: cfg's beta
-    increments (`specfun._BetaTable`) dotted with it by `specfun._mixture`.
+    The series: with pi_l = pref M_l the law (`_Law`), the CAUC is
+    pref sum_l M_l d_l, d_l = I_{1/2}(u+l, u) = sum_{j>=l} inc_j, the beta
+    tails of cfg's table (`specfun._BetaTable.tails`, summed from far out
+    inwards, so a CAUC of 1e-6 keeps every digit).  pi_l falls at least
+    like rho^l, rho = 2m/(2m+1+q^2), and d_(l+1)/d_l <= r_l = max(1/2,
+    (2u+l)/(2(u+l+1))), so the terms past L add up to at most pref M_L d_L
+    rho r_L/(1 - rho r_L): the sum stops where that is below rel_tol of
+    it, and raises ConvergenceError past `specfun._MAX_TERMS` terms.  Its
+    est_error adds that bound to the value times the law's relative error
+    (`_Law.rel`), the tails' (`_BetaTable.rel`) and one rounding a product
+    and a sum.
     """
     return MetricValue(*_cauc_closed(cfg, f, policy, form))
 
@@ -203,9 +213,53 @@ def _cauc_closed(cfg: DetectorConfig, f: HoytFading, policy: EvalPolicy,
         u = int(round(cfg.time_bandwidth))
         return (_finite_sum_cauc(cfg, f.q, f.mean_snr), "closed_integer", u,
                 1e-15 * u)
-    value, err, terms = specfun._mixture(cfg._table(specfun._BetaTable),
-                                         _Law(f.q, f.mean_snr), policy.rel_tol)
+    value, err, terms = _series_cauc(cfg._table(specfun._BetaTable), f.q,
+                                     f.mean_snr, policy.rel_tol)
     return value, "closed_series", terms, err
+
+
+def _series_cauc(table: specfun._BetaTable, q: float, mean_snr: float,
+                 rel_tol: float) -> Tuple[float, float, int]:
+    # pref sum_l M_l d_l (avg_cauc_closed), its error bound and its terms:
+    # the recurrence of `_legendre_fill`, inline, against u's beta tails,
+    # in chunks that follow the table's blocks [0, 32), [32, 64), [64, 128),
+    # ..., so a row does not depend on how far the table has grown
+    x, s, pref, rho = _series_setup(q, mean_snr)
+    u, limit = table.u, specfun._MAX_TERMS
+    xs2 = x * s * s
+    m_prev, m_cur = 0.0, s  # M_1 = x s^2 (1 M_0 - 0): x s^3, as in the fill
+    total = k = 0.0  # k, a float counter, indexes m_cur
+    n = 0
+    while True:
+        if n >= limit:
+            raise specfun.ConvergenceError(
+                f"average CAUC series at u={u}, q={q}, mean_snr={mean_snr} "
+                f"passed {limit} terms")
+        end = 2 * n if n else 32
+        # for l >= n, d_(l+1)/d_l <= r and pi_(l+1)/pi_l <= rho: the terms
+        # past l add up to at most term_l rho r/(1 - rho r)
+        r = rho * specfun._beta_ratio(u, n)
+        c = r / ((1.0 - r) * rel_tol)
+        for d_l in table.tails(end)[n:min(end, limit)]:
+            t = m_cur * d_l
+            total += t
+            if t * c <= total:
+                break
+            m_prev, m_cur = m_cur, xs2 * ((2.0 * k + 1.0) * m_cur
+                                          - k * x * m_prev) / (k + 1.0)
+            k += 1.0
+        else:  # the chunk ran out: the next one
+            n = int(k)
+            continue
+        break
+    n = int(k) + 1
+    # the bound on the rest, by the ratios at the last term's index
+    r = rho * specfun._beta_ratio(u, k)
+    value = pref * total
+    return value, (pref * t * r / (1.0 - r)
+                   + value * (_law_rel(s, n) + table.rel[n - 1]
+                              + (n + 1.0) * _EPS)
+                   + n * 5e-324), n
 
 
 # the most node AUCs a configuration keeps for one rel_tol: a long sweep or
@@ -339,6 +393,15 @@ _D1 = _SETUP_X + 2.0 * _SETUP_S + 3.0 * _ULP
 _STEP = 9.0 * _ULP + 2.0 * _SETUP_X + 2.0 * _SETUP_S
 
 
+def _law_rel(s: float, n: int) -> float:
+    # `_Law.rel` at Legendre argument s: the sum over k <= n of min((k+1)/2,
+    # L), L = 1/(1 - s^-2), is (k+1)/2 up to k = 2L - 1
+    lim = 1.0 / (1.0 - 1.0 / (s * s)) if s > 1.0 else 1e300
+    k = min(n, int(2.0 * lim - 1.0))
+    return (_SETUP_S + _SETUP_PREF + _ULP + _D1 * (1.0 + math.log(n))
+            + _STEP * (k * (k + 3) / 4.0 + (n - k) * lim))
+
+
 class _Law(specfun._Column, specfun._Weights):
     """pi_l = P(K = l), l = 0, 1, ..., built on demand: under H1 the
     statistic is 2 Gamma(u + K), K Poisson given the SNR, and over the Hoyt
@@ -361,8 +424,7 @@ class _Law(specfun._Column, specfun._Weights):
     to 18 times lower, 3 times the cost); subnormals round absolutely.
     """
 
-    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_lim", "_s", "_pref",
-                 "_m")
+    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_s", "_pref", "_m")
     params = ("q", "mean_snr")
 
     def __init__(self, q: float, mean_snr: float) -> None:
@@ -370,7 +432,6 @@ class _Law(specfun._Column, specfun._Weights):
         self.q, self.mean_snr = q, mean_snr
         self._s, self._pref, self._m = s, pref, []  # the M_l, filled on demand
         self.pi = self.w = [pref * s]
-        self._lim = 1.0 / (1.0 - 1.0 / (s * s)) if s > 1.0 else 1e300
         # `extend` grows c, so the column draws nothing from `more`
         super().__init__(self.pi[:], 0, x, 0.0, 0.0, 1.0, iter(()))
 
@@ -380,25 +441,17 @@ class _Law(specfun._Column, specfun._Weights):
         if n > len(pi):
             pref = self._pref
             m = _legendre_fill(self._m, self.x, self._s, n)
+            # a comprehension: on CPython 3.11 it multiplies faster than
+            # map(mul, repeat(pref), ...), at 13 terms and at 1,000
             new = [pref * m_l for m_l in m[len(pi):n]]
             pi.extend(new)
             self.c.extend(itertools.accumulate(new, initial=self.c.pop()))
 
     def rel(self, n: int) -> float:
-        # sum over k <= n of min((k+1)/2, L): (k+1)/2 up to k = 2L - 1
-        k = min(n, int(2.0 * self._lim - 1.0))
-        return (_SETUP_S + _SETUP_PREF + _ULP + _D1 * (1.0 + math.log(n))
-                + _STEP * (k * (k + 3) / 4.0 + (n - k) * self._lim))
+        return _law_rel(self._s, n)
 
     def error(self, total: float, rounding: float, n: int) -> float:
         return total * (rounding + self.rel(n))  # entries are off by rel(n)
-
-    def cap(self, n: int, r: float) -> float:
-        # c_(n-1) plus sum_i pi_(n-1) rho^(i+1) r^i: pi falls by rho a term,
-        # and the weight at n + i is at most r^i of the one at n
-        rho = self.rho
-        return (min(1.0, self.c[n - 1] + self.pi[n - 1] * rho / (1.0 - r * rho))
-                if r * rho < 1.0 else 1.0)
 
     def above(self, hi: int, col: specfun._Column) -> float:
         return self.pi[hi - 1] * self.rho / (1.0 - self.rho)

@@ -36,7 +36,7 @@ import functools
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import average, detector, montecarlo
 from . import validate as validation
@@ -175,10 +175,12 @@ def _preprocess_argv(argv: Sequence[str]) -> List[str]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on the first main() call and kept: parse_args returns a fresh
-    # Namespace each time, the one shared default (EvalPolicy()) is frozen
-    # and the type= callables are pure, so no call sees another's state
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and its subcommands' parsers by name, built on
+    # the first main() call and kept: parse_args returns a fresh Namespace
+    # each time, the one shared default (EvalPolicy()) is frozen and the
+    # type= callables are pure, so no call sees another's state
     parser = argparse.ArgumentParser(
         prog="hoytsense",
         description="Energy-detection AUC/CAUC over Hoyt fading: closed "
@@ -238,7 +240,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo trials for the mc suite")
     p_val.add_argument("--seed", type=int, default=None,
                        help="Monte-Carlo master seed for the mc suite")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    # a named subcommand's parser reads the rest of argv itself, as the
+    # top-level parser would have it do, and the command is set here;
+    # anything else (no command, an unknown one, a top-level --help) goes
+    # to the top-level parser.  Leftovers fail as at the top level
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error("unrecognized arguments: " + " ".join(rest))
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +511,8 @@ def _cmd_validate(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_preprocess_argv(argv))
+        args = _parse_args(_preprocess_argv(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

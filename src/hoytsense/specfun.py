@@ -9,10 +9,12 @@ formulas actually hit. Extended precision lives only in the test oracles,
 never here; the order-0 Bessel function, which the Hoyt density calls at
 every quadrature node, is fixed polynomials fitted with it offline.  Every
 series stops at one fixed relative tolerance and raises
-ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Every
-positive sum is one `_mixture` call: weights (`_Poisson`, `_BetaTable`, the
-averaged law in `average`) dotted with an increasing column <= 1 of
-incomplete gammas (`_q_column`), half-domain betas or the law's CDF.
+ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum
+Q, the fixed-SNR series and the averaged Pd are each one `_mixture` call:
+weights (`_Poisson`, the averaged law in `average`) dotted with an
+increasing column <= 1 of incomplete gammas (`_q_column`), half-domain
+betas or the law's CDF.  `_BetaTable` keeps u's beta increments, their
+column and their tails, which the average CAUC series sums itself.
 """
 
 from __future__ import annotations
@@ -756,59 +758,95 @@ def beta_increments(u: float) -> Tuple[Iterator[float], float]:
     return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
 
 
-class _BetaTable(_Weights):
-    """u's half-domain beta increments, drawn once from `beta_increments`
-    and grown on demand; a `DetectorConfig` keeps one for all its
-    evaluations.
+def _beta_ratio(u: float, l: float) -> float:
+    # max(1/2, inc_(l+1)/inc_l): the ratios (2u+j)/(2(u+j+1)) tend to 1/2
+    # monotonically, so this bounds inc_(j+1)/inc_j and d_(j+1)/d_j, j >= l
+    r = (2.0 * u + l) / (2.0 * (u + l + 1.0))
+    return r if r > 0.5 else 0.5
 
-    `inc[l]` = inc_l, each off by the start's relative `err`.  The ratios
-    inc_(l+1)/inc_l = (2u+l)/(2(u+l+1)) tend to 1/2 monotonically, so
-    `ratio[l]` = max(1/2, inc_(l+2)/inc_(l+1)) bounds every ratio past l+1
-    and `tail[l]` = inc_(l+1)/(1 - ratio[l]) bounds I_{1/2}(u+l+1, u) =
-    inc_(l+1) + inc_(l+2) + ... (`extend`).  `column` is I_{1/2}(u, u+k) =
-    1/2 + inc_0 + ... + inc_(k-1): past `err`, entry k is off by at most
-    (3k - 1) eps (5 roundings a step in the increments, 3 in the start, 1
-    a step in the sum).  As `_mixture` weights (the average CAUC series)
-    the increments run from their mode 0, `hi` at a time, then as far as
-    `tail` falls below the target.
+
+# a block of beta tails leaves out at most this much of its last entry
+_FAR_TAIL = 1e-20
+_TINY = sys.float_info.min  # the smallest normal double
+
+
+class _BetaTable:
+    """u's half-domain betas, drawn once from `beta_increments` and grown on
+    demand; a `DetectorConfig` keeps one for all its evaluations.
+
+    `inc[l]` = inc_l, each off by the start's relative `err` and by 3 + 5l
+    roundings (3 in the start, 5 a step).  `column` is I_{1/2}(u, u+k) =
+    1/2 + inc_0 + ... + inc_(k-1), the fixed-SNR series' column: past
+    `err`, entry k is off by at most (3k - 1) eps.
+
+    `tails(n)` gives the tails d_l = I_{1/2}(u+l, u) = inc_l + inc_(l+1) +
+    ..., l < n, which the average CAUC series sums against the law
+    (`average`).  Each is summed from a far index inwards, never as 1 -
+    column, so every addition is positive and a tail of 1e-300 keeps its
+    digits.  They are built in blocks [a, b) that double from [0, 32), so
+    an entry does not depend on how far a request has grown the table.  A
+    block's sums start at `far`, the last index whose increment is above
+    _FAR_TAIL (1 - r) inc_(b-1), or in the normal range: r =
+    `_beta_ratio(u, b)` bounds every ratio inc_(j+1)/inc_j past b, so the
+    rest d_(far+1) is at most inc_(far+1)/(1 - r), below _FAR_TAIL of the
+    block's smallest entry.  At u = 500 they fall by only ~1 - 1/(2u) a
+    step near 0, and far lies ~330 past 32.  `rel[l]` bounds the relative
+    error of d_0 .. d_l: the increments' own, weighted by their share of
+    the tail, one rounding a step in the sum, the rest past far, and
+    2^-1074 a rounding of a subnormal increment.
     """
 
-    __slots__ = ("u", "err", "inc", "w", "ratio", "tail", "column", "_more")
-    hi = 32
-    params = ("u",)
+    __slots__ = ("u", "err", "inc", "d", "rel", "column", "_more")
 
     def __init__(self, u: float) -> None:
         self._more, self.err = beta_increments(u)
-        self.u, self.inc, self.ratio, self.tail = u, [], [], []
-        self.w = self.inc
+        self.u, self.inc, self.d, self.rel = u, [], [], []
         self.column = _Column([0.5], 0, 0.5, self.err, 0.0, 3.0,
                               _drawn(self.inc, self._more))
-        self.extend(self.hi)
 
-    def extend(self, n: int) -> None:
-        # ratio and tail up to l = n - 1, and inc with them
-        inc, ratio, tail, u = self.inc, self.ratio, self.tail, self.u
+    def tails(self, n: int) -> List[float]:
+        # d and rel up to l = n - 1 at least, a block at a time
+        d, inc, u = self.d, self.inc, self.u
+        while len(d) < n:
+            a = len(d)
+            b = 2 * a if a else 32
+            # the increments fall, and r only falls with the index: far + 1
+            # is the first index from b whose increment is below this
+            self._draw(b + 1)
+            cut = max(_FAR_TAIL * (1.0 - _beta_ratio(u, b)) * inc[b - 1],
+                      _TINY)
+            while inc[-1] > cut:
+                self._draw(len(inc) + 1)
+            far = bisect.bisect_left(inc, -cut, b, len(inc), key=neg) - 1
+            rest = inc[far + 1] / (1.0 - _beta_ratio(u, far + 1))
+            # from far down to a: d_k; sum_(j>=k) j inc_j, as inc_j is off
+            # by (3 + 5j) eps/2 past err; and the sum of the partial sums,
+            # each rounded by at most eps/2 of itself
+            down = inc[far:a - 1:-1] if a else inc[far::-1]
+            acc = list(itertools.accumulate(down))
+            moment = itertools.accumulate(
+                map(mul, range(far, a - 1, -1), down))
+            sums = itertools.accumulate(acc)
+            # the rest, and 2^-1074 a rounding of a subnormal increment
+            floor = rest + (far + 1.0) ** 2 * 5e-324
+            top = self.rel[-1] if self.rel else 0.0
+            err, rel = self.err, []
+            for d_k, m_k, s_k in itertools.islice(
+                    zip(acc, moment, sums), far + 1 - b, None):
+                rel.append(err + ((1.5 * d_k + 2.5 * m_k + 0.5 * s_k) * _EPS
+                                  + floor) / d_k if d_k > 0.0 else math.inf)
+            # rel[l] bounds d_0 .. d_l: the largest so far
+            self.rel.extend(itertools.accumulate(reversed(rel), max,
+                                                 initial=top))
+            del self.rel[a]  # the initial top
+            d.extend(reversed(acc[far + 1 - b:]))
+        return d
+
+    def _draw(self, n: int) -> None:
+        # inc up to l = n - 1, 32 more at least
+        inc = self.inc
         if n > len(inc):
-            inc.extend(itertools.islice(self._more, n - len(inc)))
-        for j in range(len(tail), n):
-            r = max(0.5, (2.0 * u + j + 1.0) / (2.0 * (u + j + 2.0)))
-            ratio.append(r)
-            tail.append(inc[j] * (2.0 * u + j) / (2.0 * (u + j + 1.0))
-                        / (1.0 - r))
-
-    def above(self, hi: int, col) -> float:
-        # the column is the law's CDF (`average._Law`), capped past hi
-        return self.tail[hi - 1] * col.cap(hi - col.start, self.ratio[hi - 1])
-
-    def reach(self, lo: int, hi: int, target: float, limit: int,
-              col: _Column) -> int:
-        # one past the first l >= hi whose tail, times the column's cap at
-        # hi (which only grows), is below target: at most doubling
-        grown = min(2 * hi - lo, limit)
-        self.extend(grown)
-        return min(grown, 1 + bisect.bisect_left(
-            self.tail, -target / col.cap(hi - col.start, self.ratio[hi - 1]),
-            hi, grown, key=neg))
+            inc.extend(itertools.islice(self._more, max(32, n - len(inc))))
 
 
 def _drawn(inc: List[float], more: Iterator[float]) -> Iterator[float]:

@@ -12,6 +12,8 @@ The CAUC is sum_k Pois(k; snr) d_k with d_k = I_{1/2}(u+k, u): d_K from
 mpmath's incomplete beta past the Poisson bulk, then d_k = d_(k+1) + inc_k
 downwards by the increment recurrence.
 
+The beta tail I_{1/2}(u+l, u) is mpmath's regularized incomplete beta.
+
 The scaled Bessel function is mpmath's besseli times e^(-x), at 40 digits.
 
 It shares no code with hoytsense; importing it skips a test when mpmath is
@@ -61,6 +63,12 @@ def cauc(u: float, snr: float) -> "mp.mpf":
             d += incs[k]
             total += mp.exp(k * mp.log(snr) - snr - mp.loggamma(k + 1)) * d
         return +total
+
+
+def beta_tail(u: float, l: int) -> "mp.mpf":
+    """d_l = I_{1/2}(u+l, u) at 40 digits, for the double u > 0."""
+    with mp.workdps(40):
+        return +mp.betainc(mp.mpf(u) + l, u, 0, 0.5, regularized=True)
 
 
 def bessel_i(nu: float, x: float) -> "mp.mpf":

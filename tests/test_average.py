@@ -252,6 +252,14 @@ def test_series_respects_term_budget(monkeypatch):
         avg_auc_closed(DetectorConfig(150.5), _f(0.5, 50.0), policy)
 
 
+def test_series_terms_fall_by_both_ratios():
+    # each term falls by the law's ratio times the beta tails' ratio, so at
+    # u=2.5, q=1, 0 dB the default rel_tol takes 19 terms, where dotting
+    # u's beta increments with the law's CDF took 39
+    mv = avg_cauc_closed(DetectorConfig(2.5), _f(1.0, 1.0))
+    assert mv.method == "closed_series" and mv.terms_used <= 25
+
+
 def test_series_holds_its_error_bound_over_the_box():
     # every corner of u <= 500, q in [1e-6, 1], -10..60 dB, at the CLI
     # default and at a tight tolerance: finite, inside est_error of the

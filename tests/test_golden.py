@@ -31,7 +31,7 @@ GOLDEN = [
      "ad713eda23ac0ee53bfe6ae971561c1b1e085ee98b162bdff7ff9215c0831c28"),
     # the real-u series, a seeded Monte Carlo sweep and a quadrature row
     ("sweep --u 2.5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
-     "c583321163724d5237cd748571bce7523e21dffb4d469555a893120cdddbeb22"),
+     "1262f5f6a161c48009b1a74e7e43f83e8cad11da0f80adb827e26e8cba1531b3"),
     ("sweep --metric auc --method mc --u 5 --q 0.5 --snr-db 0:10:5 "
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
@@ -77,6 +77,7 @@ PORTABLE = [
     "point --metric pf --u 5 --lambda 10",
     "sweep --metric auc --u 5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
     "sweep --metric cauc --u 5 --q 0.1,1.0 --snr-db 0:30:1",
+    "sweep --u 2.5 --q 0.1,0.3,0.5,0.75,1.0 --snr-db -5:30:1",
     "sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
     "--snr-db 0:20:10",
     "sweep --metric cauc --u 20 --q 0.15,0.85 --snr-db -10:40:5",
@@ -103,7 +104,8 @@ def test_portable_commands_sum_no_floats(monkeypatch):
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         assert digest == golden[command]
         assert float_sums == [], command
-    # the spy sees the sums a route makes: the u=2.5 series sweep makes some
+    # the spy sees the sums a route makes: the real-u quadrature makes some
     with contextlib.redirect_stdout(io.StringIO()):
-        cli.main("sweep --u 2.5 --q 0.5 --snr-db 10".split())
+        cli.main("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 "
+                 "--snr-db 10".split())
     assert float_sums

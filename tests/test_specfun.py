@@ -440,3 +440,21 @@ def test_bessel_at_the_smallest_subnormal_argument():
     assert bessel_i(0.5, x) == pytest.approx(want, rel=1e-13)
     assert want == pytest.approx(1.7735e-162, rel=1e-4)
     assert 0.0 <= bessel_i(1.0, x) <= 5e-324
+
+
+def test_beta_tails_within_their_reported_error():
+    # d_l = I_{1/2}(u+l, u) summed from far out inwards, against mpmath,
+    # through the first blocks and well past 2u: at u = 499.5 the
+    # increments fall by only ~1 - 1/(2u) a step near l = 0, so a sum
+    # started too close to its block loses whole digits there
+    import mp_reference
+    for u in (0.05, 2.5, 499.5):
+        table = specfun._BetaTable(u)
+        top = int(2.0 * u)
+        ls = sorted({0, 1, 2, 31, 32, 33, 63, 64, 100, top + 1, top + 40,
+                     top + 300})
+        d = table.tails(ls[-1] + 1)
+        for l in ls:
+            want = mp_reference.beta_tail(u, l)
+            assert abs(d[l] - want) <= table.rel[l] * want, (u, l)
+            assert table.rel[l] < 1e-12, (u, l)
