@@ -22,17 +22,12 @@ sum over the binomial weights is a binomial tail, and all u tails come from
 one pass over the Bin(2u-1, 1/2) pmf.
 
 The Legendre terms are the law of the Poisson count that the Hoyt-averaged
-statistic carries (`_Law`, pi_l = pref M_l).  The series is pref sum_l M_l
-d_l against u's beta tails d_l = I_{1/2}(u+l, u) (`_series_cauc`): one
-loop runs the Legendre recurrence and stops where the bound on the rest,
-pref M_L d_L rho r/(1 - rho r), is below rel_tol of the sum, as each term
-falls by the law's ratio rho times the tails' r.  So its cost is flat in
-the SNR: 7-260 terms over u <= 500, q in [1e-6, 1] and -10..60 dB at
-rel_tol 1e-10 to 1e-13.  The averaged detection probability
-(`avg_pd_closed`) is one `specfun._mixture` call on the law: the law
-dotted with a threshold's incomplete gammas, or 1 minus its miss, the
-threshold's gamma increments dotted with the law's CDF.  The quadrature
-Pd (`avg_pd_quadrature`) is the independent check.
+statistic carries (`_Law`, pi_l = pref M_l).  The series sums them against
+u's beta tails (`_series_cauc`, 7-260 terms over u <= 500, q in [1e-6, 1]
+and -10..60 dB), the averaged Pd (`avg_pd_closed`) against a threshold's
+incomplete gammas or, as 1 - miss, its gamma increments against the law's
+CDF: one loop of positive terms each, stopped by a geometric bound on its
+rest.  The quadrature Pd (`avg_pd_quadrature`) is the independent check.
 
 What depends on u alone, or on u and a threshold, is built once per
 `DetectorConfig` (`_table`; the CLI builds one per request): the beta
@@ -45,8 +40,9 @@ mean SNR share.
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
+from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
 from . import detector, specfun
@@ -277,31 +273,24 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
                        policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """Reference average AUC: fixed-SNR AUC integrated against the SNR density.
 
-    This is the arbiter the closed forms are judged against, so it goes out
-    of its way to share nothing with them: the integrand composes the
-    detector's AUC (the integer-u Poisson sum or the fixed-SNR series) with
-    the Bessel-form density, on the substituted half line scaled by the
-    mean SNR; at real u all nodes share cfg's column of betas
-    (`specfun._BetaTable`), at integer u its binomial tails, the one table
-    the finite sum also reads, which the tests pin to exact sums.  A node
-    takes auc_awgn's value and est_error from the detector's float kernels
-    (`detector._auc_poisson`, `detector._auc_series`), with no record.
-
-    The nodes depend on the mean SNR and the level alone, never on q, so
-    cfg keeps each node's AUC and its est_error for the next fading at that
-    mean SNR and rel_tol (`_node_aucs`; the first _MEMO_NODES nodes): a q
-    family computes each node's AUC once.  A row is bit for bit the one a
-    fresh configuration gives.
-
-    est_error adds the largest fixed-SNR est_error at any node to the last
-    change between levels: with positive weights and a density that
-    integrates to 1, the nodes' own errors move the result by no more.
+    The arbiter of the closed forms, so it shares nothing with them: the
+    detector's AUC at each node (the integer-u Poisson sum over cfg's
+    binomial tails, or the real-u series over its beta tails, by the
+    detector's float kernels `_auc_poisson`, `_auc_series`) times the
+    Bessel-form density, on the half line scaled by the mean SNR.  The
+    nodes depend on the mean SNR and the level alone, never on q, so cfg
+    keeps each node's AUC and est_error for the next fading at that mean
+    SNR and rel_tol (`_node_aucs`, the first _MEMO_NODES nodes): a q family
+    computes each node's AUC once, and a row is bit for bit the one a
+    fresh configuration gives.  est_error adds the largest node est_error
+    to the last change between levels: with positive weights and a density
+    that integrates to 1, the nodes' own errors move the result no more.
     """
-    u, rel_tol = cfg.time_bandwidth, policy.rel_tol
+    rel_tol = policy.rel_tol
     if cfg.is_integer:
-        tails, col = cfg._table(_binomial_tails), None
+        tails, betas = cfg._table(_binomial_tails), None
     else:
-        tails, col = None, cfg._table(specfun._BetaTable).column
+        tails, betas = None, cfg._table(specfun._BetaTable)
     nodes = cfg._table(_node_aucs, rel_tol)
     node_err = 0.0
 
@@ -312,10 +301,10 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
             return 0.0
         auc = nodes.get(g)
         if auc is None:
-            if col is None:
+            if betas is None:
                 value, err = detector._auc_poisson(tails, g)
             else:
-                value, err, _ = detector._auc_series(u, g, rel_tol, col)
+                value, err, _ = detector._auc_series(betas, g, rel_tol)
             auc = complex(value, err)
             if len(nodes) < _MEMO_NODES:
                 nodes[g] = auc
@@ -335,19 +324,14 @@ def avg_pd_quadrature(cfg: DetectorConfig, f: HoytFading, threshold: float,
     """Average detection probability at a fixed threshold.
 
     The quadrature over the SNR nodes g of Q_u(sqrt(2g), b) times the
-    density, b = sqrt(threshold).  Each node's Marcum Q is
-    `specfun.marcum_q`'s own Poisson mixture sum_k Pois(k; g) Q(u+k, b^2/2)
-    with its error bound, so the route reaches as far in g as Marcum Q
-    does (~1e6).  It is the independent check of `avg_pd_closed`, the
-    closed positive series over the negative-binomial law of the same
-    Poisson count.
-
-    est_error adds the node errors to the last change between levels.  The
-    weights and the density are positive, so if no node is off by more
-    than r times its value, the integral is off by at most r times its
-    own: it takes the largest such ratio over the nodes whose value is
-    above 1e-300 (and the largest error over the others), which keeps a
-    tiny average Pd's error relative to it.
+    density, b = sqrt(threshold), each node's Marcum Q with its own bound
+    (`specfun._marcum_q`), so it reaches as far in g as Marcum Q does
+    (~1e6).  It is the independent check of `avg_pd_closed`.  est_error
+    adds the node errors to the last change between levels: weights and
+    density are positive, so if no node is off by more than r times its
+    value, the integral is off by at most r times its own.  It takes the
+    largest such ratio over the nodes above 1e-300 (and the largest error
+    over the others), which keeps a tiny average Pd's error relative.
     """
     if not 0.0 <= threshold < math.inf:
         raise ValueError(
@@ -402,79 +386,89 @@ def _law_rel(s: float, n: int) -> float:
             + _STEP * (k * (k + 3) / 4.0 + (n - k) * lim))
 
 
-class _Law(specfun._Column, specfun._Weights):
-    """pi_l = P(K = l), l = 0, 1, ..., built on demand: under H1 the
-    statistic is 2 Gamma(u + K), K Poisson given the SNR, and over the Hoyt
-    SNR K follows pi_l = pref M_l, the Legendre terms (`_series_setup`,
-    `_legendre_fill`, pref sum M_l = 1), with pi_(l+1) <= rho pi_l.  As a
-    `specfun._Column` its entries are the CDF c_l = pi_0 + ... + pi_l; as
-    `_mixture` weights, `pi` from the anchor 0 with the tail pi_L rho/(1 -
-    rho).
+class _Law:
+    """pi_l = P(K = l) and the CDF c_l = pi_0 + ... + pi_l, l = 0, 1, ...,
+    as lists built on demand: under H1 the statistic is 2 Gamma(u + K), K
+    Poisson given the SNR, and over the Hoyt SNR K follows pi_l = pref M_l,
+    the Legendre terms (`_series_setup`, the recurrence of
+    `_legendre_fill`, run inline), with pi_(l+1) <= rho pi_l.
 
     `rel(n)` bounds the relative error of pi_0 .. pi_(n-1).  The recurrence
     M_(n+1) = x s^2 (a - b)/(n+1), a = (2n+1) M_n, b = n x M_(n-1), carries
     relative errors by r_(n+1) = (a r_n - b r_(n-1))/(a - b), plus its own
-    rounding and the setup's.  The response of later terms to one step's
-    error is a difference P_n Q_k - Q_n P_k of Legendre functions, positive
-    for s >= 1, so adding each rounding at full size bounds every term.  As
-    P_(n+1) >= s P_n, g_n = b/(a - b) = n P_(n-1)/((n+1) P_(n+1)) <=
-    n/((n+1) s^2), and the steps d_n = r_n - r_(n-1) obey d_(n+1) <= g_n
-    d_n + _STEP, so d_n <= d_1/n + _STEP min((n+1)/2, L), L = 1/(1 -
-    s^-2): n^2 eps near s = 1, linear past n ~ 2L (a carried g_n: bound up
-    to 18 times lower, 3 times the cost); subnormals round absolutely.
+    rounding and the setup's; a step's error reaches later terms through
+    P_n Q_k - Q_n P_k > 0 (s >= 1), so each rounding counts at full size.
+    As P_(n+1) >= s P_n, g_n = b/(a - b) <= n/((n+1) s^2), and d_n = r_n -
+    r_(n-1) obeys d_(n+1) <= g_n d_n + _STEP, so d_n <= d_1/n + _STEP
+    min((n+1)/2, L), L = 1/(1 - s^-2): n^2 eps near s = 1, linear past n ~
+    2L; subnormals round absolutely.
     """
 
-    __slots__ = ("q", "mean_snr", "rho", "pi", "w", "_s", "_pref", "_m")
-    params = ("q", "mean_snr")
+    __slots__ = ("q", "mean_snr", "rho", "pi", "c", "_x", "_s", "_pref",
+                 "_m")
 
     def __init__(self, q: float, mean_snr: float) -> None:
         x, s, pref, self.rho = _series_setup(q, mean_snr)
         self.q, self.mean_snr = q, mean_snr
-        self._s, self._pref, self._m = s, pref, []  # the M_l, filled on demand
-        self.pi = self.w = [pref * s]
-        # `extend` grows c, so the column draws nothing from `more`
-        super().__init__(self.pi[:], 0, x, 0.0, 0.0, 1.0, iter(()))
+        self._x, self._s, self._pref = x, s, pref
+        self._m = (0.0, s)  # M_(l-1), M_l for l = len(pi) - 1
+        self.pi, self.c = [pref * s], [pref * s]
 
     def extend(self, n: int) -> None:
-        # pi and c up to l = n - 1, from the Legendre terms M_l
-        pi = self.pi
-        if n > len(pi):
-            pref = self._pref
-            m = _legendre_fill(self._m, self.x, self._s, n)
-            # a comprehension: on CPython 3.11 it multiplies faster than
-            # map(mul, repeat(pref), ...), at 13 terms and at 1,000
-            new = [pref * m_l for m_l in m[len(pi):n]]
-            pi.extend(new)
-            self.c.extend(itertools.accumulate(new, initial=self.c.pop()))
+        # pi and c up to l = n - 1
+        pi, c = self.pi, self.c
+        x, pref, xs2 = self._x, self._pref, self._x * self._s * self._s
+        m_prev, m_cur = self._m
+        acc = c[-1]
+        k = len(pi) - 1.0  # a float counter, indexing m_cur
+        for _ in range(len(pi), n):
+            m_prev, m_cur = m_cur, xs2 * ((2.0 * k + 1.0) * m_cur
+                                          - k * x * m_prev) / (k + 1.0)
+            k += 1.0
+            p = pref * m_cur
+            pi.append(p)
+            acc += p
+            c.append(acc)
+        self._m = (m_prev, m_cur)
 
     def rel(self, n: int) -> float:
         return _law_rel(self._s, n)
 
-    def error(self, total: float, rounding: float, n: int) -> float:
-        return total * (rounding + self.rel(n))  # entries are off by rel(n)
 
-    def above(self, hi: int, col: specfun._Column) -> float:
-        return self.pi[hi - 1] * self.rho / (1.0 - self.rho)
+def _gamma_increments(u: float,
+                      x: float) -> Tuple[int, List[float], float, float]:
+    # (lo, e, e's relative error, their sum below lo): e_j = P(u+j, x) -
+    # P(u+j+1, x) from lo = x - u - sqrt(2 x L), L = -ln _WINDOW_MASS,
+    # below which they add up to at most e^-L (Chernoff) and e_lo rho/(1 -
+    # rho), rho = (u+lo)/x, to past their peak ~x - u, until the rest, at
+    # most e_j r/(1 - r), r = x/(u+j+1), is below e^-L too
+    lo = int(max(0.0, x - u - math.sqrt(2.0 * x * specfun._LN_MASS)))
+    e, err = specfun.poisson_increments(u + lo, x, max(0, int(x - u)) - lo)
+    e_j, j, peak = e[-1], lo + len(e), len(e)
+    while True:
+        r = x / (u + j)
+        if r < 1.0 and e_j * r <= specfun._WINDOW_MASS * (1.0 - r):
+            break
+        e_j *= r
+        e.append(e_j)
+        j += 1
+    rho = (u + lo) / x
+    return (lo, e, err + 2.0 * (len(e) - peak) * _EPS,
+            e[0] * rho / (1.0 - rho) if lo else 0.0)
 
-    def reach(self, lo: int, hi: int, target: float, limit: int,
-              col: specfun._Column) -> int:
-        # pi falls by rho a term: `more` terms reach the target at most
-        more = (math.log(self.above(hi, col) / target) / -math.log(self.rho)
-                if target > 0.0 else hi)
-        return min(2 * hi - lo, hi + 1 + int(more), limit)
 
-
-def _hit_column(u: float, threshold: float) -> specfun._Column:
-    # Q(u+l, x) from where it is below e^-800 (Chernoff); its x = b^2/2 is
-    # threshold/2 but for rounding, and |dQ/dx| / Q <= 1 + 1/x
+def _hit_column(u: float,
+                threshold: float) -> Tuple[int, List[float], float, float]:
+    # (start, Q(u+l, x) from l = start, where it is below e^-800, relative
+    # and absolute errors), with no cap (`_gamma_increments` bounds x); its
+    # x = b^2/2 is threshold/2 but for rounding, and |dQ/dx|/Q <= 1 + 1/x
     x = 0.5 * threshold
-    col = specfun._q_column(
-        u, math.sqrt(threshold),
-        int(max(0.0, x - u - math.sqrt(1600.0 * x))), int(x) + 1)
-    dx = abs(col.x - x) * (1.0 + 1.0 / min(x, col.x))
-    col.err += dx
-    col.abs0 += col.c[0] * dx
-    return col
+    b = math.sqrt(threshold)
+    start = int(max(0.0, x - u - math.sqrt(1600.0 * x)))
+    col, err, err0 = specfun._q_column(u, b, start, sys.maxsize)
+    x_col = 0.5 * b * b
+    dx = abs(x_col - x) / min(x, x_col) * (1.0 + min(x, x_col))
+    return start, col, err + dx, err0 + col[0] * dx
 
 
 def _closed_pd(law: _Law, cfg: DetectorConfig, threshold: float,
@@ -483,10 +477,13 @@ def _closed_pd(law: _Law, cfg: DetectorConfig, threshold: float,
 
     At x = threshold/2 the miss is sum_l pi_l P(u+l, x), P = 1 - Q.  As
     P(s, x) = P(s+1, x) + e_s, e_s = x^s e^(-x)/Gamma(s+1), exchanging the
-    order of summation gives sum_j e_(u+j) c_j with c_j the law's CDF: the
-    threshold's increments (`specfun._Poisson` at s = u) dotted with the
-    law.  The detection sum is the law dotted with Q(u+l, x)
-    (`_hit_column`).  cfg keeps both tables, one per threshold.
+    order of summation gives sum_j e_(u+j) c_j, the threshold's increments
+    (`_gamma_increments`) against the law's CDF c.  The detection sum is
+    the law against Q(u+l, x) (`_hit_column`).  cfg keeps both tables, one
+    per threshold.  Each sum adds its first terms with math.fsum and goes
+    on in one loop of positive terms, stopped where its rest (the
+    increments' or the law's geometric tail, times c or Q <= 1) is below
+    its tolerance.
 
     The route is chosen before summing.  The increments peak at j0 = x -
     u: where P(K <= j0) <= 1/2, Pd >= Q(u+j0+1, x)/2 is at least ~1/6 and
@@ -503,25 +500,72 @@ def _closed_pd(law: _Law, cfg: DetectorConfig, threshold: float,
         err = (0.0 if threshold == 0.0 else
                math.exp(u * math.log(5e-324) - math.lgamma(u + 1.0)))
         return MetricValue(1.0, "closed_series", 0, err)
-    # e_(u+j) = P(u+j, x) - P(u+j+1, x); raises past its reach, x ~ 1e6
-    weights = cfg._table(specfun._Poisson, x)
+    if specfun._poisson_reach(x) > specfun._MAX_TERMS:  # x ~ 1e6
+        raise specfun.ConvergenceError(
+            f"closed Pd at u={u}, threshold={threshold}: the gamma "
+            f"increments of x={x} cannot close within {specfun._MAX_TERMS} "
+            f"terms of their peak")
     j0 = max(0, int(x - u))
     law.extend(j0 + 2)
+    pi, c, rho = law.pi, law.c, law.rho
     tol = rel_tol
-    if law.c[j0] > 0.5:
+    if c[j0] > 0.5:
         tol = _EPS
-        if law.rho < 1.0:
-            col = cfg._table(_hit_column, threshold)
+        if rho < 1.0:
+            start, col, col_err, col_err0 = cfg._table(_hit_column, threshold)
+            n, last = len(col), col[-1]
             jm = j0 + 1  # Q(u+jm, x) is past its middle
-            col.extend(jm + 1 - col.start)
             # past L = jm + more, pi_L rho/(1 - rho) <= pi_jm rho^(L-jm+1)/
             # (1 - rho) is below rel_tol pi_jm Q(u+jm, x) <= rel_tol Pd
-            more = (math.log(rel_tol * col.c[jm - col.start] * (1.0 - law.rho))
-                    / math.log(law.rho) if law.rho > 0.0 else 0.0)
-            if jm + 1 - col.start + more <= specfun._MAX_TERMS:
-                hit, err, terms = specfun._mixture(law, col, rel_tol, jm + 1)
+            q_jm = col[jm - start] if jm - start < n else last
+            more = (math.log(rel_tol * q_jm * (1.0 - rho)) / math.log(rho)
+                    if rho > 0.0 else 0.0)
+            if jm + 1 - start + more <= specfun._MAX_TERMS:
+                # up to jm at once (col reaches past Q's middle), then
+                # tested, as Q >= ~1/2 (its bound 1 costs at most 2x), or
+                # in the subnormal range, where pi_l may even read < 0
+                cut = rel_tol * (1.0 - rho)
+                floor = specfun._TAIL_FLOOR * (1.0 - rho)
+                hit, l = math.fsum(map(mul, pi[start:jm], col)), jm
+                while True:
+                    if l == len(pi):
+                        law.extend(2 * l)
+                    p = pi[l]
+                    hit += p * (col[l - start] if l - start < n else last)
+                    above = p * rho
+                    if above <= cut * hit or above <= floor:
+                        break
+                    l += 1
+                terms = l + 1 - start
+                below = c[start - 1] * col[0] if start else 0.0  # l < start
+                err = (hit * (law.rel(l + 1) + col_err
+                              + (2.0 * terms + 2.0 * (l - start) + 1.0) * _EPS)
+                       + col_err0 + (abs(above) + 5e-324) / (1.0 - rho)
+                       + below + terms * 5e-324)
                 return MetricValue(hit, "closed_series", terms, err)
-    miss, err, terms = specfun._mixture(weights, law, tol)
+    lo, e, e_err, e_below = cfg._table(_gamma_increments, x)
+    j = lo + len(e)
+    law.extend(j)
+    miss, e_j = math.fsum(map(mul, e, c[lo:j])), e[-1]
+    # on past the table while its rest, at most e_(j-1) r/(1 - r), r =
+    # x/(u+j) < 1, is above tol of the sum
+    while True:
+        r = x / (u + j)
+        if e_j * r <= (1.0 - r) * tol * miss:
+            break
+        if j >= j0 + specfun._MAX_TERMS:
+            raise specfun.ConvergenceError(
+                f"closed Pd's miss sum at u={u}, threshold={threshold}, "
+                f"q={law.q}, mean_snr={law.mean_snr} passed "
+                f"{specfun._MAX_TERMS} terms past the gamma increments' peak")
+        if j == len(c):
+            law.extend(2 * j)
+        e_j *= r
+        miss += e_j * c[j]
+        j += 1
+    terms = j - lo
+    err = (miss * (e_err + law.rel(j) + (2.0 * terms + j + 1.0) * _EPS)
+           + e_j * r / (1.0 - r) + c[lo] * e_below + terms * 5e-324)
     return MetricValue(1.0 - miss, "closed_series", terms, err + _ULP)
 
 

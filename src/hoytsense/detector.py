@@ -13,16 +13,18 @@ swapped), an infinite series valid for any real u > 0, and direct
 quadrature of P_d against the noise-only threshold density.  They must
 agree; the validation suite holds them to that.
 
-The integer-u form sums the complementary AUC (CAUC), returned by
-`cauc_awgn` to full relative precision, from u positive terms; the real-u
-series is the AUC's Poisson mixture of half-domain incomplete betas
-(`specfun._mixture`, as Marcum Q is of incomplete gammas).  One derived
-CAUC bound, `_cauc_chernoff`, ends the series with AUC 1 and covers the
-integer form where e^(-snr/2) underflows.
+Both closed forms sum the complementary AUC (CAUC), returned by
+`cauc_awgn` to full relative precision, from positive terms: the integer-u
+form in u terms, the real-u series sum_k Pois(k; snr) d_k over the beta
+tails d_k = I_{1/2}(u+k, u) (`specfun._BetaTable.tails`) in one loop out
+from the terms' peak (`_cauc_series`).  The AUC is 1 - CAUC.  One derived
+CAUC bound, `_cauc_chernoff`, ends the AUC with 1 where it is below
+rel_tol/2, and the CAUC with 0 where it is below the normal range.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -270,28 +272,82 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
                     policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
     """AUC at fixed SNR by the real-u series (works for integer u too).
 
-    sum_k Pois(k; snr) c_k, c_k = I_{1/2}(u, u+k) = 1/2 + inc_0 + ... +
-    inc_(k-1) with positive increments (`specfun.beta_increments`): the
-    Poisson(snr) weights dotted with that column in `specfun._mixture`,
-    whose bound is est_error.  It reaches snr ~1e6, where the weights stop
-    closing (ConvergenceError).  rel_tol only sets the exit: where the
-    Chernoff CAUC bound is below rel_tol/2, AUC 1 with that bound.
+    1 - CAUC, the CAUC from `_cauc_series` over cfg's beta tails, with an
+    absolute est_error: the CAUC's bound and the rounding of 1 - CAUC.
+    rel_tol sets only the exit: AUC 1 where the Chernoff CAUC bound, then
+    its est_error, is below rel_tol/2.
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    value, err, terms = _auc_series(cfg.time_bandwidth, snr, policy.rel_tol,
-                                    cfg._table(specfun._BetaTable).column)
+    value, err, terms = _auc_series(cfg._table(specfun._BetaTable), snr,
+                                    policy.rel_tol)
     return MetricValue(value, "closed_series", terms, err)
 
 
-def _auc_series(u: float, snr: float, rel_tol: float,
-                col: specfun._Column) -> Tuple[float, float, int]:
-    # auc_awgn_series past its argument check, on u's column of betas:
-    # (AUC, error bound, terms)
-    bound = _cauc_chernoff(u, snr)
+def _auc_series(table: specfun._BetaTable, snr: float,
+                rel_tol: float) -> Tuple[float, float, int]:
+    # auc_awgn_series past its argument check: (AUC, error bound, terms)
+    bound = _cauc_chernoff(table.u, snr)
     if bound <= 0.5 * rel_tol:
         return 1.0, bound, 0
-    return specfun._mixture(specfun._Poisson(0.0, snr), col)
+    c, err, terms = _cauc_series(table, snr)
+    return 1.0 - c, err + min(c, _ULP), terms
+
+
+def _cauc_series(table: specfun._BetaTable,
+                 snr: float) -> Tuple[float, float, int]:
+    # sum_k Pois(k; snr) d_k over the tails d_k = I_{1/2}(u+k, u) (cauc_awgn
+    # at real u): (CAUC, error bound, terms).  It starts at the terms' peak,
+    # the first k with snr d_(k+1) <= (k+1) d_k, by bisection up to k + 1 =
+    # snr r_0, where it holds (d_(k+1)/d_k <= r_k <= r_0, r_k =
+    # `specfun._beta_ratio(u, k)`).  Up, every later term ratio is at most
+    # rho = snr r_k/(k+1); down, d <= 1/2 and the Poisson mass below k is
+    # at most Pois(k) s/(1 - s), s = k/snr < 1: each stops once that rest
+    # is below _SUM_TOL of the sum
+    u, tol = table.u, specfun._SUM_TOL
+    if snr == 0.0:
+        return 0.5, 0.0, 1  # I_{1/2}(u, u) = 1/2
+    hi = int(snr * specfun._beta_ratio(u, 0.0))
+    d = table.tails(hi + 2)  # grows in place
+    n_d = len(d)
+    lo = bisect.bisect_left(range(hi), True,
+                            key=lambda k: snr * d[k + 1] <= (k + 1) * d[k])
+    w_peak, w_err = specfun.poisson_weight(lo, snr)
+    total = t = w_peak * d[lo]
+    w, k, j = w_peak, float(lo), lo
+    v = u if u > 1.0 else 1.0  # r_k is 1/2 for u <= 1, as it is at u = 1
+    while True:
+        rho = snr * ((2.0 * v + k) / (2.0 * (v + k + 1.0))) / (k + 1.0)
+        if t * rho <= tol * total * (1.0 - rho):
+            break
+        if j - lo == specfun._MAX_TERMS:
+            raise ConvergenceError(
+                f"fixed-SNR CAUC series at u={u}, snr={snr} passed "
+                f"{specfun._MAX_TERMS} terms past its peak at k={lo}")
+        j += 1
+        if j == n_d:
+            n_d = len(table.tails(2 * j))
+        k += 1.0
+        w *= snr / k
+        t = w * d[j]
+        total += t
+    above = t * rho / (1.0 - rho)
+    w, k, below = w_peak, float(lo), 0.0
+    while lo:
+        s = k / snr
+        below = 0.5 * w * s / (1.0 - s)
+        if below <= tol * total:
+            break
+        w *= s
+        k -= 1.0
+        lo -= 1
+        total += w * d[lo]
+    else:
+        below = 0.0
+    terms = j - lo + 1
+    # a rounding a weight step, a product and a sum, and `_BetaTable.rel`
+    rel = w_err + table.rel[j] + 2.0 * terms * _EPS
+    return total, total * rel + above + below + terms * 5e-324, terms
 
 
 def auc_awgn(cfg: DetectorConfig, snr: float,
@@ -340,7 +396,8 @@ def auc_awgn_1f1_variant(cfg: DetectorConfig, snr: float) -> MetricValue:
 
 def cauc_awgn(cfg: DetectorConfig, snr: float,
               policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
-    """Complementary AUC, 1 - AUC, at a fixed instantaneous SNR.
+    """Complementary AUC, 1 - AUC, at a fixed instantaneous SNR, summed to
+    an error relative to it.
 
     Integer u: the paper's e^(-x) sum_{l<u} 2^-(l+u) L_l^(u-1)(-x), x =
     snr/2, with L_l^(u-1)(-x) = sum_j C(l+u-1, l-j) x^j/j! expanded and the
@@ -349,17 +406,18 @@ def cauc_awgn(cfg: DetectorConfig, snr: float,
         sum_{j<u} T_j e^(-x) x^j / j!,  T_j = P(Bin(2u-1, 1/2) >= u+j),
 
     the inner sum over l being the binomial tail that the finite average
-    sums too (`_binomial_tails`, kept on cfg): u positive terms, summed to
-    an error relative to the CAUC.  Any other u takes the complement of
-    the series AUC.
+    sums too (`_binomial_tails`, kept on cfg).  Any other u takes the
+    series sum_k Pois(k; snr) I_{1/2}(u+k, u) (`_cauc_series`), or 0 where
+    the Chernoff bound, then its est_error, is below the normal range.
     """
     if not 0.0 <= snr < math.inf:
         raise ValueError(f"snr must be finite and >= 0, got {snr}")
     if not cfg.is_integer:
-        value, err, terms = _auc_series(cfg.time_bandwidth, snr,
-                                        policy.rel_tol,
-                                        cfg._table(specfun._BetaTable).column)
-        return MetricValue(1.0 - value, "closed_series", terms, err)
+        bound = _cauc_chernoff(cfg.time_bandwidth, snr)
+        if bound < sys.float_info.min:
+            return MetricValue(0.0, "closed_series", 0, max(bound, 5e-324))
+        value, err, terms = _cauc_series(cfg._table(specfun._BetaTable), snr)
+        return MetricValue(value, "closed_series", terms, err)
     tails = cfg._table(_binomial_tails)
     value, err = _cauc_poisson(tails, snr)
     return MetricValue(value, "closed_integer", len(tails), err)

@@ -10,11 +10,12 @@ never here; the order-0 Bessel function, which the Hoyt density calls at
 every quadrature node, is fixed polynomials fitted with it offline.  Every
 series stops at one fixed relative tolerance and raises
 ConvergenceError at one fixed term cap (`_REL_TOL`, `_MAX_TERMS`).  Marcum
-Q, the fixed-SNR series and the averaged Pd are each one `_mixture` call:
-weights (`_Poisson`, the averaged law in `average`) dotted with an
-increasing column <= 1 of incomplete gammas (`_q_column`), half-domain
-betas or the law's CDF.  `_BetaTable` keeps u's beta increments, their
-column and their tails, which the average CAUC series sums itself.
+Q is a Poisson mixture of incomplete gammas, one plain loop outward from
+the Poisson mode against a column Q(m+k, x) (`_q_column`, which the
+averaged Pd's detection sum reads too).  `_BetaTable` keeps u's beta
+increments and tails, which the fixed-SNR and the average CAUC sum against
+their weights.  Floats are added in loops, with `math.fsum` or with
+`itertools.accumulate`, never with `sum()`, whose rounding changed in 3.12.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import bisect
 import itertools
 import math
 import sys
-from operator import add, mul, neg, truediv
-from typing import Iterator, List, Tuple
+from operator import mul, neg
+from typing import List, Tuple
 
 MINLOG = -745.13321910194  # below this exp() underflows to 0
 _TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 _EPS = 2.0 ** -52
+_TINY = sys.float_info.min  # the smallest normal double
 
 # ln of the largest double, past which e^x overflows (see bessel_i)
 _LN_MAX = math.log(sys.float_info.max)
@@ -327,13 +329,12 @@ def _bessel_asymptotic(nu: float, x: float, tol: float = _REL_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q and the mixture sum: positive weights dotted with a column <= 1
+# Marcum Q: Poisson weights against a column of incomplete gammas
 # ---------------------------------------------------------------------------
 
-# a window leaves out at most _WINDOW_MASS of Poisson mass on each side, and
-# a mixture stops once its upper tail is below _SUM_TOL of the running total,
-# or below _TAIL_FLOOR, deep in the subnormal range, where a weight times a
-# ratio above 1/2 rounds back to the smallest subnormal and stops falling
+# a column starts where it, or the Poisson mass below it, is under
+# _WINDOW_MASS; a sum stops once its rest is below _SUM_TOL of the running
+# total, or below _TAIL_FLOOR, deep in the subnormal range
 _SURE = 12.0  # a > b + 12: the miss probability is below exp(-72), Q = 1
 _WINDOW_MASS = 1e-20
 _LN_MASS = -math.log(_WINDOW_MASS)
@@ -344,15 +345,17 @@ _TAIL_FLOOR = 1e-320
 def marcum_q(m: float, a: float, b: float) -> float:
     """Generalized Marcum Q_m(a, b) for real order m > 0.
 
-    The Poisson mixture sum_k Pois(k; a^2/2) Q(m+k, b^2/2) summed from the
-    mode (Shnidman 1989) by `_mixture`, which also bounds the error; the
-    value may pass [0, 1] by up to that bound.  The column of incomplete
-    gammas (`_q_column`) is anchored once by the a = 0 case, at the
-    Chernoff point below which the Poisson weights, or the gammas, hold
-    less than _WINDOW_MASS.  It is 1 past a > b + _SURE, and raises
-    ConvergenceError where a^2/2 is too large (~1e6) for the weights to
-    close within _MAX_TERMS terms of their mode, or where the sum passes
-    that cap, unless a Chernoff bound puts Q below 2^-1075: then it is 0.
+    The Poisson mixture sum_k w_k c_k, w_k = Pois(k; a^2/2), c_k = Q(m+k,
+    b^2/2) (Shnidman 1989), as one walk from the mode k0 = int(a^2/2) up,
+    then down (`_marcum_q`, which also bounds the error; the value may pass
+    [0, 1] by up to that bound).  Up, the terms are log-concave, so once
+    they fall their last ratio rho = (a^2/2k) c_k/c_(k-1) bounds the rest
+    by t rho/(1 - rho); where Q is tiny the column lifts their peak far
+    above the mode, and the walk follows it there.  Down, c falls, and the
+    Poisson mass below k is at most w_k rho/(1 - rho), rho = 2k/a^2.  Q is
+    1 past a > b + _SURE, 0 where a Chernoff bound puts it below 2^-1075;
+    it raises ConvergenceError where a^2/2 (~1e6) is too large for the
+    weights to close within _MAX_TERMS terms, or the walk goes past that.
     """
     if a == 0.0 and m > 0.0 and b >= 0.0:
         # a column's anchor Q(m, b^2/2), which needs no bound here
@@ -361,7 +364,8 @@ def marcum_q(m: float, a: float, b: float) -> float:
 
 
 def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
-    # marcum_q and a bound on its absolute error
+    # marcum_q and a bound on its absolute error: both rests, the weights'
+    # and the column's errors (`_q_column`), 2^-1074 a subnormal term
     if not m > 0.0:
         raise ValueError(f"marcum_q requires m > 0, got {m}")
     if a < 0.0 or b < 0.0:
@@ -375,29 +379,71 @@ def _marcum_q(m: float, a: float, b: float) -> Tuple[float, float]:
         return q, _upper_gamma_error(m, x, q)
     if a > b + _SURE:
         return 1.0, math.exp(-0.5 * _SURE * _SURE)
+    # Q <= (1-2t)^-m exp(a^2 t/(1-2t) - t b^2) for 0 < t < 1/2 (Chernoff),
+    # least at 1 - 2t = v, b^2 v^2 - 2m v - a^2 = 0: below 2^-1075 it
+    # makes 0 Q's rounding, with error 2^-1074
+    bb = b * b
+    v = (m + math.sqrt(m * m + a * a * bb)) / bb
+    if v < 1.0 and (-m * math.log(v) + 0.5 * (1.0 - v) * (a * a / v - bb)
+                    < -1075.0 * _LN2):
+        return 0.0, 5e-324
     h = 0.5 * a * a
-    weights = _Poisson(0.0, h)
-    # the anchor's error, ~(m+k) ln x ulps relative, reaches every entry:
-    # start where the Poisson(h) mass below k, or Q(m+k, x), is under
-    # _WINDOW_MASS (Chernoff), whichever is lower: at or below the core
+    reach = _poisson_reach(h)
+    if reach > _MAX_TERMS:
+        raise ConvergenceError(
+            f"Marcum Q at m={m}, a={a}, b={b}: the Poisson weights of "
+            f"a^2/2={h} cannot close within {_MAX_TERMS} terms of their mode")
+    k0 = int(h)
     start = int(max(0.0, min(h - math.sqrt(2.0 * h * _LN_MASS),
                              x - m - math.sqrt(2.0 * x * _LN_MASS))))
-    col = _q_column(m, b, start, int(h) + _MAX_TERMS + 1)
-    try:
-        value, err, _ = _mixture(weights, col)
-    except ConvergenceError:
-        # where Q lies far below the subnormal range, the weights' tail
-        # may pass the cap before it is under _TAIL_FLOOR (a^2/2 = 1.15e5,
-        # b^2/2 = 1.5e5).  Q <= (1-2t)^-m exp(a^2 t/(1-2t) - t b^2) for
-        # 0 < t < 1/2 (Chernoff), least at 1 - 2t = v, b^2 v^2 - 2m v - a^2
-        # = 0: below 2^-1075 it makes 0 Q's rounding, with error 2^-1074
-        bb = b * b
-        v = (m + math.sqrt(m * m + a * a * bb)) / bb
-        if v < 1.0 and (-m * math.log(v) + 0.5 * (1.0 - v) * (a * a / v - bb)
-                        < -1075.0 * _LN2):
-            return 0.0, 5e-324
-        raise
-    return value, err
+    top = k0 + int(reach) + _MAX_TERMS
+    col, col_err, err0 = _q_column(m, b, start, top)
+    n, last = len(col), col[-1]
+    w0, w_err = poisson_weight(k0, h)
+    i0 = k0 - start
+    c_prev = col[i0] if i0 < n else last
+    total = w0 * c_prev
+    w, k, above = w0, float(k0), 0.0
+    for i in range(i0 + 1, top - start + 1):
+        k += 1.0
+        r = h / k
+        w *= r
+        c_k = col[i] if i < n else last
+        t = w * c_k
+        total += t
+        # t/t_prev from its factors, exact where subnormals blur t
+        if c_prev >= _TINY:
+            rho = r * c_k / c_prev
+            if rho < 1.0:
+                above = t * rho / (1.0 - rho)
+                if above <= _SUM_TOL * total or above <= _TAIL_FLOOR:
+                    break
+        c_prev = c_k
+    else:
+        raise ConvergenceError(
+            f"Marcum Q at m={m}, a={a}, b={b}: the sum passed {_MAX_TERMS} "
+            f"terms past the reach of its Poisson weights")
+    hi, i = i, i0
+    w, k, below = w0, float(k0), 0.0
+    for i in range(i0 - 1, -1, -1):
+        w *= k / h
+        k -= 1.0
+        t = w * (col[i] if i < n else last)
+        total += t
+        rho = k / h
+        below = t * rho / (1.0 - rho)
+        if below <= _SUM_TOL * total:
+            break
+    terms = hi - i + 1
+    # a rounding a weight step, two a column step, one a product and a sum
+    rel = w_err + col_err + (2.0 * terms + 2.0 * hi) * _EPS
+    return total, total * rel + err0 + above + below + terms * 5e-324
+
+
+def _poisson_reach(h: float) -> float:
+    # the T from which the Poisson(h) mass above h + T, at most exp(-T^2 /
+    # (2(h + T))) (Chernoff), is below _WINDOW_MASS
+    return _LN_MASS + math.sqrt(_LN_MASS * (_LN_MASS + 2.0 * h))
 
 
 def _upper_gamma_error(s: float, x: float, q: float) -> float:
@@ -407,203 +453,30 @@ def _upper_gamma_error(s: float, x: float, q: float) -> float:
         s * abs(math.log(x)) + x + abs(math.lgamma(s))))
 
 
-class _Column:
-    """An increasing column c[k - start], k = start, start+1, ...: the
-    anchor c[0] plus positive increments drawn on demand from `more`, at
-    argument `x`.  An entry is off by at most `abs0` (the anchor's error),
-    `err` relative in the increments it adds, and `ulps` eps a step.
-    """
-
-    __slots__ = ("c", "start", "x", "err", "abs0", "ulps", "more")
-
-    def __init__(self, c: List[float], start: int, x: float, err: float,
-                 abs0: float, ulps: float, more: Iterator[float]) -> None:
-        self.c, self.start, self.x, self.more = c, start, x, more
-        self.err, self.abs0, self.ulps = err, abs0, ulps
-
-    def extend(self, n: int) -> None:
-        # the first n entries; c's last comes back as accumulate's start
-        c = self.c
-        if n > len(c):
-            more = itertools.islice(self.more, n - len(c))
-            c.extend(itertools.accumulate(more, initial=c.pop()))
-
-    def error(self, total: float, rounding: float, n: int) -> float:
-        # of a sum over n entries: the increments are at most total - c[0]
-        return total * rounding + abs(total - self.c[0]) * self.err + self.abs0
-
-
-def _q_column(u: float, b: float, start: int, limit: int) -> _Column:
-    """Q(u+k, x), x = b^2/2, for k = start, start+1, ..., within its bound
-    up to k = limit: the anchor Q_(u+start)(0, b) from `marcum_q`, then
-    Q(s+1, x) = Q(s, x) + e_k, e_k = x^s e^(-x) / Gamma(s+1), s = u + k.
-
-    The increments fall away from their peak at s ~ x (sought up to
-    `limit`): by s/x below it, by x/(s+1) above it at 2 ulps a step, so one
-    that underflows loses only what is below the normal range.
-    """
+def _q_column(u: float, b: float, start: int,
+              limit: int) -> Tuple[List[float], float, float]:
+    """Q(u+k, x), x = b^2/2, k = start, start+1, ... as a list, with the
+    relative error of its increments and the absolute error of its anchor
+    Q_(u+start)(0, b) (`marcum_q`): Q(s+1, x) = Q(s, x) + x^s e^(-x) /
+    Gamma(s+1), s = u + k, increments built down from their peak at s ~ x
+    (`poisson_increments`) and past it by x/(s+1), 2 ulps a step.  The list
+    ends at k = limit, or where an increment no longer moves the entry,
+    which every later entry then equals."""
     s = u + start
     # by the global name, so that wrappers of specfun.marcum_q see it
     c0 = marcum_q(s, 0.0, b)
-    x = 0.5 * b * b
-    if x == 0.0:  # the zero threshold: every entry is 1
-        return _Column([c0], start, x, 0.0, 0.0, 2.0, itertools.repeat(0.0))
-    down, err = poisson_increments(s, x, limit - start)
-    peak = len(down) - 1
-    # past the peak e_j = e_(j-1) x/(s+j), with s + j formed afresh
-    up = itertools.accumulate(
-        map(truediv, itertools.repeat(x),
-            map(add, itertools.repeat(s), itertools.count(peak + 2))),
-        mul, initial=down[-1] * (x / (s + peak + 1.0)))
-    return _Column(list(itertools.accumulate(down, initial=c0)), start, x,
-                   err, _upper_gamma_error(s, x, c0), 2.0, up)
-
-
-class _Weights:
-    """What `_mixture` reads of its weights: the core [lo, hi), built at once
-    into the list `w`, the mass `below` it and a bound from hi up (`above`),
-    the sum's divisor `mass`, the relative error `rel(hi)` and `step_ulps`
-    eps a step, and how far to grow next (`reach`, built by `extend`)."""
-
-    __slots__ = ()
-    lo, hi, below, mass = 0, 1, 0.0, 1.0
-    step_ulps = 4.0  # an ulp a step, with the product and the sum
-    params: Tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.params) + ")"
-
-    def rel(self, hi: int) -> float:
-        return self.err
-
-
-class _Poisson(_Weights):
-    """`_mixture` weights w_k = h^(s+k) e^(-h) / Gamma(s+k+1), k >= 0:
-    Poisson(h) at s = 0; at s > 0 the increments Q(s+k+1, h) - Q(s+k, h)
-    of a threshold's incomplete gammas, which add up to P(s, h).
-
-    The core [lo, hi) is built outward from the mode k0 = int(h - s), down
-    by the ratios (s+k)/h and up by h/(s+k+1), each to the first k where
-    the mass beyond, at most w_k rho/(1 - rho) as the ratios rho fall, is
-    below _WINDOW_MASS (`below`, `above`).  Poisson weights are divided by
-    the core's sum `mass`: every weight shares the rounding of the mode's
-    exponent k0 ln h - h - lnGamma(k0+1) (~1e-12 relative at h = 1000) and
-    the true mass is 1, so that error drops out and the missing mass is
-    theirs (`err`).  At s > 0 `poisson_increments` seeds the mode, with its
-    error.
-    """
-
-    __slots__ = ("h", "s", "w", "lo", "hi", "below", "mass", "err")
-    params = ("s", "h")
-
-    def __init__(self, s: float, h: float) -> None:
-        # the mass past h + T is at most exp(-T^2 / (2 (h + T))) (Chernoff):
-        # fail at once if that passes _WINDOW_MASS at T = _MAX_TERMS
-        if _MAX_TERMS * _MAX_TERMS < 2.0 * (h + _MAX_TERMS) * _LN_MASS:
-            raise ConvergenceError(f"Poisson window of h={h} cannot close "
-                                   f"within {_MAX_TERMS} terms past its mode")
-        k0 = max(0, int(h - s))
-        if s:
-            (w_mode,), err = poisson_increments(s + k0, h, 0)
-        else:
-            w_mode = (math.exp(k0 * math.log(h) - h - math.lgamma(k0 + 1.0))
-                      if k0 else math.exp(-h))
-        # sk = s + k, a float counter (exact at s = 0)
-        w, last, sk, floor, below = [w_mode], w_mode, s + k0, s + 0.5, 0.0
-        append, mass_cut = w.append, _WINDOW_MASS
-        while sk > floor:
-            rho = sk / h
-            if last * rho <= mass_cut * (1.0 - rho):
-                below = last * rho / (1.0 - rho)
-                break
-            last *= rho
-            sk -= 1.0
-            append(last)
-        w.reverse()
-        self.lo = lo = k0 + 1 - len(w)
-        last, sk = w_mode, s + k0 + 1.0
-        while True:  # closes near T = _MAX_TERMS at worst (Chernoff)
-            r = h / sk
-            if last * r <= mass_cut * (1.0 - r):
-                break
-            last *= r
-            sk += 1.0
-            append(last)
-        self.h, self.s, self.w, self.hi, self.below = h, s, w, lo + len(w), below
-        self.mass, self.err = ((1.0, err) if s else
-                               (sum(w), below + last * r / (1.0 - r)))
-
-    def extend(self, n: int) -> None:
-        # weights up to k = n - 1, by w_k = w_(k-1) h/(s+k)
-        w, h, s = self.w, self.h, self.s
-        have = self.lo + len(w)
-        if n > have:
-            w.extend(itertools.islice(itertools.accumulate(
-                [h / (s + j) for j in range(have, n)], mul, initial=w[-1]),
-                1, None))
-
-    def above(self, hi: int, col: _Column) -> float:
-        # the mass from hi > h - s up is at most w_(hi-1) r/(1 - r)
-        r = self.h / (self.s + hi)
-        return self.w[hi - 1 - self.lo] * r / (1.0 - r)
-
-    def reach(self, lo: int, hi: int, target: float, limit: int,
-              col: _Column) -> int:
-        # doubling; stopping first at _MAX_TERMS past the mode keeps the
-        # chunks, and so the bits, of every sum that ends there or before
-        mark = max(0, int(self.h - self.s)) + _MAX_TERMS + 1
-        return min(2 * hi - lo, mark if hi < mark else limit)
-
-
-def _mixture(weights, col: _Column, tol: float = _SUM_TOL,
-             hi: int = 0) -> Tuple[float, float, int]:
-    """sum_k w_k c_k for positive weights and an increasing column c <= 1,
-    a bound on its error, and the number of terms summed (Shnidman 1989).
-
-    The sum is one dot product over the weights' core (`_Weights`), or from
-    the column's start where that is higher (the column's band), to at
-    least `hi`, where a caller knows the band to reach further.  While the
-    mass above it, times what c can still reach (<= 1), exceeds `tol` of
-    the total, it grows by chunks the weights choose; only those count
-    against _MAX_TERMS.  It is divided by the weights' `mass`.
-
-    The bound adds that upper tail, the mass below the start times the
-    smallest c it holds (c rises with k), the weights' error (`rel`, and
-    `step_ulps` eps a step), the column's (`error`, and `ulps` eps a step
-    from its start), and 2^-1074 a term for subnormal products and sums.
-    """
-    start, w, base, c = col.start, weights.w, weights.lo, col.c
-    lo = start if start > base else base
-    hi = max(hi, weights.hi)  # > lo: a column past the core brings its hi
-    limit = hi + _MAX_TERMS
-    if hi > weights.hi:
-        weights.extend(hi)
-    col.extend(hi - start)
-    below = weights.below
-    if lo > base:  # the weights skipped below the sum's start
-        below += sum(w[:lo - base])
-    # (map stops at the column's slice: w needs no copy from its start)
-    total = sum(map(mul, w[lo - base:] if lo > base else w,
-                    c[lo - start:hi - start]))
-    above = weights.above(hi, col)
-    while above > tol * total and above > _TAIL_FLOOR:
-        grown = weights.reach(lo, hi, tol * total, limit, col)
-        if grown <= hi:
-            raise ConvergenceError(f"mixture of {weights!r} at x={col.x} "
-                                   f"passed {_MAX_TERMS} terms past its core")
-        weights.extend(grown)
-        col.extend(grown - start)
-        total += sum(map(mul, w[hi - base:grown - base],
-                         c[hi - start:grown - start]))
-        hi = grown
-        above = weights.above(hi, col)
-    total /= weights.mass
-    rounding = weights.rel(hi) + (
-        weights.step_ulps * (hi - lo) + col.ulps * (hi - start) + 1.0) * _EPS
-    return total, (col.error(total, rounding, hi - start)
-                   + (above + c[lo - start] * below) / weights.mass
-                   + (hi - lo) * 5e-324), hi - lo
+    x = 0.5 * b * b  # > 0: callers take the zero threshold themselves
+    e, err = poisson_increments(s, x, limit - start)
+    col = list(itertools.accumulate(e, initial=c0))
+    inc, last = e[-1], col[-1]
+    for i in range(len(e), limit - start):
+        inc *= x / (s + i)  # past the peak e_i = e_(i-1) x/(s+i)
+        entry = last + inc
+        if entry == last:
+            break
+        col.append(entry)
+        last = entry
+    return col, err, _upper_gamma_error(s, x, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +598,25 @@ def ln_poisson_term(s: float, x: float) -> Tuple[float, float]:
     return value, err
 
 
+def poisson_weight(k: int, h: float) -> Tuple[float, float]:
+    """Pois(k; h), integer k >= 0, h > 0, and its relative error: below k =
+    30 as e^(-h) h^k / k!, four factors within an ulp each, where
+    `ln_poisson_term` loses ~k ln k ulps; from 30 on by its Stirling form."""
+    if k < 30:
+        return math.exp(-h) * h ** k / math.factorial(k), 4.0 * _EPS
+    ln_w, err = ln_poisson_term(float(k), h)
+    # exp turns the log's absolute error into a relative one, plus an ulp
+    return math.exp(ln_w), err + _EPS
+
+
 def poisson_increments(s: float, x: float,
                        limit: int) -> Tuple[List[float], float]:
     """e_k = x^(s+k) e^(-x) / Gamma(s+k+1), k = 0 .. p, up to their peak
     p = int(x - s) (at most `limit`, at least 0), and a bound on the
-    relative error of every e_k.
-
-    The peak is seeded from `ln_poisson_term`, most accurate there, and the
-    rest follow by e_(k-1) = e_k (s+k)/x, two roundings a step.  Below the
-    peak the increments only fall, so one that underflows loses only what
-    lies below the normal range; past it e_(k+1) = e_k x/(s+k+1) falls too.
-    """
+    relative error of every e_k: the peak is seeded from `ln_poisson_term`,
+    most accurate there, and the rest follow down by e_(k-1) = e_k (s+k)/x,
+    two roundings a step, so one that underflows loses only what lies below
+    the normal range."""
     peak = min(max(0, int(x - s)), limit)
     ln_e, err = ln_poisson_term(s + peak, x)
     e = math.exp(ln_e) if ln_e > MINLOG else 0.0
@@ -747,15 +628,17 @@ def poisson_increments(s: float, x: float,
     return down, err + (2.0 * peak + 1.0) * _EPS
 
 
-def beta_increments(u: float) -> Tuple[Iterator[float], float]:
-    """inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l) > 0, l = 0, 1, ..., and
-    the relative error that every inc_l shares (the start's).
+def beta_increments(u: float) -> Tuple[float, float]:
+    """inc_0 = I_{1/2}(u, u+1) - I_{1/2}(u, u) > 0, the start of the
+    increments inc_l = I_{1/2}(u, u+l+1) - I_{1/2}(u, u+l), which follow by
+    inc_(l+1) = inc_l (2u+l) / (2(u+l+1)), and the relative error that
+    every inc_l shares (the start's).
 
     The start Gamma(u+1/2) / (2 sqrt(pi) Gamma(u+1)) (Legendre duplication)
     avoids lnGamma(2u) - lnGamma(u) - lnGamma(u+1), which cancels at large u.
     """
     ln_start, err = _ln_gamma_ratio(u)
-    return _increments(math.exp(ln_start) / _TWO_SQRT_PI, u), err
+    return math.exp(ln_start) / _TWO_SQRT_PI, err
 
 
 def _beta_ratio(u: float, l: float) -> float:
@@ -767,42 +650,33 @@ def _beta_ratio(u: float, l: float) -> float:
 
 # a block of beta tails leaves out at most this much of its last entry
 _FAR_TAIL = 1e-20
-_TINY = sys.float_info.min  # the smallest normal double
 
 
 class _BetaTable:
     """u's half-domain betas, drawn once from `beta_increments` and grown on
     demand; a `DetectorConfig` keeps one for all its evaluations.
+    `inc[l]` = inc_l is off by the start's relative `err` and by 3 + 5l
+    roundings (3 in the start, 5 a step).
 
-    `inc[l]` = inc_l, each off by the start's relative `err` and by 3 + 5l
-    roundings (3 in the start, 5 a step).  `column` is I_{1/2}(u, u+k) =
-    1/2 + inc_0 + ... + inc_(k-1), the fixed-SNR series' column: past
-    `err`, entry k is off by at most (3k - 1) eps.
-
-    `tails(n)` gives the tails d_l = I_{1/2}(u+l, u) = inc_l + inc_(l+1) +
-    ..., l < n, which the average CAUC series sums against the law
-    (`average`).  Each is summed from a far index inwards, never as 1 -
-    column, so every addition is positive and a tail of 1e-300 keeps its
-    digits.  They are built in blocks [a, b) that double from [0, 32), so
-    an entry does not depend on how far a request has grown the table.  A
-    block's sums start at `far`, the last index whose increment is above
-    _FAR_TAIL (1 - r) inc_(b-1), or in the normal range: r =
-    `_beta_ratio(u, b)` bounds every ratio inc_(j+1)/inc_j past b, so the
-    rest d_(far+1) is at most inc_(far+1)/(1 - r), below _FAR_TAIL of the
-    block's smallest entry.  At u = 500 they fall by only ~1 - 1/(2u) a
-    step near 0, and far lies ~330 past 32.  `rel[l]` bounds the relative
-    error of d_0 .. d_l: the increments' own, weighted by their share of
-    the tail, one rounding a step in the sum, the rest past far, and
-    2^-1074 a rounding of a subnormal increment.
+    `tails(n)` gives d_l = I_{1/2}(u+l, u) = inc_l + inc_(l+1) + ..., l <
+    n, which the fixed-SNR and the average CAUC sum against their weights,
+    each summed from a far index inwards (never as 1 - I_{1/2}(u, u+l)),
+    so a tail of 1e-300 keeps its digits.  They are built in blocks [a, b)
+    that double from [0, 32), so an entry does not depend on how far a
+    request has grown the table.  A block's sums start at `far`, the last
+    index whose increment is above _FAR_TAIL (1 - r) inc_(b-1), or in the
+    normal range: r = `_beta_ratio(u, b)` bounds every ratio past b, so the
+    rest is at most inc_(far+1)/(1 - r) (at u = 500, far lies ~330 past
+    32).  `rel[l]` bounds the relative error of d_0 .. d_l: the increments'
+    own, weighted by their share of the tail, one rounding a step in the
+    sum, the rest past far, and 2^-1074 a rounding of a subnormal increment.
     """
 
-    __slots__ = ("u", "err", "inc", "d", "rel", "column", "_more")
+    __slots__ = ("u", "err", "inc", "d", "rel", "_next")
 
     def __init__(self, u: float) -> None:
-        self._more, self.err = beta_increments(u)
+        self._next, self.err = beta_increments(u)  # inc_l, l = len(inc)
         self.u, self.inc, self.d, self.rel = u, [], [], []
-        self.column = _Column([0.5], 0, 0.5, self.err, 0.0, 3.0,
-                              _drawn(self.inc, self._more))
 
     def tails(self, n: int) -> List[float]:
         # d and rel up to l = n - 1 at least, a block at a time
@@ -811,12 +685,11 @@ class _BetaTable:
             a = len(d)
             b = 2 * a if a else 32
             # the increments fall, and r only falls with the index: far + 1
-            # is the first index from b whose increment is below this
+            # is the first index from b whose increment is below the cut
             self._draw(b + 1)
             cut = max(_FAR_TAIL * (1.0 - _beta_ratio(u, b)) * inc[b - 1],
                       _TINY)
-            while inc[-1] > cut:
-                self._draw(len(inc) + 1)
+            self._draw(b + 1, cut)
             far = bisect.bisect_left(inc, -cut, b, len(inc), key=neg) - 1
             rest = inc[far + 1] / (1.0 - _beta_ratio(u, far + 1))
             # from far down to a: d_k; sum_(j>=k) j inc_j, as inc_j is off
@@ -830,11 +703,11 @@ class _BetaTable:
             # the rest, and 2^-1074 a rounding of a subnormal increment
             floor = rest + (far + 1.0) ** 2 * 5e-324
             top = self.rel[-1] if self.rel else 0.0
-            err, rel = self.err, []
-            for d_k, m_k, s_k in itertools.islice(
-                    zip(acc, moment, sums), far + 1 - b, None):
-                rel.append(err + ((1.5 * d_k + 2.5 * m_k + 0.5 * s_k) * _EPS
-                                  + floor) / d_k if d_k > 0.0 else math.inf)
+            err = self.err
+            rel = [err + ((1.5 * d_k + 2.5 * m_k + 0.5 * s_k) * _EPS + floor)
+                   / d_k if d_k > 0.0 else math.inf
+                   for d_k, m_k, s_k in itertools.islice(
+                       zip(acc, moment, sums), far + 1 - b, None)]
             # rel[l] bounds d_0 .. d_l: the largest so far
             self.rel.extend(itertools.accumulate(reversed(rel), max,
                                                  initial=top))
@@ -842,28 +715,18 @@ class _BetaTable:
             d.extend(reversed(acc[far + 1 - b:]))
         return d
 
-    def _draw(self, n: int) -> None:
-        # inc up to l = n - 1, 32 more at least
-        inc = self.inc
-        if n > len(inc):
-            inc.extend(itertools.islice(self._more, max(32, n - len(inc))))
-
-
-def _drawn(inc: List[float], more: Iterator[float]) -> Iterator[float]:
-    # inc[0], inc[1], ..., drawing from `more` into inc past its end
-    for k in itertools.count():
-        if k == len(inc):
-            inc.append(next(more))
-        yield inc[k]
-
-
-def _increments(inc: float, u: float) -> Iterator[float]:
-    two_u = 2.0 * u
-    l = 0.0  # a float counter: mixed int/float arithmetic is slower
-    while True:
-        yield inc
-        inc *= (two_u + l) / (2.0 * (u + l + 1.0))
-        l += 1.0
+    def _draw(self, n: int, cut: float = math.inf) -> None:
+        # inc up to l = n - 1 at least, and on while the last is above cut
+        inc, u = self.inc, self.u
+        two_u, nxt, l, n = 2.0 * u, self._next, float(len(inc)), float(n)
+        last = inc[-1] if inc else math.inf
+        append = inc.append
+        while l < n or last > cut:
+            append(nxt)
+            last = nxt
+            nxt *= (two_u + l) / (2.0 * (u + l + 1.0))
+            l += 1.0
+        self._next = nxt
 
 
 # ---------------------------------------------------------------------------

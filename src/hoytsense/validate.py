@@ -374,6 +374,39 @@ def average_suite() -> List[Line]:
                                 / (1.5 * math.sqrt(u + 1.0)))
     lines.append(("high_snr_cauc_law", worst <= 1.0,
                   f"max |CAUC/law - 1| = {worst:.2f} of its bound"))
+
+    # the area under the averaged ROC, CAUC = int (1 - Pd) f0 dlam, f0 the
+    # chi-square density with 2u degrees of freedom: the closed Pd on one
+    # law, integrated to 1e-12, against the closed CAUC; they share only
+    # the law.  The bound adds the largest Pd est_error (f0 integrates to
+    # 1), the last change between levels and the CAUC's est_error
+    worst, argmax = 0.0, None
+    for u, q, db in ((2.5, 0.5, 10.0), (5.0, 0.3, 60.0), (5.0, 1e-3, 60.0),
+                     (7.3, 1e-3, 20.0), (20.0, 1.0, 0.0), (60.5, 0.5, 30.0)):
+        cfg = detector.DetectorConfig(u)
+        f = hoyt.HoytFading(q, hoyt.db_to_linear(db))
+        law = average._Law(q, f.mean_snr)
+        ln_norm = u * math.log(2.0) + math.lgamma(u)
+        pd_err = 0.0
+
+        def miss(lam: float) -> float:
+            nonlocal pd_err
+            ln_f0 = (u - 1.0) * math.log(lam) - 0.5 * lam - ln_norm
+            if ln_f0 < -745.0:
+                return 0.0
+            mv = average._closed_pd(law, cfg, lam, EvalPolicy().rel_tol)
+            pd_err = max(pd_err, mv.est_error)
+            return (1.0 - mv.value) * math.exp(ln_f0)
+
+        area, delta, _ = integrate_half_line(
+            miss, EvalPolicy(rel_tol=1e-12), scale=2.0 * u)
+        cauc = average.avg_cauc_closed(cfg, f, pol)
+        dev = abs(area - cauc.value) / (pd_err + delta + cauc.est_error)
+        if dev >= worst:
+            worst, argmax = dev, (u, q, db)
+    lines.append(("roc_area_is_the_closed_cauc", worst <= 1.0,
+                  f"max |area - CAUC| = {worst:.2f} of its bound at "
+                  f"(u,q,dB)={argmax}"))
     return lines
 
 
@@ -499,8 +532,8 @@ def _printed_series_auc(u: float, q: float, mean_snr: float,
     c = 0.5
     total = 0.0
     m: List[float] = []
-    for l, inc in zip(range(specfun._MAX_TERMS),
-                      specfun.beta_increments(u)[0]):
+    inc = specfun.beta_increments(u)[0]
+    for l in range(specfun._MAX_TERMS):
         if l == len(m):  # the Legendre terms, in chunks that double
             average._legendre_fill(m, x, s, 2 * l)
         term = c * m[l]
@@ -509,6 +542,7 @@ def _printed_series_auc(u: float, q: float, mean_snr: float,
                 and term * rho / (1.0 - rho) <= policy.rel_tol * total):
             return pref * total
         c += inc
+        inc *= (2.0 * u + l) / (2.0 * (u + l + 1.0))
     raise ConvergenceError(
         f"printed average-AUC series did not meet rel_tol={policy.rel_tol} "
         f"within {specfun._MAX_TERMS} terms (term ratio approaches {rho:.6f})"

@@ -337,11 +337,12 @@ def test_avg_pd_quadrature_behaviour():
     assert avg_pd_quadrature(cfg, f, lam, TIGHT).value < pd_fixed(
         cfg, 10.0, lam)
     # 60 dB, lambda=3e5 (b^2/2 = 1.5e5): nodes whose Marcum Q is below
-    # 2^-1075 take its Chernoff bound, but at sixteen nodes, h = 1.296e5
-    # to 1.313e5, Q is 1e-324 to 7e-273, and specfun._mixture's growth past
-    # its Poisson core passes _MAX_TERMS before its tail is below 1e-16 of Q
-    with pytest.raises(ConvergenceError):
-        avg_pd_quadrature(cfg, _f(0.5, 1e6), 3e5)
+    # 2^-1075 take its Chernoff bound, and at sixteen nodes, h = 1.296e5
+    # to 1.313e5, Q is 1e-324 to 7e-273, its terms peaking ~9,000 above
+    # the Poisson mode, where Marcum Q's walk follows them; the request
+    # lies within its est_error of nb_reference.avg_pd, 0.8325966457963812
+    mv = avg_pd_quadrature(cfg, _f(0.5, 1e6), 3e5)
+    assert abs(mv.value - 0.8325966457963812) <= mv.est_error < 1e-10
 
 
 @pytest.mark.parametrize("route", [
@@ -426,6 +427,37 @@ def test_closed_pd_where_the_detection_sum_passes_its_cap():
                 for lam, want, mv in zip(lams, wants, curve):
                     assert abs(mv.value - want) <= mv.est_error + 1e-15, (
                         u, db, lam, policy.rel_tol)
+
+
+def test_closed_pd_at_subnormal_thresholds():
+    # the detection sum's column is taken at b^2/2, b = sqrt(threshold),
+    # whose rounding against threshold/2 it bounds relative to x; at a
+    # subnormal x that bound read inf * 0 = nan, and the row raised
+    import nb_reference as ref  # skips this test when scipy is missing
+    cfg, f = DetectorConfig(0.05), _f(0.5, 1e-3)
+    for lam in (1e-323, 2e-323, 1e-320, 1e-310):
+        mv = avg_pd_closed(cfg, f, lam)
+        assert abs(mv.value - ref.avg_pd(0.05, 0.5, 1e-3, lam)) <= (
+            mv.est_error < 1e-11), lam
+
+
+def test_closed_pd_failures_name_their_loop():
+    # the threshold's gamma increments say before any sum that they cannot
+    # close within the term cap (x = 1e7); the miss, asked for a 1e-300
+    # relative tail at x = 1e5, passes the cap past their peak.  The
+    # detection sum needs no cap: its length is bounded before it starts,
+    # and past the cap the route takes 1 - miss instead (above)
+    f = _f(1.0, 1e6)
+    with pytest.raises(ConvergenceError, match=(
+            r"^closed Pd at u=5\.0, threshold=20000000\.0: the gamma "
+            r"increments of x=10000000\.0 cannot close within 10000 terms "
+            r"of their peak$")):
+        avg_pd_closed(DetectorConfig(5.0), f, 2e7)
+    with pytest.raises(ConvergenceError, match=(
+            r"^closed Pd's miss sum at u=5\.0, threshold=200000\.0, q=1\.0, "
+            r"mean_snr=1000000\.0 passed 10000 terms past the gamma "
+            r"increments' peak$")):
+        avg_pd_closed(DetectorConfig(5.0), f, 2e5, EvalPolicy(rel_tol=1e-300))
 
 
 def test_closed_pd_agrees_with_the_quadrature():

@@ -418,18 +418,19 @@ def test_quadrature_failures_become_failed_rows(capsys, monkeypatch):
     assert run_cli(capsys, "validate", "--suite", "average")[0] == 3
 
 
-def test_quadrature_pd_past_the_window_cap_is_a_failed_row(capsys):
+def test_quadrature_pd_whose_marcum_terms_peak_far_above_the_mode(capsys):
+    # at nodes with h = a^2/2 near 1.3e5 Marcum Q is 1e-324 to 7e-273, too
+    # large for its Chernoff bound to stand in for it; its terms peak
+    # ~9,000 above the Poisson mode, and the walk up follows them there
+    import nb_reference as ref  # skips this test when scipy is missing
     code, out, err = run_cli(capsys, "sweep", "--metric", "pd", "--method",
                              "quadrature", "--u", "5", "--q", "0.5",
                              "--snr-db", "60", "--lambda", "3e5")
-    assert code == 3
-    rows = parse_rows(out)
-    assert len(rows) == 1 and rows[0][5:] == ["nan", "inf"]
-    # at nodes with h = a^2/2 near 1.3e5 Marcum Q is 1e-324 to 7e-273, too
-    # large for its Chernoff bound to stand in for it, and specfun._mixture's
-    # growth past its Poisson core passes _MAX_TERMS before its tail is
-    # below 1e-16 of Q
-    assert "failed" in err
+    assert code == 0 and err == ""
+    ((*_, method, value, est),) = parse_rows(out)
+    want = ref.avg_pd(5.0, 0.5, 1e6, 3e5)
+    assert method == "quadrature"
+    assert abs(float(value) - want) <= float(est) < 1e-10
 
 
 def test_closed_pd_with_lambda_far_past_the_term_cap_is_a_value(capsys):
@@ -750,26 +751,28 @@ def test_invalid_subcommand_exits_2(capsys):
 # each sha256 is of stdout as recorded before point and sweep shared a
 # row evaluator, but the two unfaded pd rows: those were re-recorded when
 # they took the Marcum Q's own error bound for est_error (in place of a
-# fixed 1e-15, which their old values missed the truth by 7x)
+# fixed 1e-15, which their old values missed the truth by 7x), and again,
+# with the four u=2.5 auc and cauc rows, when the real-u CAUC and Marcum Q
+# became loops of their own (each value within est_error of mpmath)
 POINT_FORMS = [
     ("point --metric auc --u 2.5 --snr-db 10",
-     "5c24103f2986e1319a18bf9a36f737373712cc29f3875d5edc23bcbd9e079a60"),
+     "72a28d482f9d790e4d746e7fb36454463c8470da122338ee1712d117350dd9da"),
     ("point --metric cauc --u 2.5 --snr-db 10",
-     "969e8df970877fc1069dccffd688e45c5ce29e4ece94db9e0182180088df87cf"),
+     "5d2765c15a883cadec9cd64705d2a4069e9676d4c67fedaec061e7444463b255"),
     ("point --metric pd --u 2.5 --snr-db 10 --lambda 12",
-     "3f75490e78f85088da20a417020535af489f7f8310efdcd676d5cc3eaed02a51"),
+     "4b90d9405ce6cb712cb9acfe690caf73b87442f3cca1ba5626edfbe6f97ff454"),
     ("point --metric auc --u 5 --snr-db 10",
      "a466176fce137aa8357b9a326046e00c8c752d3d614402a9b9102b54af0696a2"),
     ("point --metric cauc --u 5 --snr-db 10",
      "dfd79afb4bbf712b27672e2a35172c1a86e92be95d3c859bf5c69ce5d92e7a7e"),
     ("point --metric pd --u 5 --snr-db 10 --lambda 12",
-     "6ebe7b4e6cfe7a89b709c1940c940c053494e018a14442210cc783ede324bd0c"),
+     "53368d3cd62e4d9f38b23478b218a229372052edc717b068ae7f0e065a11d3df"),
     ("point --metric auc --u 2.5 --snr-db -inf",
-     "cb0ea4cc116d2adecff38a06a228d6a0cfd2a18a8c8eb12d14883f72cd4b3765"),
+     "abb7dc5df27e0e5b080cee3dc6a14490f9239bfc63d28684f80deca5cc9bd379"),
     ("point --metric auc --u 2.5 --q 0.4 --snr-db -inf",
      "3ecb01bc14a26b8bc466f8f508a66c5403d7724139314b713e3766f0ab2ff50a"),
     ("point --metric cauc --u 2.5 --snr-db -inf",
-     "02db5389e4aaee8a6fbde852d097ae306de7224d1716f83f6eecde7b706d8574"),
+     "c2c07815c9f070b0b2dcb6a0f0fd960a9f2f1a65b9cd089e106b40e90279b439"),
     ("point --metric cauc --u 2.5 --q 0.4 --snr-db -inf",
      "e06a2927fe48485e0ab800de6fc86e32e1fbcc01a0fab9aa1b10e663bf72c6f5"),
     ("point --metric pd --u 2.5 --snr-db -inf --lambda 12",

@@ -369,18 +369,48 @@ def test_series_error_counts_the_lgamma_start():
     assert misses == []
 
 
-def test_series_is_the_beta_mixture(monkeypatch):
-    # the series is specfun's Poisson mixture on a half-domain beta column
+def test_series_reads_the_configs_beta_tails(monkeypatch):
+    # the series sums Poisson weights against the beta tails that cfg's
+    # one specfun._BetaTable keeps: the AUC and the CAUC read that table
     seen = []
-    mixture = specfun._mixture
+    tails = specfun._BetaTable.tails
 
-    def spy(weights, col):
-        seen.append((weights.h, col.c[0]))
-        return mixture(weights, col)
+    def spy(table, n):
+        seen.append(table)
+        return tails(table, n)
 
-    monkeypatch.setattr(specfun, "_mixture", spy)
-    mv = auc_awgn_series(DetectorConfig(2.5), 10.0)
-    assert seen == [(10.0, 0.5)] and mv.terms_used > 0
+    monkeypatch.setattr(specfun._BetaTable, "tails", spy)
+    cfg = DetectorConfig(2.5)
+    auc = auc_awgn_series(cfg, 10.0)
+    cauc = cauc_awgn(cfg, 10.0)
+    assert seen and set(map(id, seen)) == {id(cfg._table(specfun._BetaTable))}
+    assert auc.terms_used == cauc.terms_used > 0
+    assert auc.value + cauc.value == 1.0
+
+
+def test_real_u_cauc_within_its_error_at_hard_zeros():
+    # the complement of an absolutely bounded AUC read 0 at the first five
+    # points (truths 1.4e-41 to 7.7e-233) and lost 3.4e-7 and 1.1e-9
+    # relative at the last two; the CAUC's own series keeps them relative
+    import mp_reference  # skips this test when mpmath is missing
+    mp = mp_reference.mp
+    for u, snr in ((50.5, 300.0), (200.5, 760.0), (499.5, 2000.0),
+                   (10.5, 1000.0), (1.5, 100.0), (0.05, 30.0), (7.3, 40.0)):
+        mv = cauc_awgn(DetectorConfig(u), snr)
+        with mp.workdps(40):
+            want = mp_reference.cauc(u, snr)
+            assert abs(mv.value - want) <= mv.est_error, (u, snr)
+        assert 0.0 < mv.est_error < 1e-11 * mv.value, (u, snr)
+
+
+def test_real_u_cauc_series_failure_names_the_loop(monkeypatch):
+    # past specfun._MAX_TERMS terms up from the peak it raises, naming u,
+    # the SNR and the loop
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError, match=(
+            r"^fixed-SNR CAUC series at u=2\.5, snr=30\.0 passed 5 terms "
+            r"past its peak at k=\d+$")):
+        cauc_awgn(DetectorConfig(2.5), 30.0)
 
 
 def test_cauc_is_exact_complement():

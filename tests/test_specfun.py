@@ -271,7 +271,10 @@ def test_pochhammer_and_binomial():
 def test_series_cap_raises_convergence_error():
     # a^2/2 = 5e9: the Poisson window would need ~7e5 terms each side of
     # its mode, past the fixed term cap, and says so before walking them
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=(
+            r"^Marcum Q at m=1\.0, a=100000\.0, b=100000\.0: the Poisson "
+            r"weights of a\^2/2=5000000000\.0 cannot close within 10000 "
+            r"terms of their mode$")):
         marcum_q(1.0, 1e5, 1e5)
     best = math.inf
     for _ in range(5):
@@ -322,10 +325,15 @@ def test_specfun_has_no_unit_interval_clamp():
 
 
 def test_one_poisson_mixture_entry_point():
-    # every closed positive sum is a specfun._mixture(weights, col) call:
-    # average's quadrature Pd calls Marcum Q, and its series, miss and
-    # detection sums keep no loops of their own
-    assert not hasattr(specfun, "_Window")
+    # each Poisson mixture is one plain loop of its own (Marcum Q here, the
+    # fixed-SNR CAUC in detector, the closed Pd's two sums in average):
+    # the generic weights/column protocol and its helpers are gone, and
+    # average's law is no specfun column
+    for name in ("_Window", "_mixture", "_Weights", "_Poisson", "_Column",
+                 "_drawn", "_increments"):
+        assert not hasattr(specfun, name), name
+    assert not hasattr(specfun._BetaTable, "column")
+    assert average._Law.__bases__ == (object,)
     for name in ("_MAX_H", "_Window", "_SURE", "_mixture", "_series_value",
                  "_closed_miss", "_closed_hit"):
         assert not hasattr(average, name), name
@@ -370,11 +378,36 @@ def test_marcum_tiny_q_far_above_the_mode():
     assert abs(value - want) <= err < 1e-10 * want
 
 
+def test_marcum_walk_past_its_cap_names_the_loop():
+    # a^2/2 = 1e6, b^2/2 = 1.03e6: Q ~ e^-226 (scipy's ncx2), whose terms
+    # peak ~15,000 above the Poisson mode and are needed to ~22,000, more
+    # than _MAX_TERMS past the weights' reach: the walk up says so
+    a, b = math.sqrt(2e6), math.sqrt(2.06e6)
+    with pytest.raises(ConvergenceError, match=(
+            r"^Marcum Q at m=5\.0, a=1414\.2\d+, b=1435\.2\d+: the sum passed "
+            r"10000 terms past the reach of its Poisson weights$")):
+        marcum_q(5.0, a, b)
+
+
+@pytest.mark.parametrize("h", [1.296e5, 1.3e5, 1.305e5, 1.313e5])
+def test_marcum_whose_terms_peak_far_above_the_mode(h):
+    # b^2/2 = 1.5e5: Q is 3.3e-326, 3.6e-313, 2.8e-297 and 8.8e-273, where
+    # its Chernoff bound is above 2^-1075.  The column lifts the terms'
+    # peak ~9,000 above the Poisson mode, and the walk follows them up
+    # there and stops on their own falling ratio
+    import mp_reference
+    a, b = math.sqrt(2.0 * h), math.sqrt(3e5)
+    value, err = _marcum_q(5.0, a, b)
+    want = mp_reference.marcum_q(5.0, a, b)
+    assert abs(value - want) <= err
+    if want > sys.float_info.min:
+        assert err < 1e-10 * want
+
+
 @pytest.mark.parametrize("h", [1.15e5, 1.29e5])
 def test_marcum_far_below_the_subnormal_range_is_zero(h):
-    # b^2/2 = 1.5e5: Q is 6.6e-1011 and 2.7e-346, and the weights' tail
-    # passes the term cap before it is under _TAIL_FLOOR.  The Chernoff
-    # bound on Q is below 2^-1075 there, so 0 is Q's rounding
+    # b^2/2 = 1.5e5: Q is 6.6e-1011 and 2.7e-346.  The Chernoff bound on Q
+    # is below 2^-1075 there, so 0 is Q's rounding, with no sum
     import mp_reference
     a, b = math.sqrt(2.0 * h), math.sqrt(3e5)
     half_subnormal = mp_reference.mp.mpf(2) ** -1075

@@ -56,6 +56,8 @@ def test_average_suite_full_grid():
     assert "avg_auc_increasing_in_q_mid_snr" in names
     # and the high-SNR law of the CAUC, over 50-60 dB
     assert "high_snr_cauc_law" in names
+    # and the area under the closed averaged ROC, against the closed CAUC
+    assert "roc_area_is_the_closed_cauc" in names
 
 
 def test_mc_suite_small():
