@@ -35,7 +35,7 @@ increments and tails (`specfun._BetaTable`), the finite sum's tail
 weights, and a threshold's gamma increments and column.  So a row pays
 only for what its q and SNR set: the Legendre terms and the sums over
 them.  The quadrature keeps its node AUCs there too, which fadings at one
-mean SNR share.
+mean SNR share, and the SNR past which a node's AUC is 1.
 """
 
 from __future__ import annotations
@@ -88,13 +88,22 @@ def _legendre_fill(m: List[float], x: float, s: float, n: int) -> List[float]:
 def _finite_sum_weights(cfg: DetectorConfig) -> List[float]:
     # 2^(i+1) P(Bin(2u-1, 1/2) >= u + i), the finite sum's weights, from the
     # tails the Poisson node kernels read (`_binomial_tails`), so that one
-    # request builds those once; kept beside them on cfg
+    # request builds those once; kept beside them on cfg.  Past u ~ 5,900
+    # a weight leaves double range, and the error names u and the loop
     tables = cfg._tables
     weights = tables.get(_finite_sum_weights)
     if weights is None:
-        weights = tables[_finite_sum_weights] = [
-            math.ldexp(tail, i + 1)
-            for i, tail in enumerate(cfg._table(_binomial_tails))]
+        tails = cfg._table(_binomial_tails)
+        weights = []
+        try:
+            for i, tail in enumerate(tails):
+                weights.append(math.ldexp(tail, i + 1))
+        except OverflowError:
+            raise OverflowError(
+                f"finite-sum weights: 2^(i+1) P(Bin(2u-1, 1/2) >= u+i) left "
+                f"double range at u={len(tails)}, i={i}; the series form "
+                f"(--method series) covers this point") from None
+        tables[_finite_sum_weights] = weights
     return weights
 
 
@@ -262,11 +271,40 @@ def _series_cauc(table: specfun._BetaTable, q: float, mean_snr: float,
 # a stalled integral (ten levels are 32,736 nodes) stops adding at ~0.75 MB
 _MEMO_NODES = 1 << 13
 
+# the relative width to which `_exit_cut` brackets the Chernoff crossing,
+# and the margin it adds past it: far more than the bound's rounding, a
+# few ulps of its logarithm, can move the crossing
+_CUT_WIDTH = 1e-6
+
 
 def _node_aucs(u: float, rel_tol: float) -> Dict[float, complex]:
     # node -> complex(AUC, est_error): one complex holds the pair in 32
     # bytes, where a tuple of two floats takes 104
     return {}
+
+
+def _exit_cut(u: float, rel_tol: float) -> float:
+    # an SNR past which the Chernoff bound on the fixed-SNR CAUC
+    # (`detector._cauc_chernoff`) is at most rel_tol/2, within _CUT_WIDTH
+    # relative above the smallest such SNR: the bound falls with the SNR,
+    # so doubling and then bisection find the crossing, and the margin on
+    # top keeps every node past the cut passing the bound's own test.  The
+    # bound is 1 at snr 0 and above e^(-snr/2), so the crossing lies past
+    # 2 ln(2/rel_tol)
+    bound, half = detector._cauc_chernoff, 0.5 * rel_tol
+    if half >= 1.0:
+        return 0.0
+    lo = 2.0 * (math.log(2.0) - math.log(rel_tol))
+    hi = 2.0 * lo
+    while bound(u, hi) > half:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > _CUT_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        if bound(u, mid) > half:
+            lo = mid
+        else:
+            hi = mid
+    return hi * (1.0 + _CUT_WIDTH)
 
 
 def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
@@ -277,34 +315,53 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     detector's AUC at each node (the integer-u Poisson sum over cfg's
     binomial tails, or the real-u series over its beta tails, by the
     detector's float kernels `_auc_poisson`, `_auc_series`) times the
-    Bessel-form density, on the half line scaled by the mean SNR.  The
-    nodes depend on the mean SNR and the level alone, never on q, so cfg
-    keeps each node's AUC and est_error for the next fading at that mean
-    SNR and rel_tol (`_node_aucs`, the first _MEMO_NODES nodes): a q family
-    computes each node's AUC once, and a row is bit for bit the one a
-    fresh configuration gives.  est_error adds the largest node est_error
-    to the last change between levels: with positive weights and a density
-    that integrates to 1, the nodes' own errors move the result no more.
+    Bessel-form density, on the half line scaled by the mean SNR.
+
+    A node needs its AUC only to the integral's tolerance.  Past the cut
+    g_c where the Chernoff bound on the CAUC falls to rel_tol/2
+    (`_exit_cut`, one per u and rel_tol, kept on cfg) a node's AUC is 1,
+    at any u: it costs its density alone.  Below it the real-u series
+    sums the CAUC to _SUM_TOL of itself plus rel_tol/4 absolute, and the
+    integer-u Poisson sum takes its u terms.  The nodes depend on the
+    mean SNR and the level alone, never on q, so cfg keeps each node's AUC
+    and est_error below the cut for the next fading at that mean SNR and
+    rel_tol (`_node_aucs`, the first _MEMO_NODES nodes): a q family
+    computes each such node's AUC once, and a row is bit for bit the one
+    a fresh configuration gives.
+
+    est_error adds to the last change between levels the largest node
+    error: that of the nodes below the cut, or the Chernoff bound at the
+    smallest node past it, taken once after the integral, whichever is
+    larger (the bound falls with g, so it covers every node past the
+    cut).  With positive weights and a density that integrates to 1, the
+    nodes' own errors move the result no more.
     """
     rel_tol = policy.rel_tol
+    atol = 0.25 * rel_tol
     if cfg.is_integer:
         tails, betas = cfg._table(_binomial_tails), None
     else:
         tails, betas = None, cfg._table(specfun._BetaTable)
     nodes = cfg._table(_node_aucs, rel_tol)
+    cut = cfg._table(_exit_cut, rel_tol)
     node_err = 0.0
+    g_exit = math.inf  # the smallest node past the cut
 
     def integrand(g: float) -> float:
-        nonlocal node_err
+        nonlocal node_err, g_exit
         density = snr_pdf(f, g)
         if density == 0.0:
             return 0.0
+        if g >= cut:
+            if g < g_exit:
+                g_exit = g
+            return density
         auc = nodes.get(g)
         if auc is None:
             if betas is None:
                 value, err = detector._auc_poisson(tails, g)
             else:
-                value, err, _ = detector._auc_series(betas, g, rel_tol)
+                value, err, _ = detector._auc_series(betas, g, rel_tol, atol)
             auc = complex(value, err)
             if len(nodes) < _MEMO_NODES:
                 nodes[g] = auc
@@ -313,6 +370,9 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         return auc.real * density
 
     value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
+    if g_exit < math.inf:
+        node_err = max(node_err,
+                       detector._cauc_chernoff(cfg.time_bandwidth, g_exit))
     return MetricValue(value, "quadrature", evals, err + node_err)
 
 

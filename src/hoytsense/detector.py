@@ -284,18 +284,19 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     return MetricValue(value, "closed_series", terms, err)
 
 
-def _auc_series(table: specfun._BetaTable, snr: float,
-                rel_tol: float) -> Tuple[float, float, int]:
-    # auc_awgn_series past its argument check: (AUC, error bound, terms)
+def _auc_series(table: specfun._BetaTable, snr: float, rel_tol: float,
+                atol: float = 0.0) -> Tuple[float, float, int]:
+    # auc_awgn_series past its argument check: (AUC, error bound, terms),
+    # the CAUC summed to atol beyond its own _SUM_TOL (`_cauc_series`)
     bound = _cauc_chernoff(table.u, snr)
     if bound <= 0.5 * rel_tol:
         return 1.0, bound, 0
-    c, err, terms = _cauc_series(table, snr)
+    c, err, terms = _cauc_series(table, snr, atol)
     return 1.0 - c, err + min(c, _ULP), terms
 
 
-def _cauc_series(table: specfun._BetaTable,
-                 snr: float) -> Tuple[float, float, int]:
+def _cauc_series(table: specfun._BetaTable, snr: float,
+                 atol: float = 0.0) -> Tuple[float, float, int]:
     # sum_k Pois(k; snr) d_k over the tails d_k = I_{1/2}(u+k, u) (cauc_awgn
     # at real u): (CAUC, error bound, terms).  It starts at the terms' peak,
     # the first k with snr d_(k+1) <= (k+1) d_k, by bisection up to k + 1 =
@@ -303,7 +304,10 @@ def _cauc_series(table: specfun._BetaTable,
     # `specfun._beta_ratio(u, k)`).  Up, every later term ratio is at most
     # rho = snr r_k/(k+1); down, d <= 1/2 and the Poisson mass below k is
     # at most Pois(k) s/(1 - s), s = k/snr < 1: each stops once that rest
-    # is below _SUM_TOL of the sum
+    # is at most _SUM_TOL of the sum plus atol, and both rests count in
+    # the error bound.  The public routes take atol = 0, the CAUC to its
+    # own relative precision; a quadrature node, which needs it only to
+    # its integral's tolerance, passes a share of that
     u, tol = table.u, specfun._SUM_TOL
     if snr == 0.0:
         return 0.5, 0.0, 1  # I_{1/2}(u, u) = 1/2
@@ -318,7 +322,7 @@ def _cauc_series(table: specfun._BetaTable,
     v = u if u > 1.0 else 1.0  # r_k is 1/2 for u <= 1, as it is at u = 1
     while True:
         rho = snr * ((2.0 * v + k) / (2.0 * (v + k + 1.0))) / (k + 1.0)
-        if t * rho <= tol * total * (1.0 - rho):
+        if t * rho <= (tol * total + atol) * (1.0 - rho):
             break
         if j - lo == specfun._MAX_TERMS:
             raise ConvergenceError(
@@ -336,7 +340,7 @@ def _cauc_series(table: specfun._BetaTable,
     while lo:
         s = k / snr
         below = 0.5 * w * s / (1.0 - s)
-        if below <= tol * total:
+        if below <= tol * total + atol:
             break
         w *= s
         k -= 1.0

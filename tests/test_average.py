@@ -184,6 +184,22 @@ def test_quadrature_reference_agrees():
         assert abs(closed - quad) < 1e-9
 
 
+def test_quadrature_within_est_error_of_reference_to_1e_12():
+    # a node whose AUC is cut short (the Chernoff exit, the series summed
+    # to rel_tol/4) moves the row by at most its est_error: held to 1e-12
+    # past it, far below the benchmark's 1e-9 floor
+    import nb_reference as ref  # skips this test when scipy is missing
+    for u in (0.7, 2.5, 7.3, 60.5, 1.0, 5.0, 20.0):
+        cfg = DetectorConfig(u)
+        for q in (0.07, 0.3, 1.0):
+            for db in (-5.0, 6.0, 18.0, 30.0):
+                mean = 10.0 ** (db / 10.0)
+                mv = avg_auc_quadrature(cfg, _f(q, mean))
+                want = ref.avg_cauc(u, q, mean)
+                assert abs((1.0 - mv.value) - want) <= mv.est_error + 1e-12, (
+                    u, q, db)
+
+
 def test_real_u_quadrature_shares_one_beta_column(monkeypatch):
     # every node's fixed-SNR series dots its window with one column per call
     calls = []

@@ -646,6 +646,21 @@ def test_method_series_answers_where_the_finite_sum_overflows(capsys):
     assert abs(float(row[5]) - want) <= float(row[6]) + 1e-15
 
 
+def test_finite_sum_weight_overflow_names_u_and_the_loop(capsys):
+    # past u ~ 5,900 a finite-sum weight 2^(i+1) P(Bin(2u-1, 1/2) >= u+i)
+    # leaves double range: the failed row names u, the loop and the way out
+    argv = ("point", "--metric", "cauc", "--u", "20000", "--q", "0.5",
+            "--snr-db", "10")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    (row,) = parse_rows(out)
+    assert row[5:] == ["nan", "inf"]
+    assert "math range error" not in err
+    assert ("failed: finite-sum weights: 2^(i+1) P(Bin(2u-1, 1/2) >= u+i) "
+            "left double range at u=20000, i=1119; the series form "
+            "(--method series) covers this point") in err
+
+
 @pytest.mark.parametrize("excess, code", [(0.5, 0), (10.0, 3)])
 def test_value_clamped_only_within_est_error(capsys, monkeypatch, excess,
                                              code):

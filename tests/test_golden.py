@@ -36,14 +36,14 @@ GOLDEN = [
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
     ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
-     "97ba8ed2246ad972d858099d451ce9e8f18685fe9005e78c901f15f51e327d0a"),
+     "c2c5e99311098ab74b3939d133daf7ba1109c7731966d6d9299ea7c1373e32f9"),
     # quadrature q families, whose fadings at one mean SNR share node AUCs
     ("sweep --metric auc --method quadrature --u 2.5 --q 0.1,0.5,1.0 "
      "--snr-db 0:30:10",
-     "fd4581d4b322436a9d395f1231a73df30d04812e29c6e6763258eb66ab3bdee4"),
+     "c27446388e475243cddcc427f886075c63e4a452ed45a2e94bed254d68fedd4d"),
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
-     "7c0cfc36399924cea388d6600aad77886081c1a92b290e6fa098eca48c55bd64"),
+     "80bb29837afec78250717a79716673aed65d0cd724411f0bc043e77663b84db8"),
     # integer u beyond 5: the finite sum at u = 1, 20 and 100 (below the
     # overflow) and the Poisson node kernel at u = 20
     ("sweep --metric cauc --u 1 --q 0.15,0.85 --snr-db -10:40:5",
@@ -53,7 +53,7 @@ GOLDEN = [
     ("sweep --metric cauc --u 100 --q 0.3,0.75 --snr-db -10:10:5",
      "dfc0ae0d796cad4fc1188b63d183f735949e53f2ec3dc889c320e129c35548f8"),
     ("sweep --metric auc --method quadrature --u 20 --q 0.8 --snr-db 6",
-     "2157302cfa3325adf8b8794330379c7dde80ff303fd61a8e1dc34bea7bfdb454"),
+     "3de41f290350d6ee2434a414af56792c03b513c171d45f9484782a3970bf3655"),
 ]
 
 

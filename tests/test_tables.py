@@ -130,16 +130,8 @@ def test_quadrature_rows_on_a_shared_column_equal_fresh_ones():
                 DetectorConfig(u), f, policy)), (u, q, db, policy)
 
 
-# "laguerre" names the integer-u route, the paper's Laguerre form, which
-# the detector sums as a Poisson mixture of binomial tails
-@pytest.mark.parametrize("u, module, name",
-                         [("2.5", detector, "_auc_series"),
-                          ("5", detector, "_auc_poisson")],
-                         ids=["series", "laguerre"])
-def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
-                                                       module, name):
-    # three fadings at one mean SNR share their nodes: each node with a
-    # nonzero density has its AUC computed once in the request
+def _dense_nodes(monkeypatch):
+    # the nodes with a nonzero density the quadrature visits, in order
     dense = []
     real_pdf = average.snr_pdf
 
@@ -149,6 +141,22 @@ def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
             dense.append(g)
         return density
 
+    monkeypatch.setattr(average, "snr_pdf", pdf)
+    return dense
+
+
+# "laguerre" names the integer-u route, the paper's Laguerre form, which
+# the detector sums as a Poisson mixture of binomial tails
+@pytest.mark.parametrize("u, module, name",
+                         [("2.5", detector, "_auc_series"),
+                          ("5", detector, "_auc_poisson")],
+                         ids=["series", "laguerre"])
+def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
+                                                       module, name):
+    # three fadings at one mean SNR share their nodes: each node with a
+    # nonzero density below the exit cut has its AUC computed once in the
+    # request, and none at or past the cut is computed
+    dense = _dense_nodes(monkeypatch)
     computed = []
     real_auc = getattr(module, name)
 
@@ -156,18 +164,85 @@ def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
         computed.append(g)
         return real_auc(cfg_or_u, g, *rest)
 
-    monkeypatch.setattr(average, "snr_pdf", pdf)
     monkeypatch.setattr(module, name, auc)
     argv = ("sweep", "--metric", "auc", "--method", "quadrature", "--u", u,
             "--q", "0.1,0.5,1", "--snr-db", "10")
     code, out = _main(*argv)
     assert code == 0 and out.count("quadrature") == 3
-    assert len(dense) > len(computed) == len(set(computed))
-    assert set(computed) == set(dense)
+    cut = average._exit_cut(float(u), EvalPolicy().rel_tol)
+    below = {g for g in dense if g < cut}
+    assert len(dense) > len(below) > 0
+    assert len(computed) == len(set(computed))
+    assert set(computed) == below
     # a second request starts empty: nothing outlives cli.main
     first = len(computed)
     assert _main(*argv) == (code, out)
     assert computed[first:] == computed[:first]
+
+
+@pytest.mark.parametrize("u", [1.0, 5.0, 20.0, 0.7, 2.5, 60.5])
+def test_quadrature_est_error_covers_the_exit_nodes(monkeypatch, u):
+    # a node past the cut is AUC 1, off by at most the Chernoff bound on
+    # its CAUC, which falls with the SNR: the row's est_error holds the
+    # bound at its smallest such node
+    rel_tol = EvalPolicy().rel_tol
+    cut = average._exit_cut(u, rel_tol)
+    # the cut passes the bound's test, and a node a margin below it fails
+    assert detector._cauc_chernoff(u, cut) <= 0.5 * rel_tol
+    assert detector._cauc_chernoff(u, cut * (1.0 - 4e-6)) > 0.5 * rel_tol
+    dense = _dense_nodes(monkeypatch)
+    for q, db in ((0.1, 6.0), (0.5, 10.0), (1.0, 18.0)):
+        dense.clear()
+        mv = avg_auc_quadrature(DetectorConfig(u),
+                                HoytFading(q, db_to_linear(db)))
+        exits = [g for g in dense if g >= cut]
+        assert exits, (u, q, db)
+        # every node past the cut passes the per-node test too
+        assert max(detector._cauc_chernoff(u, g) for g in exits) <= (
+            0.5 * rel_tol)
+        assert mv.est_error >= detector._cauc_chernoff(u, min(exits)), (
+            u, q, db)
+
+
+# the README quadrature sweep: kernel calls and series terms at most what
+# the exit cut and the node tolerance leave (at u = 2.5, 9,498 series calls
+# of 283,241 terms before them; at u = 5, 21,562 Poisson sums), and the
+# evaluations, which they do not change
+@pytest.mark.parametrize("u, calls, terms, evals",
+                         [("2.5", 7591, 121320, 44544),
+                          ("5", 7914, 0, 43392)])
+def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
+                                             evals):
+    work = {"calls": 0, "terms": 0, "evals": 0}
+    real_series = detector._cauc_series
+    real_poisson = detector._auc_poisson
+    real_quadrature = average.avg_auc_quadrature
+
+    def series(*args):
+        out = real_series(*args)
+        work["calls"] += 1
+        work["terms"] += out[2]
+        return out
+
+    def poisson(*args):
+        work["calls"] += 1
+        return real_poisson(*args)
+
+    def quadrature(*args):
+        mv = real_quadrature(*args)
+        work["evals"] += mv.terms_used
+        return mv
+
+    monkeypatch.setattr(detector, "_cauc_series", series)
+    monkeypatch.setattr(detector, "_auc_poisson", poisson)
+    monkeypatch.setattr(average, "avg_auc_quadrature", quadrature)
+    code, out = _main("sweep", "--metric", "auc", "--method", "quadrature",
+                      "--u", u, "--q", "0.1,0.3,0.5,0.75,1.0", "--snr-db",
+                      "-5:30:1")
+    assert code == 0 and out.count("quadrature") == 180
+    assert 0 < work["calls"] <= calls
+    assert work["terms"] <= terms
+    assert work["evals"] == evals
 
 
 def test_node_memo_stays_within_its_cap(monkeypatch):
