@@ -314,14 +314,17 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
     The arbiter of the closed forms, so it shares nothing with them: the
     detector's AUC at each node (the integer-u Poisson sum over cfg's
     binomial tails, or the real-u series over its beta tails, by the
-    detector's float kernels `_auc_poisson`, `_auc_series`) times the
-    Bessel-form density, on the half line scaled by the mean SNR.
+    detector's float kernels `_auc_poisson`, `_cauc_forward` and
+    `_auc_series`) times the Bessel-form density, on the half line scaled
+    by the mean SNR.
 
     A node needs its AUC only to the integral's tolerance.  Past the cut
     g_c where the Chernoff bound on the CAUC falls to rel_tol/2
     (`_exit_cut`, one per u and rel_tol, kept on cfg) a node's AUC is 1,
     at any u: it costs its density alone.  Below it the real-u series
-    sums the CAUC to _SUM_TOL of itself plus rel_tol/4 absolute, and the
+    sums the CAUC to _SUM_TOL of itself plus rel_tol/4 absolute: up from
+    k = 0 with no Chernoff test at g <= `detector._FORWARD_MAX` (150),
+    out from the terms' peak above, and the AUC is 1 - CAUC.  The
     integer-u Poisson sum takes its u terms.  The nodes depend on the
     mean SNR and the level alone, never on q, so cfg keeps each node's AUC
     and est_error below the cut for the next fading at that mean SNR and
@@ -360,6 +363,9 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         if auc is None:
             if betas is None:
                 value, err = detector._auc_poisson(tails, g)
+            elif g <= detector._FORWARD_MAX:
+                c, err, _ = detector._cauc_forward(betas, g, atol)
+                value, err = 1.0 - c, err + min(c, _ULP)
             else:
                 value, err, _ = detector._auc_series(betas, g, rel_tol, atol)
             auc = complex(value, err)

@@ -403,6 +403,21 @@ def test_real_u_cauc_within_its_error_at_hard_zeros():
         assert 0.0 < mv.est_error < 1e-11 * mv.value, (u, snr)
 
 
+@pytest.mark.parametrize("u", [0.05, 0.7, 2.5, 10.5, 50.5, 200.5, 499.5])
+def test_forward_node_cauc_within_its_error(u):
+    # the quadrature node's forward loop, at full precision and at the
+    # node's rel_tol/4 of the CLI: within est_error of the 40-digit CAUC,
+    # and est_error no more than atol past 1e-12 of the CAUC
+    import mp_reference  # skips this test when mpmath is missing
+    table = specfun._BetaTable(u)
+    for g in (0.01, 0.3, 1.0, 4.0, 12.0, 35.0, 80.0, detector._FORWARD_MAX):
+        want = mp_reference.cauc(u, g)
+        for atol in (0.0, 2.5e-11):
+            c, err, _ = detector._cauc_forward(table, g, atol)
+            assert abs(c - want) <= err, (g, atol)
+            assert err <= atol + 1e-12 * c, (g, atol)
+
+
 def test_real_u_cauc_series_failure_names_the_loop(monkeypatch):
     # past specfun._MAX_TERMS terms up from the peak it raises, naming u,
     # the SNR and the loop

@@ -12,6 +12,11 @@ import builtins
 import contextlib
 import hashlib
 import io
+import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -36,11 +41,11 @@ GOLDEN = [
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
     ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
-     "c2c5e99311098ab74b3939d133daf7ba1109c7731966d6d9299ea7c1373e32f9"),
+     "7250cc372d6d56ece2425f1a57c1582a792512fc0073bd6048e79e8adb58998b"),
     # quadrature q families, whose fadings at one mean SNR share node AUCs
     ("sweep --metric auc --method quadrature --u 2.5 --q 0.1,0.5,1.0 "
      "--snr-db 0:30:10",
-     "c27446388e475243cddcc427f886075c63e4a452ed45a2e94bed254d68fedd4d"),
+     "dee0893d4edd5fc8887b2ca914fdf23628c798effc9e4085d51d5c933fbdf591"),
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
      "80bb29837afec78250717a79716673aed65d0cd724411f0bc043e77663b84db8"),
@@ -97,3 +102,47 @@ def test_portable_commands_sum_no_floats(monkeypatch):
     # the spy sees a float sum made through builtins.sum
     assert sum([0.5, 0.25]) == 0.75
     assert float_sums == [[0.5, 0.25]]
+
+
+# what another interpreter runs: its version, once it has started, then
+# the exit code and the sha256 of the stdout of each command, one a line
+_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+print(sys.version.split()[0], flush=True)
+from hoytsense import cli
+for command in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split())
+    print(code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+
+
+def test_portable_digests_hold_on_the_other_cpythons():
+    # each other CPython from 3.10 to 3.13 on PATH runs every PORTABLE
+    # command in one subprocess, the package from src (these routes need
+    # no numpy), and prints the GOLDEN bytes.  PYENV_VERSION lets a pyenv
+    # shim start the version it is named after; a name that starts no
+    # interpreter counts as not found
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    golden = dict(GOLDEN)
+    want = [f"0 {golden[command]}" for command in PORTABLE]
+    ran = []
+    for minor in (10, 11, 12, 13):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        env = dict(os.environ, PYTHONPATH=src, PYENV_VERSION=f"3.{minor}")
+        proc = subprocess.run([exe, "-c", _DIGESTS, json.dumps(PORTABLE)],
+                              capture_output=True, text=True, env=env,
+                              timeout=600)
+        if not proc.stdout:
+            continue
+        version, *rows = proc.stdout.splitlines()
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert version.startswith(f"3.{minor}.") and len(rows) == len(want)
+        assert list(zip(PORTABLE, rows)) == list(zip(PORTABLE, want)), version
+        ran.append(version)
+    if not ran:
+        pytest.skip("no other CPython 3.10 to 3.13 found")

@@ -146,25 +146,28 @@ def _dense_nodes(monkeypatch):
 
 
 # "laguerre" names the integer-u route, the paper's Laguerre form, which
-# the detector sums as a Poisson mixture of binomial tails
-@pytest.mark.parametrize("u, module, name",
-                         [("2.5", detector, "_auc_series"),
-                          ("5", detector, "_auc_poisson")],
+# the detector sums as a Poisson mixture of binomial tails; a real-u node
+# takes the forward loop up to detector._FORWARD_MAX, the series above it
+@pytest.mark.parametrize("u, names",
+                         [("2.5", ("_cauc_forward", "_auc_series")),
+                          ("5", ("_auc_poisson",))],
                          ids=["series", "laguerre"])
-def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u,
-                                                       module, name):
+def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u, names):
     # three fadings at one mean SNR share their nodes: each node with a
     # nonzero density below the exit cut has its AUC computed once in the
-    # request, and none at or past the cut is computed
+    # request, by one of the node kernels, and none at or past the cut is
+    # computed
     dense = _dense_nodes(monkeypatch)
     computed = []
-    real_auc = getattr(module, name)
 
-    def auc(cfg_or_u, g, *rest):
-        computed.append(g)
-        return real_auc(cfg_or_u, g, *rest)
+    def spy(real):
+        def kernel(table, g, *rest):
+            computed.append(g)
+            return real(table, g, *rest)
+        return kernel
 
-    monkeypatch.setattr(module, name, auc)
+    for name in names:
+        monkeypatch.setattr(detector, name, spy(getattr(detector, name)))
     argv = ("sweep", "--metric", "auc", "--method", "quadrature", "--u", u,
             "--q", "0.1,0.5,1", "--snr-db", "10")
     code, out = _main(*argv)
@@ -205,18 +208,31 @@ def test_quadrature_est_error_covers_the_exit_nodes(monkeypatch, u):
 
 
 # the README quadrature sweep: kernel calls and series terms at most what
-# the exit cut and the node tolerance leave (at u = 2.5, 9,498 series calls
-# of 283,241 terms before them; at u = 5, 21,562 Poisson sums), and the
-# evaluations, which they do not change
+# the exit cut, the node tolerance and the forward loop leave (at u = 2.5,
+# 9,498 peak-walk series calls of 283,241 terms before them; at u = 5,
+# 21,562 Poisson sums; at u = 2.5 every node below the cut now takes the
+# forward loop, whose 136,382 terms replace the peak walk's 121,320), and
+# the evaluations, which they do not change.  A node on the forward loop
+# makes no Chernoff test
 @pytest.mark.parametrize("u, calls, terms, evals",
-                         [("2.5", 7591, 121320, 44544),
+                         [("2.5", 7591, 136382, 44544),
                           ("5", 7914, 0, 43392)])
 def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
                                              evals):
     work = {"calls": 0, "terms": 0, "evals": 0}
+    forward, chernoff = [], []
+    real_forward = detector._cauc_forward
     real_series = detector._cauc_series
     real_poisson = detector._auc_poisson
+    real_chernoff = detector._cauc_chernoff
     real_quadrature = average.avg_auc_quadrature
+
+    def forward_spy(table, g, atol):
+        out = real_forward(table, g, atol)
+        forward.append(g)
+        work["calls"] += 1
+        work["terms"] += out[2]
+        return out
 
     def series(*args):
         out = real_series(*args)
@@ -228,13 +244,19 @@ def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
         work["calls"] += 1
         return real_poisson(*args)
 
+    def chernoff_spy(u, g):
+        chernoff.append(g)
+        return real_chernoff(u, g)
+
     def quadrature(*args):
         mv = real_quadrature(*args)
         work["evals"] += mv.terms_used
         return mv
 
+    monkeypatch.setattr(detector, "_cauc_forward", forward_spy)
     monkeypatch.setattr(detector, "_cauc_series", series)
     monkeypatch.setattr(detector, "_auc_poisson", poisson)
+    monkeypatch.setattr(detector, "_cauc_chernoff", chernoff_spy)
     monkeypatch.setattr(average, "avg_auc_quadrature", quadrature)
     code, out = _main("sweep", "--metric", "auc", "--method", "quadrature",
                       "--u", u, "--q", "0.1,0.3,0.5,0.75,1.0", "--snr-db",
@@ -243,6 +265,10 @@ def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
     assert 0 < work["calls"] <= calls
     assert work["terms"] <= terms
     assert work["evals"] == evals
+    # every real-u node takes the forward loop, and none of them makes a
+    # Chernoff test
+    assert len(forward) == (work["calls"] if u == "2.5" else 0)
+    assert chernoff and not set(forward) & set(chernoff)
 
 
 def test_node_memo_stays_within_its_cap(monkeypatch):
