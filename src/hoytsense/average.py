@@ -34,8 +34,11 @@ What depends on u alone, or on u and a threshold, is built once per
 increments and tails (`specfun._BetaTable`), the finite sum's tail
 weights, and a threshold's gamma increments and column.  So a row pays
 only for what its q and SNR set: the Legendre terms and the sums over
-them.  The quadrature keeps its node AUCs there too, which fadings at one
-mean SNR share, and the SNR past which a node's AUC is 1.
+them.  The quadrature keeps its node CAUCs there too, which fadings at
+one mean SNR share, and the SNR past which a node's CAUC is 0.  It
+integrates the CAUC mass below that SNR, on a half line scaled by the
+smaller of the two, and stops at the tolerance of the AUC
+(`avg_auc_quadrature`).
 """
 
 from __future__ import annotations
@@ -267,70 +270,74 @@ def _series_cauc(table: specfun._BetaTable, q: float, mean_snr: float,
                    + n * 5e-324), n
 
 
-# the most node AUCs a configuration keeps for one rel_tol: a long sweep or
-# a stalled integral (ten levels are 32,736 nodes) stops adding at ~0.75 MB
+# the most node CAUCs a configuration keeps for one rel_tol: a long sweep
+# or a stalled integral (ten levels are 32,736 nodes) stops adding at
+# ~0.75 MB
 _MEMO_NODES = 1 << 13
 
-# the relative width to which `_exit_cut` brackets the Chernoff crossing,
-# and the margin it adds past it: far more than the bound's rounding, a
-# few ulps of its logarithm, can move the crossing
+# the relative step below which `_exit_cut`'s walk stops, and the margin it
+# adds past the crossing: far more than the bound's rounding, a few ulps of
+# its logarithm, can move the crossing
 _CUT_WIDTH = 1e-6
 
 
-def _node_aucs(u: float, rel_tol: float) -> Dict[float, complex]:
-    # node -> complex(AUC, est_error): one complex holds the pair in 32
+def _node_caucs(u: float, rel_tol: float) -> Dict[float, complex]:
+    # node -> complex(CAUC, est_error): one complex holds the pair in 32
     # bytes, where a tuple of two floats takes 104
     return {}
 
 
 def _exit_cut(u: float, rel_tol: float) -> float:
     # an SNR past which the Chernoff bound on the fixed-SNR CAUC
-    # (`detector._cauc_chernoff`) is at most rel_tol/2, within _CUT_WIDTH
-    # relative above the smallest such SNR: the bound falls with the SNR,
-    # so doubling and then bisection find the crossing, and the margin on
-    # top keeps every node past the cut passing the bound's own test.  The
-    # bound is 1 at snr 0 and above e^(-snr/2), so the crossing lies past
-    # 2 ln(2/rel_tol)
-    bound, half = detector._cauc_chernoff, 0.5 * rel_tol
+    # (`detector._cauc_chernoff`) is at most rel_tol/2, _CUT_WIDTH relative
+    # above the smallest such SNR.  The log of the bound falls and is
+    # concave in the SNR, its slope -s/(1+s) (`detector._chernoff_ln`), so
+    # Newton's walk on it lands above the crossing from any start (a
+    # concave function lies below its tangents) and then falls to it from
+    # above, 2-6 bound evaluations over u <= 500 at rel_tol 1e-10.  It
+    # starts from 2 ln(2/rel_tol), since the bound is above e^(-snr/2), and
+    # the margin on top keeps every node past the cut passing the bound's
+    # own test
+    half = 0.5 * rel_tol
     if half >= 1.0:
         return 0.0
-    lo = 2.0 * (math.log(2.0) - math.log(rel_tol))
-    hi = 2.0 * lo
-    while bound(u, hi) > half:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > _CUT_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if bound(u, mid) > half:
-            lo = mid
-        else:
-            hi = mid
-    return hi * (1.0 + _CUT_WIDTH)
+    target = math.log(half)
+    g = -2.0 * target
+    while True:
+        ln_bound, s = detector._chernoff_ln(u, g)
+        step = (ln_bound - target) * (1.0 + s) / s
+        g += step
+        if abs(step) <= _CUT_WIDTH * g:
+            return g * (1.0 + _CUT_WIDTH)
 
 
 def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
                        policy: EvalPolicy = _DEFAULT_POLICY) -> MetricValue:
-    """Reference average AUC: fixed-SNR AUC integrated against the SNR density.
+    """Reference average AUC: 1 - the fixed-SNR CAUC integrated against the
+    SNR density.
 
     The arbiter of the closed forms, so it shares nothing with them: the
-    detector's AUC at each node (the integer-u Poisson sum over cfg's
+    detector's CAUC at each node (the integer-u Poisson sum over cfg's
     binomial tails, or the real-u series over its beta tails, by the
-    detector's float kernels `_auc_poisson`, `_cauc_forward` and
-    `_auc_series`) times the Bessel-form density, on the half line scaled
-    by the mean SNR.
+    detector's float kernels `_cauc_poisson`, `_cauc_forward` and
+    `_cauc_series`) times the Bessel-form density, integrated on the half
+    line, and the AUC is 1 minus that integral.
 
-    A node needs its AUC only to the integral's tolerance.  Past the cut
+    A node needs its CAUC only to the integral's tolerance.  Past the cut
     g_c where the Chernoff bound on the CAUC falls to rel_tol/2
-    (`_exit_cut`, one per u and rel_tol, kept on cfg) a node's AUC is 1,
-    at any u: it costs its density alone.  Below it the real-u series
-    sums the CAUC to _SUM_TOL of itself plus rel_tol/4 absolute: up from
-    k = 0 with no Chernoff test at g <= `detector._FORWARD_MAX` (150),
-    out from the terms' peak above, and the AUC is 1 - CAUC.  The
-    integer-u Poisson sum takes its u terms.  The nodes depend on the
-    mean SNR and the level alone, never on q, so cfg keeps each node's AUC
-    and est_error below the cut for the next fading at that mean SNR and
-    rel_tol (`_node_aucs`, the first _MEMO_NODES nodes): a q family
-    computes each such node's AUC once, and a row is bit for bit the one
-    a fresh configuration gives.
+    (`_exit_cut`, one per u and rel_tol, kept on cfg) a node's CAUC is 0,
+    at any u: it costs no density and no kernel.  Below it the real-u
+    series sums the CAUC to _SUM_TOL of itself plus rel_tol/4 absolute: up
+    from k = 0 at g <= `detector._FORWARD_MAX` (150), out from the terms'
+    peak above.  The integer-u Poisson sum takes its u terms.  The map
+    x = h t/(1-t) is scaled by h = min(mean SNR, g_c), so at any mean SNR
+    half of each level's nodes lie below the cut, where the mass is; the
+    levels stop where they agree within rel_tol of the AUC, not of the
+    CAUC.  The nodes depend on the mean SNR, u, rel_tol and the level
+    alone, never on q, so cfg keeps each node's CAUC and est_error below the cut for the
+    next fading at that mean SNR and rel_tol (`_node_caucs`, the first
+    _MEMO_NODES nodes): a q family computes each such node's CAUC once,
+    and a row is bit for bit the one a fresh configuration gives.
 
     est_error adds to the last change between levels the largest node
     error: that of the nodes below the cut, or the Chernoff bound at the
@@ -345,37 +352,40 @@ def avg_auc_quadrature(cfg: DetectorConfig, f: HoytFading,
         tails, betas = cfg._table(_binomial_tails), None
     else:
         tails, betas = None, cfg._table(specfun._BetaTable)
-    nodes = cfg._table(_node_aucs, rel_tol)
+    nodes = cfg._table(_node_caucs, rel_tol)
     cut = cfg._table(_exit_cut, rel_tol)
     node_err = 0.0
     g_exit = math.inf  # the smallest node past the cut
 
     def integrand(g: float) -> float:
+        # -c(g) f(g), added to the base 1
         nonlocal node_err, g_exit
-        density = snr_pdf(f, g)
-        if density == 0.0:
-            return 0.0
         if g >= cut:
             if g < g_exit:
                 g_exit = g
-            return density
-        auc = nodes.get(g)
-        if auc is None:
+            return 0.0
+        density = snr_pdf(f, g)
+        if density == 0.0:
+            return 0.0
+        c = nodes.get(g)
+        if c is None:
             if betas is None:
-                value, err = detector._auc_poisson(tails, g)
+                value, err = detector._cauc_poisson(tails, g)
             elif g <= detector._FORWARD_MAX:
-                c, err, _ = detector._cauc_forward(betas, g, atol)
-                value, err = 1.0 - c, err + min(c, _ULP)
+                value, err, _ = detector._cauc_forward(betas, g, atol)
             else:
-                value, err, _ = detector._auc_series(betas, g, rel_tol, atol)
-            auc = complex(value, err)
+                value, err, _ = detector._cauc_series(betas, g, atol)
+            c = complex(value, err)
             if len(nodes) < _MEMO_NODES:
-                nodes[g] = auc
-        if auc.imag > node_err:
-            node_err = auc.imag
-        return auc.real * density
+                nodes[g] = c
+        if c.imag > node_err:
+            node_err = c.imag
+        return -c.real * density
 
-    value, err, evals = integrate_half_line(integrand, policy, scale=f.mean_snr)
+    # a cut of 0 (rel_tol >= 2) leaves no node below it, at any scale
+    scale = min(f.mean_snr, cut) if cut else f.mean_snr
+    value, err, evals = integrate_half_line(integrand, policy, scale=scale,
+                                            base=1.0)
     if g_exit < math.inf:
         node_err = max(node_err,
                        detector._cauc_chernoff(cfg.time_bandwidth, g_exit))

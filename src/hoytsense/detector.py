@@ -254,11 +254,17 @@ def _invert_pf(cfg: DetectorConfig, pf_target: float) -> Tuple[float, float]:
 
 def _cauc_chernoff(u: float, snr: float) -> float:
     # the CAUC is P(X < Y), X ~ Gamma(u + Poisson(snr)), Y ~ Gamma(u), so
-    # for 0 < s < 1 it is below E e^(s(Y-X)) = (1-s^2)^-u e^(-snr s/(1+s));
-    # s is its minimiser, the root of 2u s^2 + (2u+snr) s - snr, but any s
-    # in (0, 1) gives a valid bound, so rounding in s cannot break it: past
-    # b^2's range b is scaled out of the root, and where s rounds to 1 it
-    # takes the largest double below 1
+    # for 0 < s < 1 it is below E e^(s(Y-X)) = (1-s^2)^-u e^(-snr s/(1+s))
+    # (`_chernoff_ln`)
+    return math.exp(_chernoff_ln(u, snr)[0])
+
+
+def _chernoff_ln(u: float, snr: float) -> Tuple[float, float]:
+    # (the log of `_cauc_chernoff`'s bound, its s).  s is the minimiser,
+    # the root of 2u s^2 + (2u+snr) s - snr, so the log's slope in snr is
+    # -s/(1+s); but any s in (0, 1) gives a valid bound, so rounding in s
+    # cannot break it: past b^2's range b is scaled out of the root, and
+    # where s rounds to 1 it takes the largest double below 1
     b = 2.0 * u + snr
     root = math.sqrt(b * b + 8.0 * u * snr)
     if root < math.inf:
@@ -267,7 +273,7 @@ def _cauc_chernoff(u: float, snr: float) -> float:
         x = snr / b
         s = 2.0 * x / (1.0 + math.sqrt(1.0 + 8.0 * u * x / b))
     s = min(s, _BELOW_ONE)
-    return math.exp(-u * math.log1p(-s * s) - snr * s / (1.0 + s))
+    return -u * math.log1p(-s * s) - snr * s / (1.0 + s), s
 
 
 def auc_awgn_series(cfg: DetectorConfig, snr: float,
@@ -286,14 +292,13 @@ def auc_awgn_series(cfg: DetectorConfig, snr: float,
     return MetricValue(value, "closed_series", terms, err)
 
 
-def _auc_series(table: specfun._BetaTable, snr: float, rel_tol: float,
-                atol: float = 0.0) -> Tuple[float, float, int]:
-    # auc_awgn_series past its argument check: (AUC, error bound, terms),
-    # the CAUC summed to atol beyond its own _SUM_TOL (`_cauc_series`)
+def _auc_series(table: specfun._BetaTable, snr: float,
+                rel_tol: float) -> Tuple[float, float, int]:
+    # auc_awgn_series past its argument check: (AUC, error bound, terms)
     bound = _cauc_chernoff(table.u, snr)
     if bound <= 0.5 * rel_tol:
         return 1.0, bound, 0
-    c, err, terms = _cauc_series(table, snr, atol)
+    c, err, terms = _cauc_series(table, snr)
     return 1.0 - c, err + min(c, _ULP), terms
 
 
@@ -357,12 +362,13 @@ def _cauc_series(table: specfun._BetaTable, snr: float,
 
 
 # the largest node SNR that `_cauc_forward` takes.  Its cost grows with
-# the SNR, as it walks up from k = 0, where `_auc_series` walks out from
+# the SNR, as it walks up from k = 0, where `_cauc_series` walks out from
 # the peak.  In-process at atol = 2.5e-11 (CPython 3.11, a shared 2-vCPU
 # Xeon, best of 40) the forward loop took 2.3-19.6 us a node up to g =
-# 150 over u = 0.7 to 499.5, and `_auc_series` 5.1-33 us; the two cost the
-# same at g ~155 at u = 150.5 (exit cut 164), ~170 at u = 200.5, ~200 at
-# u = 300.5 and ~240 at u = 499.5, just below the cut.  From u ~140 the
+# 150 over u = 0.7 to 499.5, and the peak walk with a Chernoff test
+# before it (`_auc_series`) 5.1-33 us; the two cost the same at g ~155 at
+# u = 150.5 (exit cut 164), ~170 at u = 200.5, ~200 at u = 300.5 and ~240
+# at u = 499.5, just below the cut.  From u ~140 the
 # cut passes 150.  And e^(-150) = 7e-66 keeps the weights normal
 _FORWARD_MAX = 150.0
 

@@ -100,16 +100,19 @@ _W01 = (
 
 
 def _integrate(f: Callable[[float], float], policy: EvalPolicy,
-               scale: Optional[float]) -> Tuple[float, float, int]:
+               scale: Optional[float],
+               base: float = 0.0) -> Tuple[float, float, int]:
     # The level-doubling loop (see the module docstring).  scale=None
     # integrates over (0, 1), a scale over (0, inf) via x = scale * t/(1-t).
+    # Returns base + the integral, summed with the panels in one fsum, and
+    # stops where two levels agree within rel_tol of that sum
     prev: Optional[float] = None
     delta = math.inf
     evals = 0
     for level in range(_MAX_LEVELS + 1):
         panels = 1 << level
         h = 1.0 / panels
-        pieces = []
+        pieces = [base]
         for j in range(panels):
             left = j * h
             acc = 0.0
@@ -155,14 +158,18 @@ def integrate_unit_interval(f: Callable[[float], float],
 
 
 def integrate_half_line(f: Callable[[float], float], policy: EvalPolicy,
-                        scale: float = 1.0) -> Tuple[float, float, int]:
+                        scale: float = 1.0,
+                        base: float = 0.0) -> Tuple[float, float, int]:
     """Integrate f over (0, inf) via the substitution x = scale * t/(1-t).
 
     `scale` should sit near the bulk of the integrand's mass; the map then
     spends half the unit interval below that point and half above, which
-    keeps panel counts low for densities with exponential tails.
+    keeps panel counts low for densities with exponential tails.  The value
+    returned is base + the integral, and the levels stop where they agree
+    within rel_tol of it: a small correction to a known constant (base 1,
+    f the negated correction) stops at the tolerance of the whole.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    return _integrate(f, policy, scale)
+    return _integrate(f, policy, scale, base)
 

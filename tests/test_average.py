@@ -200,6 +200,25 @@ def test_quadrature_within_est_error_of_reference_to_1e_12():
                     u, q, db)
 
 
+@pytest.mark.parametrize("db", [50.0, 60.0])
+def test_quadrature_within_est_error_of_reference_at_high_snr(db):
+    # past the exit cut a node's CAUC is 0, and a mean SNR far above the
+    # cut would leave every node of the first levels there, the rule
+    # settling on no CAUC at all (60 dB once read CAUC 0 for 3.2e-6): the
+    # map's scale is held at the cut, so half of each level's nodes see
+    # the CAUC's mass
+    import nb_reference as ref  # skips this test when scipy is missing
+    mean = 10.0 ** (db / 10.0)
+    for u in (0.7, 1.0, 2.5, 5.0, 20.0):
+        cfg = DetectorConfig(u)
+        for q in (0.07, 0.3, 1.0):
+            mv = avg_auc_quadrature(cfg, _f(q, mean))
+            want = ref.avg_cauc(u, q, mean)
+            assert want > 1e-7
+            assert abs((1.0 - mv.value) - want) <= mv.est_error + 1e-12, (
+                u, q, db)
+
+
 def test_real_u_quadrature_shares_one_beta_column(monkeypatch):
     # every node's fixed-SNR series dots its window with one column per call
     calls = []

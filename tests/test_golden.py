@@ -41,14 +41,14 @@ GOLDEN = [
      "--trials 200000 --seed 7",
      "798c5360db5968c1322dfbd28329eec9a40a69f224e48fa6ee2f02a21115ba74"),
     ("sweep --metric cauc --method quadrature --u 2.5 --q 0.4 --snr-db 10",
-     "7250cc372d6d56ece2425f1a57c1582a792512fc0073bd6048e79e8adb58998b"),
+     "5ae3e1c7293dead9571d5bf0a68ee81bbf01a0b7393a6b4e177dc8ae40046d9e"),
     # quadrature q families, whose fadings at one mean SNR share node AUCs
     ("sweep --metric auc --method quadrature --u 2.5 --q 0.1,0.5,1.0 "
      "--snr-db 0:30:10",
-     "dee0893d4edd5fc8887b2ca914fdf23628c798effc9e4085d51d5c933fbdf591"),
+     "b97ff393e8f069ea33c6dfb61f2abf23b53c4c9aff5488db9d23473821c8f5e3"),
     ("sweep --metric cauc --method quadrature --u 5 --q 0.3,1.0 "
      "--snr-db 0:20:10",
-     "80bb29837afec78250717a79716673aed65d0cd724411f0bc043e77663b84db8"),
+     "2bdb327e0ce2d0a624167afac7c2b858550d35f39653d1ccff2e189ee60d8c62"),
     # integer u beyond 5: the finite sum at u = 1, 20 and 100 (below the
     # overflow) and the Poisson node kernel at u = 20
     ("sweep --metric cauc --u 1 --q 0.15,0.85 --snr-db -10:40:5",
@@ -58,7 +58,7 @@ GOLDEN = [
     ("sweep --metric cauc --u 100 --q 0.3,0.75 --snr-db -10:10:5",
      "dfc0ae0d796cad4fc1188b63d183f735949e53f2ec3dc889c320e129c35548f8"),
     ("sweep --metric auc --method quadrature --u 20 --q 0.8 --snr-db 6",
-     "3de41f290350d6ee2434a414af56792c03b513c171d45f9484782a3970bf3655"),
+     "5ef73b9649dc27621af6f117eac044d6105a9cd75670aae42e2e49748e4e2c3c"),
 ]
 
 

@@ -145,16 +145,20 @@ def _dense_nodes(monkeypatch):
     return dense
 
 
+# the detector kernels that give `avg_auc_quadrature` a node's CAUC
+_NODE_KERNELS = ("_cauc_poisson", "_cauc_forward", "_cauc_series")
+
+
 # "laguerre" names the integer-u route, the paper's Laguerre form, which
 # the detector sums as a Poisson mixture of binomial tails; a real-u node
 # takes the forward loop up to detector._FORWARD_MAX, the series above it
 @pytest.mark.parametrize("u, names",
-                         [("2.5", ("_cauc_forward", "_auc_series")),
-                          ("5", ("_auc_poisson",))],
+                         [("2.5", ("_cauc_forward", "_cauc_series")),
+                          ("5", ("_cauc_poisson",))],
                          ids=["series", "laguerre"])
 def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u, names):
     # three fadings at one mean SNR share their nodes: each node with a
-    # nonzero density below the exit cut has its AUC computed once in the
+    # nonzero density below the exit cut has its CAUC computed once in the
     # request, by one of the node kernels, and none at or past the cut is
     # computed
     dense = _dense_nodes(monkeypatch)
@@ -185,21 +189,43 @@ def test_quadrature_family_computes_each_node_auc_once(monkeypatch, u, names):
 
 @pytest.mark.parametrize("u", [1.0, 5.0, 20.0, 0.7, 2.5, 60.5])
 def test_quadrature_est_error_covers_the_exit_nodes(monkeypatch, u):
-    # a node past the cut is AUC 1, off by at most the Chernoff bound on
+    # a node past the cut is CAUC 0, off by at most the Chernoff bound on
     # its CAUC, which falls with the SNR: the row's est_error holds the
-    # bound at its smallest such node
+    # bound at its smallest such node.  Such a node calls neither the
+    # density nor a node kernel
     rel_tol = EvalPolicy().rel_tol
     cut = average._exit_cut(u, rel_tol)
     # the cut passes the bound's test, and a node a margin below it fails
     assert detector._cauc_chernoff(u, cut) <= 0.5 * rel_tol
     assert detector._cauc_chernoff(u, cut * (1.0 - 4e-6)) > 0.5 * rel_tol
-    dense = _dense_nodes(monkeypatch)
-    for q, db in ((0.1, 6.0), (0.5, 10.0), (1.0, 18.0)):
-        dense.clear()
+    nodes, densities, computed = [], [], []
+    real_half_line, real_pdf = average.integrate_half_line, average.snr_pdf
+
+    def half_line(f, *args, **kwargs):
+        def spy(g):
+            nodes.append(g)
+            return f(g)
+        return real_half_line(spy, *args, **kwargs)
+
+    def pdf(f, g):
+        densities.append(g)
+        return real_pdf(f, g)
+
+    monkeypatch.setattr(average, "integrate_half_line", half_line)
+    monkeypatch.setattr(average, "snr_pdf", pdf)
+    for name in _NODE_KERNELS:
+        def kernel(table, g, *rest, real=getattr(detector, name)):
+            computed.append(g)
+            return real(table, g, *rest)
+        monkeypatch.setattr(detector, name, kernel)
+    for q, db in ((0.1, 6.0), (0.5, 10.0), (1.0, 18.0), (0.3, 50.0)):
+        for seen in (nodes, densities, computed):
+            seen.clear()
         mv = avg_auc_quadrature(DetectorConfig(u),
                                 HoytFading(q, db_to_linear(db)))
-        exits = [g for g in dense if g >= cut]
-        assert exits, (u, q, db)
+        exits = [g for g in nodes if g >= cut]
+        assert exits and computed, (u, q, db)
+        assert max(densities) < cut and max(computed) < cut, (u, q, db)
         # every node past the cut passes the per-node test too
         assert max(detector._cauc_chernoff(u, g) for g in exits) <= (
             0.5 * rel_tol)
@@ -208,22 +234,22 @@ def test_quadrature_est_error_covers_the_exit_nodes(monkeypatch, u):
 
 
 # the README quadrature sweep: kernel calls and series terms at most what
-# the exit cut, the node tolerance and the forward loop leave (at u = 2.5,
-# 9,498 peak-walk series calls of 283,241 terms before them; at u = 5,
-# 21,562 Poisson sums; at u = 2.5 every node below the cut now takes the
-# forward loop, whose 136,382 terms replace the peak walk's 121,320), and
-# the evaluations, which they do not change.  A node on the forward loop
-# makes no Chernoff test
+# the exit cut, the node tolerance, the forward loop and the map scale
+# leave (at u = 2.5, 9,498 peak-walk series calls of 283,241 terms before
+# them; at u = 5, 21,562 Poisson sums; with the map scaled by the mean SNR
+# rather than by min(mean SNR, exit cut), 7,591 forward calls of 136,382
+# terms and 7,914 Poisson sums), and the evaluations (44,544 and 43,392
+# with that scale).  A node on the forward loop makes no Chernoff test
 @pytest.mark.parametrize("u, calls, terms, evals",
-                         [("2.5", 7591, 136382, 44544),
-                          ("5", 7914, 0, 43392)])
+                         [("2.5", 2760, 45619, 20352),
+                          ("5", 2830, 0, 20992)])
 def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
                                              evals):
     work = {"calls": 0, "terms": 0, "evals": 0}
     forward, chernoff = [], []
     real_forward = detector._cauc_forward
     real_series = detector._cauc_series
-    real_poisson = detector._auc_poisson
+    real_poisson = detector._cauc_poisson
     real_chernoff = detector._cauc_chernoff
     real_quadrature = average.avg_auc_quadrature
 
@@ -255,7 +281,7 @@ def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
 
     monkeypatch.setattr(detector, "_cauc_forward", forward_spy)
     monkeypatch.setattr(detector, "_cauc_series", series)
-    monkeypatch.setattr(detector, "_auc_poisson", poisson)
+    monkeypatch.setattr(detector, "_cauc_poisson", poisson)
     monkeypatch.setattr(detector, "_cauc_chernoff", chernoff_spy)
     monkeypatch.setattr(average, "avg_auc_quadrature", quadrature)
     code, out = _main("sweep", "--metric", "auc", "--method", "quadrature",
@@ -274,7 +300,7 @@ def test_readme_quadrature_sweep_work_counts(monkeypatch, u, calls, terms,
 def test_node_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(average, "_MEMO_NODES", 64)
     shared = DetectorConfig(2.5)
-    memo = shared._table(average._node_aucs, EvalPolicy().rel_tol)
+    memo = shared._table(average._node_caucs, EvalPolicy().rel_tol)
     for q in (0.1, 0.5, 1.0):
         for db in (0.0, 10.0):
             f = HoytFading(q, db_to_linear(db))
